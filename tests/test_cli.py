@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,13 @@ GRID_CONFIG = {
         {"symbol": "m", "min": 0.5, "max": 2.0, "steps": 4},
     ],
     "fixed": {"c": 0.5, "V_B": 2.0, "r": 0.0, "p": 0.0, "prior": 0.5},
+}
+
+
+RISK_GRID_CONFIG = {
+    "mechanism": {"mechanism": "tying-hands", "variant": "risk"},
+    "axes": [{"symbol": "m", "min": 1.1, "max": 1.4, "steps": 2}],
+    "fixed": {"c": 0.5, "V_D": 1.0, "V_B": 2.0, "r": 0.8, "p": 0.0, "prior": 0.5},
 }
 
 
@@ -103,15 +111,7 @@ class TestSweep:
     def test_discrepancy_exit_code(self, tmp_path, capsys):
         # risk-variant pooling diverges from the closed form at r > c
         config = tmp_path / "grid.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "mechanism": {"mechanism": "tying-hands", "variant": "risk"},
-                    "axes": [{"symbol": "m", "min": 1.1, "max": 1.4, "steps": 2}],
-                    "fixed": {"c": 0.5, "V_D": 1.0, "V_B": 2.0, "r": 0.8, "p": 0.0, "prior": 0.5},
-                }
-            )
-        )
+        config.write_text(json.dumps(RISK_GRID_CONFIG))
         code, out, err = run(
             f"sweep --config {config} --oracle-fraction 1.0 --seed 1".split(), capsys
         )
@@ -311,3 +311,101 @@ class TestProcessContract:
         assert proc.returncode == 0
         json.loads(proc.stdout)  # stdout carries only the result
         assert "classify" in proc.stderr  # the info log went to stderr
+
+
+SIM = "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --p 0.2 --trials 2000 --seed 7"
+TIES = "--mechanism installment --c 0.3 --vd 0.5 --vb 2 --prior 0.3 --messages 0,1.2,2.4"
+
+#: sha256 of "exit <code>\n" + stdout for fixed runs of every subcommand x
+#: format, recorded before the CLI was folded onto one resolve/emit path.
+STDOUT_DIGESTS = {
+    "classify-json": (
+        "classify --mechanism tying-hands --variant base --c 0.5 --vd 1 --vb 2 --m 2 --format json",
+        "2c927f18ec2246ce7cc1312cb4a023ab2e81e53996bfbc9295f9c8bc70ba17c5",
+    ),
+    "classify-csv": (
+        "classify --mechanism reducible --variant risk --c 0.5 --vd 1 --vb 2 --r 0.6 --m 2 --format csv",
+        "2557479a034b1b67b47882d5e3e078494fa56a621349382590eef408437d6415",
+    ),
+    "classify-invalid": (
+        "classify --mechanism tying-hands --c 0.5 --vd 1 --vb 0.4 --m 2",
+        "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
+    ),
+    "oracle-json": (
+        "oracle --mechanism tying-hands --variant risk --c 0.5 --vd 1 --vb 2 --r 0.6 --messages 0,1.5",
+        "a4a08d89135e00ff05a482dcbd9042575733ffa099dbfef008cf14df127c6ebc",
+    ),
+    "oracle-json-ties": (
+        f"oracle {TIES}",
+        "58e677752726b6a78f65d58a98f5a6ae9e359df7c5d40202e18b0e5533dcd514",
+    ),
+    "oracle-csv-ties": (
+        f"oracle {TIES} --format csv",
+        "b005975282f70896c077b32bb8b66dc399be355920f0ff4904bf3424f3220e10",
+    ),
+    "oracle-size-guard": (
+        "oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,1,2,3,4,5,6,7,8",
+        "09f04881ea8a851192518e6a9f37b5c85d4fbb7004452eaddcbb4a557d218425",
+    ),
+    "sweep-csv": (
+        "sweep --config {grid} --oracle-fraction 0.25 --seed 42",
+        "0e8aa3fc7feabbd4ff5292d7fbd7a16243dfc3519fd4d0de7fed319834c78983",
+    ),
+    "sweep-json": (
+        "sweep --config {grid} --oracle-fraction 0 --format json",
+        "b8ecda4c715410c9858c2126ca6d1a2fa8d6563f6c3c859dd8708f9d88e867d5",
+    ),
+    "sweep-discrepancy": (
+        "sweep --config {risk_grid} --oracle-fraction 1.0 --seed 1",
+        "5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff",
+    ),
+    "simulate-json": (
+        SIM,
+        "5322ddf46ff2829c17cd9d1ac3ff7eb3a80686e0df538e6b2f4e05003a2ca0a2",
+    ),
+    "simulate-csv": (
+        f"{SIM} --format csv",
+        "123eedcfe087cbdc58ef3551427abd185c5b36b3f29861da77cd351e720c869d",
+    ),
+    "simulate-json-prior-weighted": (
+        f"{SIM} --drift-mode prior-weighted",
+        "edbc969da674f24dd861f281d7e172d3e635d8055fe543b00978c9976028f93d",
+    ),
+    "simulate-csv-prior-weighted": (
+        f"{SIM} --drift-mode prior-weighted --format csv",
+        "6873af37fecee71836c619da3cd82c8e98c67afb275ca5561a467ce1036f42ad",
+    ),
+    "simulate-csv-prior-weighted-degenerate": (
+        f"{SIM} --drift-mode prior-weighted --prior 1 --allow-degenerate-prior --format csv",
+        "d3d5ec902511f783feae1c242ffef0363f7189b5a6aeecb35fb1d765b8b71b00",
+    ),
+    "simulate-csv-best-response": (
+        f"{SIM} --drift-mode best-response --format csv",
+        "5144c679300fad6f70eae12c1cd0b97cf8e0c6b317263e5b9bdc96dad7631ca2",
+    ),
+    "classify-dump-config": (
+        "classify --mechanism tying-hands --variant risk --c 0.5 --vd 1 --vb 2 --r 0.7 --m 2 "
+        "--format csv --dump-config -",
+        "f77ee692350c546467f047b607d8d7253cddfc116047798eff6bd6f906601589",
+    ),
+    "oracle-dump-config": (
+        f"oracle {TIES} --dump-config -",
+        "afb73cd95f6c641cb1112c1e1a957fed1b09ffdcf34faf94088374ea2898bf60",
+    ),
+    "sweep-dump-config": (
+        "sweep --config {grid} --seed 5 --dump-config -",
+        "67b8159ba5f3088dc16172e3b87439813484e982d8a283a78ee162d9af41b0d3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_DIGESTS))
+def test_stdout_bytes_unchanged(case, tmp_path, capsys):
+    argv, expected = STDOUT_DIGESTS[case]
+    configs = {}
+    for name, config in (("grid", GRID_CONFIG), ("risk_grid", RISK_GRID_CONFIG)):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(config))
+    code, out, _ = run(argv.format(**configs).split(), capsys)
+    digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
+    assert digest == expected
