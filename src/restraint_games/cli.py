@@ -17,11 +17,13 @@ target (stdout by default), logs to stderr. Set
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+from collections import Counter
+from contextlib import nullcontext
+from functools import partial
 from typing import Optional
 
 from .conditions import classify as classify_point
@@ -38,8 +40,11 @@ from .sweep import (
     GridSpec,
     region_row_for_point,
     run_sweep,
+    write_certificates_csv,
+    write_json,
     write_rows_csv,
     write_rows_json,
+    write_simulation_csv,
 )
 
 log = logging.getLogger("restraint_games")
@@ -57,65 +62,177 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError("usage", message)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, with_m: bool = True) -> None:
-    parser.add_argument("--mechanism", choices=[m.value for m in Mechanism])
-    parser.add_argument("--variant", choices=[v.value for v in Variant])
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--vd", type=float, help="aggressive type's gain V_D")
-    parser.add_argument("--vb", type=float, help="State B's exploitation loss V_B")
-    parser.add_argument("--r", type=float)
-    parser.add_argument("--p", type=float, help="type-drift probability")
-    parser.add_argument("--prior", type=float)
-    if with_m:
-        parser.add_argument("--m", type=float, help="signal level")
+def _one_of(*choices: str):
+    def one_of(value):
+        if value not in choices:
+            raise ValueError(value)
+        return value
+
+    one_of.__name__ = "one of " + ", ".join(choices)
+    one_of.choices = choices
+    return one_of
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON run config")
-    parser.add_argument("-o", "--output", metavar="PATH", default="-")
-    parser.add_argument("--format", choices=["csv", "json"])
-    parser.add_argument(
-        "--dump-config",
-        metavar="PATH",
-        help="write the resolved run config as JSON and exit without running",
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return tuple(float(v) for v in value)
+
+
+def _comma_separated(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+
+
+# argparse and _resolve name a type by its __name__ in error messages
+_numbers.__name__ = "a list of numbers"
+_comma_separated.__name__ = "comma-separated numbers"
+
+_REQUIRED = object()
+
+# Run fields are (config key, flag dest, type, default). Every field with a
+# dest is also a flag. A dotted key nests one level; a callable default is
+# computed from the fields resolved before it.
+_POINT = (
+    ("mechanism.mechanism", "mechanism", _one_of(*(m.value for m in Mechanism)), _REQUIRED),
+    ("mechanism.variant", "variant", _one_of(*(v.value for v in Variant)), "base"),
+    ("params.c", "c", float, _REQUIRED),
+    ("params.V_D", "vd", float, _REQUIRED),
+    ("params.V_B", "vb", float, _REQUIRED),
+    ("params.r", "r", float, 0.0),
+    ("params.p", "p", float, 0.0),
+    ("params.prior", "prior", float, 0.5),
+)
+_SIGNAL = ("m", "m", float, _REQUIRED)
+
+
+def _io(default_format: str) -> tuple:
+    return (("output", "output", str, "-"), ("format", "format", _one_of("csv", "json"), default_format))
+
+
+def _point(run: dict) -> tuple[MechanismSpec, ModelParams]:
+    return MechanismSpec.from_dict(run["mechanism"]), ModelParams.from_dict(run["params"])
+
+
+def _classify(run: dict):
+    spec, params = _point(run)
+    m = run["m"]
+    report = classify_point(spec, params, m)
+    log.info("classify: pooling=%s separating=%s", report.pooling_on_restraint.holds, report.separating.holds)
+    return (
+        partial(write_json, report.to_dict()),
+        lambda out: write_rows_csv([region_row_for_point(spec, params, m)], spec, out),
     )
+
+
+def _oracle(run: dict):
+    certs = find_all_pbe(DiscreteGame(*_point(run), run["messages"]))
+    counts = dict(Counter(cert.pbe_class.value for cert in certs))
+    log.info("oracle: %d certificate(s) %s", len(certs), counts)
+    head = {key: run[key] for key in ("mechanism", "params", "messages")}
+
+    def as_json(out):
+        write_json({**head, "counts": counts, "certificates": [c.to_dict() for c in certs]}, out)
+
+    return as_json, partial(write_certificates_csv, certs)
+
+
+def _sweep(run: dict):
+    grid = GridSpec.from_dict(run["grid"])
+    rows = run_sweep(grid, oracle_fraction=run["oracle_fraction"], seed=run["seed"], jobs=run["jobs"])
+    log.info("sweep: %d row(s), %d oracle-checked", len(rows), sum(row.oracle_checked for row in rows))
+    return partial(write_rows_json, rows, grid.mechanism), partial(write_rows_csv, rows, grid.mechanism)
+
+
+def _simulate(run: dict):
+    spec, params = _point(run)
+    config = SimConfig(
+        spec=spec,
+        params=params,
+        m=run["m"],
+        profile=StrategyProfile.from_dict(run["profile"]),
+        n_trials=run["n_trials"],
+        seed=run["seed"],
+        drift_mode=DriftMode(run["drift_mode"]),
+        allow_degenerate_prior=run["allow_degenerate_prior"],
+    )
+    path = run["dump_trials"]
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext() as trial_log:
+        result = simulate(config, trial_log=trial_log)
+    log.info(
+        "simulate: %d trial(s), mean_u_B=%.6g (se %.3g)",
+        config.n_trials,
+        result.mean_u_B,
+        result.standard_error_u_B,
+    )
+    return partial(write_json, result.to_dict()), partial(write_simulation_csv, result)
+
+
+#: Per subcommand: help text, runner (resolved run -> JSON and CSV writers)
+#: and run fields in --dump-config key order.
+COMMANDS = {
+    "classify": ("closed-form verdicts at one point", _classify, (*_POINT, _SIGNAL, *_io("json"))),
+    "oracle": ("brute-force weak-PBE enumeration", _oracle, (
+        *_POINT,
+        ("messages", "messages", _numbers, _REQUIRED),
+        *_io("json"),
+    )),
+    "sweep": ("classify a parameter grid", _sweep, (
+        ("grid", None, dict, _REQUIRED),
+        ("oracle_fraction", "oracle_fraction", float, 0.05),
+        ("seed", "seed", int, 0),
+        ("jobs", "jobs", int, 1),
+        *_io("csv"),
+    )),
+    "simulate": ("type-drift Monte Carlo", _simulate, (
+        *_POINT,
+        _SIGNAL,
+        ("profile", None, dict, lambda run: pooling_profile(run["m"]).to_dict()),
+        ("drift_mode", "drift_mode", _one_of(*(d.value for d in DriftMode)), DriftMode.LITERAL.value),
+        ("n_trials", "trials", int, 100_000),
+        ("seed", "seed", int, 0),
+        ("allow_degenerate_prior", "allow_degenerate_prior", bool, False),
+        ("dump_trials", "dump_trials", str, None),
+        *_io("json"),
+    )),
+}
+
+_FLAG_HELP = {
+    "vd": "aggressive type's gain V_D",
+    "vb": "State B's exploitation loss V_B",
+    "p": "type-drift probability",
+    "m": "signal level",
+    "messages": "comma-separated signal grid, e.g. 0,2",
+    "jobs": "worker cap for row evaluation",
+    "allow_degenerate_prior": "permit prior 0 or 1 (testing aid)",
+    "dump_trials": "write one CSV row per trial",
+    "output": "result target (default: stdout)",
+}
+
+
+def _flag_kind(kind) -> dict:
+    if kind is bool:
+        return {"action": "store_true", "default": None}
+    if kind is _numbers:
+        return {"type": _comma_separated}
+    if kind is str:
+        return {"metavar": "PATH"}
+    if hasattr(kind, "choices"):
+        return {"choices": kind.choices}
+    return {"type": kind}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="restraint-games", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_classify = sub.add_parser("classify", help="closed-form verdicts at one point")
-    _add_param_flags(p_classify)
-    _add_io_flags(p_classify)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force weak-PBE enumeration")
-    _add_param_flags(p_oracle, with_m=False)
-    p_oracle.add_argument("--messages", help="comma-separated signal grid, e.g. 0,2")
-    _add_io_flags(p_oracle)
-
-    p_sweep = sub.add_parser("sweep", help="classify a parameter grid")
-    p_sweep.add_argument("--oracle-fraction", type=float)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--jobs", type=int, help="worker cap for row evaluation")
-    _add_io_flags(p_sweep)
-
-    p_sim = sub.add_parser("simulate", help="type-drift Monte Carlo")
-    _add_param_flags(p_sim)
-    p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--drift-mode", choices=[d.value for d in DriftMode])
-    p_sim.add_argument(
-        "--allow-degenerate-prior",
-        action="store_true",
-        default=None,
-        help="permit prior 0 or 1 (testing aid)",
-    )
-    p_sim.add_argument(
-        "--dump-trials", metavar="PATH", help="write one CSV row per trial"
-    )
-    _add_io_flags(p_sim)
-
+    for command, (help_text, _, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="JSON run config")
+        p.add_argument("--dump-config", metavar="PATH", help="write the resolved run as JSON and exit")
+        for _, dest, kind, _ in fields:
+            if dest is not None:
+                flags = ["-o"] if dest == "output" else []
+                flags.append("--" + dest.replace("_", "-"))
+                p.add_argument(*flags, dest=dest, help=_FLAG_HELP.get(dest), **_flag_kind(kind))
     return parser
 
 
@@ -139,287 +256,48 @@ def _load_config(path: Optional[str], command: str) -> dict:
     return data
 
 
-def _merge_mechanism(cfg: dict, args) -> dict:
-    mech = dict(cfg.get("mechanism", {}))
-    if getattr(args, "mechanism", None) is not None:
-        mech["mechanism"] = args.mechanism
-    if getattr(args, "variant", None) is not None:
-        mech["variant"] = args.variant
-    if "mechanism" not in mech:
-        raise ParameterError("--mechanism required")
-    mech.setdefault("variant", "base")
-    return mech
+def _layer(cfg: dict, section: str) -> dict:
+    if not section:
+        return cfg
+    layer = cfg.setdefault(section, {})
+    if not isinstance(layer, dict):
+        raise ParameterError(f"{section} is a JSON object", f"got {layer!r}")
+    return layer
 
 
-def _merge_params(cfg: dict, args) -> dict:
-    params = dict(cfg.get("params", {}))
-    for flag, key in (("c", "c"), ("vd", "V_D"), ("vb", "V_B"), ("r", "r"), ("p", "p"), ("prior", "prior")):
-        value = getattr(args, flag, None)
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each run field from its flag, else the config file, else its default,
+    coerced to the field's type. Flags are written into the loaded config
+    first, so a section lists the file's keys, then flagged keys, then
+    defaulted keys."""
+    cfg = _load_config(args.config, args.command)
+    _, _, fields = COMMANDS[args.command]
+    for key, dest, _, _ in fields:
+        section, _, name = key.rpartition(".")
+        value = getattr(args, dest) if dest else None
         if value is not None:
-            params[key] = value
-    for key in ("c", "V_D", "V_B"):
-        if key not in params:
-            raise ParameterError(f"--{key.lower().replace('_', '')} required")
-    params.setdefault("r", 0.0)
-    params.setdefault("p", 0.0)
-    params.setdefault("prior", 0.5)
-    return params
+            _layer(cfg, section)[name] = value
+    run: dict = {"command": args.command}
+    for key, dest, kind, default in fields:
+        section, _, name = key.rpartition(".")
+        layer = _layer(cfg, section)
+        target = run.setdefault(section, layer) if section else run
+        value = layer.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise ParameterError(f"--{dest} required" if dest else f"--config with {key!r} required")
+            value = default(run) if callable(default) else default
+        else:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"{key} is {kind.__name__}", f"got {value!r}") from exc
+        target[name] = value
+    return run
 
 
-def _require_m(cfg: dict, args) -> float:
-    m = getattr(args, "m", None)
-    if m is None:
-        m = cfg.get("m")
-    if m is None:
-        raise ParameterError("--m required")
-    return float(m)
-
-
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _emit(text_writer, path: str) -> None:
-    out, close = _open_out(path)
-    try:
-        text_writer(out)
-    finally:
-        if close:
-            out.close()
-
-
-def _dump_config(resolved: dict, path: str) -> None:
-    text = json.dumps(resolved, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _run_classify(args) -> int:
-    cfg = _load_config(args.config, "classify")
-    mech = _merge_mechanism(cfg, args)
-    params_d = _merge_params(cfg, args)
-    m = _require_m(cfg, args)
-    fmt = args.format or cfg.get("format") or "json"
-    resolved = {
-        "command": "classify",
-        "mechanism": mech,
-        "params": params_d,
-        "m": m,
-        "output": args.output,
-        "format": fmt,
-    }
-    if args.dump_config:
-        _dump_config(resolved, args.dump_config)
-        return EXIT_OK
-    spec = MechanismSpec.from_dict(mech)
-    params = ModelParams.from_dict(params_d)
-    report = classify_point(spec, params, m)
-    if fmt == "json":
-        _emit(lambda out: out.write(json.dumps(report.to_dict(), indent=2) + "\n"), args.output)
-    else:
-        row = region_row_for_point(spec, params, m)
-        _emit(lambda out: write_rows_csv([row], spec, out), args.output)
-    log.info("classify: pooling=%s separating=%s", report.pooling_on_restraint.holds, report.separating.holds)
-    return EXIT_OK
-
-
-def _parse_messages(cfg: dict, args) -> tuple[float, ...]:
-    raw = getattr(args, "messages", None)
-    if raw is not None:
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-        except ValueError as exc:
-            raise ParameterError("messages are comma-separated decimals", str(exc)) from exc
-    if "messages" in cfg:
-        return tuple(float(v) for v in cfg["messages"])
-    raise ParameterError("--messages required")
-
-
-def _run_oracle(args) -> int:
-    cfg = _load_config(args.config, "oracle")
-    mech = _merge_mechanism(cfg, args)
-    params_d = _merge_params(cfg, args)
-    messages = _parse_messages(cfg, args)
-    fmt = args.format or cfg.get("format") or "json"
-    resolved = {
-        "command": "oracle",
-        "mechanism": mech,
-        "params": params_d,
-        "messages": list(messages),
-        "output": args.output,
-        "format": fmt,
-    }
-    if args.dump_config:
-        _dump_config(resolved, args.dump_config)
-        return EXIT_OK
-    game = DiscreteGame(
-        MechanismSpec.from_dict(mech), ModelParams.from_dict(params_d), messages
-    )
-    certs = find_all_pbe(game)
-    counts: dict[str, int] = {}
-    for cert in certs:
-        counts[cert.pbe_class.value] = counts.get(cert.pbe_class.value, 0) + 1
-    log.info("oracle: %d certificate(s) %s", len(certs), counts)
-    if fmt == "json":
-        payload = {
-            "mechanism": mech,
-            "params": params_d,
-            "messages": list(messages),
-            "counts": counts,
-            "certificates": [c.to_dict() for c in certs],
-        }
-        _emit(lambda out: out.write(json.dumps(payload, indent=2) + "\n"), args.output)
-    else:
-
-        def write(out):
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(
-                ["class", "signal_restrained", "signal_aggressive", "fight_after", "t2_actions", "posteriors"]
-            )
-            for cert in certs:
-                d = cert.profile.to_dict()
-                writer.writerow(
-                    [
-                        cert.pbe_class.value,
-                        d["signal_of"]["restrained"],
-                        d["signal_of"]["aggressive"],
-                        ";".join(f"{m}:{'fight' if f else 'yield'}" for m, f in d["fight_after"]),
-                        ";".join(f"{t}@{m}:{a}" for t, m, a in d["t2_action"]),
-                        ";".join(f"{m}:{q}" for m, q in cert.beliefs.to_dict()["posterior"]),
-                    ]
-                )
-
-        _emit(write, args.output)
-    return EXIT_OK
-
-
-def _run_sweep(args) -> int:
-    cfg = _load_config(args.config, "sweep")
-    if "grid" not in cfg:
-        raise ParameterError("sweep needs a grid config (--config)")
-    oracle_fraction = args.oracle_fraction
-    if oracle_fraction is None:
-        oracle_fraction = cfg.get("oracle_fraction", 0.05)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
-    fmt = args.format or cfg.get("format") or "csv"
-    resolved = {
-        "command": "sweep",
-        "grid": cfg["grid"],
-        "oracle_fraction": oracle_fraction,
-        "seed": seed,
-        "jobs": jobs,
-        "output": args.output,
-        "format": fmt,
-    }
-    if args.dump_config:
-        _dump_config(resolved, args.dump_config)
-        return EXIT_OK
-    grid = GridSpec.from_dict(cfg["grid"])
-    rows = run_sweep(grid, oracle_fraction=oracle_fraction, seed=seed, jobs=jobs)
-    checked = sum(1 for row in rows if row.oracle_checked)
-    log.info("sweep: %d row(s), %d oracle-checked", len(rows), checked)
-    if fmt == "csv":
-        _emit(lambda out: write_rows_csv(rows, grid.mechanism, out), args.output)
-    else:
-        _emit(lambda out: write_rows_json(rows, grid.mechanism, out), args.output)
-    return EXIT_OK
-
-
-def _run_simulate(args) -> int:
-    cfg = _load_config(args.config, "simulate")
-    mech = _merge_mechanism(cfg, args)
-    params_d = _merge_params(cfg, args)
-    m = _require_m(cfg, args)
-    n_trials = args.trials if args.trials is not None else cfg.get("n_trials", 100_000)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    drift = args.drift_mode or cfg.get("drift_mode", DriftMode.LITERAL.value)
-    allow_degenerate = (
-        args.allow_degenerate_prior
-        if args.allow_degenerate_prior is not None
-        else bool(cfg.get("allow_degenerate_prior", False))
-    )
-    profile_d = cfg.get("profile")
-    fmt = args.format or cfg.get("format") or "json"
-    resolved = {
-        "command": "simulate",
-        "mechanism": mech,
-        "params": params_d,
-        "m": m,
-        "profile": profile_d if profile_d is not None else pooling_profile(m).to_dict(),
-        "drift_mode": drift,
-        "n_trials": n_trials,
-        "seed": seed,
-        "allow_degenerate_prior": allow_degenerate,
-        "output": args.output,
-        "format": fmt,
-    }
-    if args.dump_config:
-        _dump_config(resolved, args.dump_config)
-        return EXIT_OK
-    config = SimConfig(
-        spec=MechanismSpec.from_dict(mech),
-        params=ModelParams.from_dict(params_d),
-        m=m,
-        profile=StrategyProfile.from_dict(resolved["profile"]),
-        n_trials=int(n_trials),
-        seed=int(seed),
-        drift_mode=DriftMode(drift),
-        allow_degenerate_prior=allow_degenerate,
-    )
-    dump_trials = args.dump_trials or cfg.get("dump_trials")
-    if dump_trials:
-        with open(dump_trials, "w", encoding="utf-8", newline="") as fh:
-            result = simulate(config, trial_log=fh)
-    else:
-        result = simulate(config)
-    log.info(
-        "simulate: %d trial(s), mean_u_B=%.6g (se %.3g)",
-        config.n_trials,
-        result.mean_u_B,
-        result.standard_error_u_B,
-    )
-    if fmt == "json":
-        _emit(lambda out: out.write(json.dumps(result.to_dict(), indent=2) + "\n"), args.output)
-    else:
-
-        def write(out):
-            writer = csv.writer(out, lineterminator="\n")
-            header = ["conflict", "exploit", "restraint", "mean_u_A", "mean_u_B", "standard_error_u_B"]
-            d = result.to_dict()
-            values = [
-                d["outcome_counts"].get("conflict", 0),
-                d["outcome_counts"].get("exploit", 0),
-                d["outcome_counts"].get("restraint", 0),
-                result.mean_u_A,
-                result.mean_u_B,
-                result.standard_error_u_B,
-            ]
-            by_type = d.get("mean_u_B_by_initial_type")
-            if by_type is not None:
-                header += ["mean_u_B_initial_restrained", "mean_u_B_initial_aggressive"]
-                values += [
-                    "" if by_type["restrained"] is None else by_type["restrained"],
-                    "" if by_type["aggressive"] is None else by_type["aggressive"],
-                ]
-            writer.writerow(header)
-            writer.writerow(values)
-
-        _emit(write, args.output)
-    return EXIT_OK
-
-
-_RUNNERS = {
-    "classify": _run_classify,
-    "oracle": _run_oracle,
-    "sweep": _run_sweep,
-    "simulate": _run_simulate,
-}
+def _open_target(path: str):
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="")
 
 
 def _setup_logging() -> None:
@@ -432,11 +310,19 @@ def _setup_logging() -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _RUNNERS[args.command](args)
-    except ParameterError as exc:
+        args = build_parser().parse_args(argv)
+        run = _resolve(args)
+        if args.dump_config:
+            path, write = args.dump_config, partial(write_json, run)
+        else:
+            _, runner, _ = COMMANDS[args.command]
+            as_json, as_csv = runner(run)
+            path, write = run["output"], as_json if run["format"] == "json" else as_csv
+        with _open_target(path) as out:
+            write(out)
+        return EXIT_OK
+    except (ParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DiscrepancyError as exc:
@@ -446,9 +332,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: size-guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

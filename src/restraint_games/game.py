@@ -108,7 +108,12 @@ class MechanismSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismSpec":
-        return cls(Mechanism(d["mechanism"]), Variant(d.get("variant", "base")))
+        try:
+            return cls(Mechanism(d["mechanism"]), Variant(d.get("variant", "base")))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParameterError("mechanism spec has a 'mechanism' key", f"got {d!r}") from exc
+        except ValueError as exc:
+            raise ParameterError("known mechanism and variant", str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,8 @@ class SimConfig:
             raise ParameterError("m >= 0", f"m={self.m}")
         if self.n_trials < 1:
             raise ParameterError("n_trials >= 1", f"n_trials={self.n_trials}")
+        if self.seed < 0:
+            raise ParameterError("seed >= 0", f"seed={self.seed}")
         msgs = set(self.messages())
         if not set(self.profile.signal_of) == {R, A}:
             raise ParameterError("profile signals both types")

@@ -7,6 +7,9 @@ marked ``Invalid`` so consumers can see the feasible region's shape. A
 seeded fraction of the valid points is re-derived with the brute-force
 oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
+
+Every result table the package writes is formatted here: sweep rows as
+CSV or JSON, oracle certificates and simulation summaries as CSV.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ import numpy as np
 
 from .conditions import classify
 from .game import TOL, MechanismSpec, ModelParams, ParameterError
-from .oracle import DiscrepancyError, DiscrepancyReport, verify_against_closed_form
+from .montecarlo import SimResult
+from .oracle import (
+    DiscrepancyError,
+    DiscrepancyReport,
+    PBECertificate,
+    verify_against_closed_form,
+)
 
 #: Symbols a sweep axis may range over. The prior is fixed-only: no
 #: closed-form condition depends on it.
@@ -46,6 +55,15 @@ CSV_HEADER = [
     "separating_slack_2",
     "typeshift_slack",
     "oracle_checked",
+]
+
+CERTIFICATE_CSV_HEADER = [
+    "class",
+    "signal_restrained",
+    "signal_aggressive",
+    "fight_after",
+    "t2_actions",
+    "posteriors",
 ]
 
 
@@ -119,11 +137,15 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(
-            mechanism=MechanismSpec.from_dict(d["mechanism"]),
-            axes=tuple(Axis.from_dict(a) for a in d["axes"]),
-            fixed={str(k): float(v) for k, v in d["fixed"].items()},
-        )
+        mechanism = MechanismSpec.from_dict(d.get("mechanism", {}))
+        try:
+            axes = tuple(Axis.from_dict(a) for a in d["axes"])
+            fixed = {str(k): float(v) for k, v in d["fixed"].items()}
+        except KeyError as exc:
+            raise ParameterError("grid and axis keys present", f"missing {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParameterError("grid values well-formed", str(exc)) from exc
+        return cls(mechanism=mechanism, axes=axes, fixed=fixed)
 
 
 @dataclass
@@ -233,6 +255,10 @@ def run_sweep(
     """
     if not 0.0 <= oracle_fraction <= 1.0:
         raise ParameterError("0 <= oracle_fraction <= 1", f"got {oracle_fraction}")
+    if seed < 0:
+        raise ParameterError("seed >= 0", f"got {seed}")
+    if jobs < 1:
+        raise ParameterError("jobs >= 1", f"got {jobs}")
     points = grid_points(grid)
 
     if jobs > 1 and len(points) > 1:
@@ -359,6 +385,45 @@ def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> 
         writer.writerow([_cell(flat[col]) for col in CSV_HEADER])
 
 
-def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    json.dump([row.to_flat_dict(spec) for row in rows], out, indent=2)
+def write_json(data, out: IO[str]) -> None:
+    """Two-space indented JSON plus a final newline."""
+    json.dump(data, out, indent=2)
     out.write("\n")
+
+
+def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
+    write_json([row.to_flat_dict(spec) for row in rows], out)
+
+
+def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
+    """One row per certificate; each strategy map is a ';'-joined cell."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CERTIFICATE_CSV_HEADER)
+    for cert in certs:
+        d = cert.profile.to_dict()
+        writer.writerow(
+            [
+                cert.pbe_class.value,
+                d["signal_of"]["restrained"],
+                d["signal_of"]["aggressive"],
+                ";".join(f"{m}:{'fight' if f else 'yield'}" for m, f in d["fight_after"]),
+                ";".join(f"{t}@{m}:{a}" for t, m, a in d["t2_action"]),
+                ";".join(f"{m}:{q}" for m, q in cert.beliefs.to_dict()["posterior"]),
+            ]
+        )
+
+
+def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
+    """Header plus one summary row. Prior-weighted results add State B's
+    mean payoff by initial type, empty where no trial had that type."""
+    counts = result.to_dict()["outcome_counts"]
+    header = ["conflict", "exploit", "restraint", "mean_u_A", "mean_u_B", "standard_error_u_B"]
+    values = [counts.get(name, 0) for name in header[:3]]
+    values += [result.mean_u_A, result.mean_u_B, result.standard_error_u_B]
+    by_type = result.mean_u_B_by_initial_type
+    if by_type is not None:
+        header += ["mean_u_B_initial_restrained", "mean_u_B_initial_aggressive"]
+        values += [by_type["restrained"], by_type["aggressive"]]
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerow([_cell(v) for v in values])

@@ -214,15 +214,29 @@ class TestSimulate:
 
     def test_dump_trials(self, tmp_path, capsys):
         log = tmp_path / "trials.csv"
-        code, _, _ = run(
+        argv = (
             f"simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 "
-            f"--trials 100 --seed 3 --dump-trials {log}".split(),
-            capsys,
-        )
+            f"--trials 100 --seed 3 --dump-trials {log}"
+        ).split()
+        code, _, _ = run(argv, capsys)
         assert code == 0
-        lines = log.read_text().splitlines()
+        written = log.read_text()
+        lines = written.splitlines()
         assert lines[0] == "trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B"
         assert len(lines) == 101
+        # the dumped config keeps the trial log, and replaying it writes the log again
+        dump = tmp_path / "run.json"
+        code, _, _ = run(argv + ["--dump-config", str(dump)], capsys)
+        assert code == 0
+        dumped = json.loads(dump.read_text())
+        assert list(dumped) == [
+            "command", "mechanism", "params", "m", "profile", "drift_mode", "n_trials",
+            "seed", "allow_degenerate_prior", "dump_trials", "output", "format",
+        ]
+        assert dumped["dump_trials"] == str(log)
+        log.unlink()
+        code, _, _ = run(["simulate", "--config", str(dump)], capsys)
+        assert code == 0 and log.read_text() == written
 
     def test_csv_summary(self, capsys):
         code, out, _ = run(
@@ -255,6 +269,13 @@ class TestConfigHandling:
         code, out_flags, _ = run(base, capsys)
         code2, out_config, _ = run(["classify", "--config", str(dump1)], capsys)
         assert (code, code2) == (0, 0) and out_flags == out_config
+        # the output target is part of the run and replays with it
+        target, dump3 = tmp_path / "report.json", tmp_path / "run3.json"
+        code, _, _ = run(base + ["-o", str(target), "--dump-config", str(dump3)], capsys)
+        assert code == 0 and not target.exists()
+        code, out, _ = run(["classify", "--config", str(dump3)], capsys)
+        assert code == 0 and out == ""
+        assert target.read_text() == out_flags
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -281,6 +302,40 @@ class TestConfigHandling:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(["classify", "--nonsense"], capsys)
         assert code == 1 and err.startswith("error: validation:")
+
+
+POINT = {
+    "mechanism": {"mechanism": "tying-hands", "variant": "base"},
+    "params": {"c": 0.5, "V_D": 1.0, "V_B": 2.0},
+    "m": 2.0,
+}
+AXIS_WITHOUT_STEPS = dict(GRID_CONFIG, axes=[{"symbol": "m", "min": 0.5, "max": 2.0}])
+MALFORMED = {
+    "config-c-not-a-number": (
+        "classify", dict(POINT, params={"c": "x", "V_D": 1.0, "V_B": 2.0}), ""
+    ),
+    "config-m-not-a-number": ("classify", dict(POINT, m="x"), ""),
+    "config-n-trials-not-an-integer": ("simulate", dict(POINT, n_trials="abc"), ""),
+    "config-unknown-mechanism": ("classify", dict(POINT, mechanism={"mechanism": "moat"}), ""),
+    "grid-unknown-mechanism": (
+        "sweep", dict(GRID_CONFIG, mechanism={"mechanism": "moat"}), "--oracle-fraction 0"
+    ),
+    "grid-axis-without-steps": ("sweep", AXIS_WITHOUT_STEPS, "--oracle-fraction 0"),
+    "config-messages-as-string": ("oracle", dict(POINT, messages="0,2"), ""),
+    "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
+    "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
+    "sweep-zero-jobs": ("sweep", GRID_CONFIG, "--oracle-fraction 0 --jobs 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_validation_line(case, tmp_path, capsys):
+    command, config, flags = MALFORMED[case]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run([command, "--config", str(path), *flags.split()], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
 
 
 class TestProcessContract:
