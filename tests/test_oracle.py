@@ -8,6 +8,7 @@ vouched for by two independent code paths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -547,3 +548,146 @@ class TestVerifyAgainstClosedForm:
             if e.closed_form_verdict["separating"] != e.oracle_verdict["separating"]
         ]
         assert not mismatches
+
+
+def brute_force_find_all(game: DiscreteGame) -> list:
+    """Ordered reference: every profile through ``is_weak_pbe``, in the
+    canonical order (signal indices, then t2 restraint bits with restrained
+    cells before aggressive ones, then the fight pattern). Profiles whose
+    t2 actions are not cell-optimal are skipped, judged from the payoff
+    table alone; check (c) rejects them and ``naive_find_all`` covers it."""
+    import itertools
+
+    p, msgs = game.params, game.messages
+    cells = [(t, m) for t in (R, A) for m in msgs]
+    actions = (Outcome.EXPLOIT, Outcome.RESTRAINT)
+    cell_options = []
+    for t, m in cells:
+        u = {a: payoff(game.spec, p, t, a, m).u_A for a in actions}
+        cell_options.append([a for a in actions if u[a] >= max(u.values()) - TOL])
+    certs = []
+    for m_R, m_A in itertools.product(msgs, repeat=2):
+        for t2 in itertools.product(*cell_options):
+            for fights in itertools.product((False, True), repeat=len(msgs)):
+                cert = is_weak_pbe(
+                    game,
+                    StrategyProfile(
+                        signal_of={R: m_R, A: m_A},
+                        fight_after=dict(zip(msgs, fights)),
+                        t2_action=dict(zip(cells, t2)),
+                    ),
+                )
+                if cert is not None:
+                    certs.append(cert)
+    return certs
+
+
+def test_random_games_match_ordered_brute_force():
+    rng = np.random.default_rng(31337)
+    for _ in range(12):
+        mech = list(Mechanism)[int(rng.integers(4))]
+        variant = list(Variant)[int(rng.integers(2))]
+        c = float(rng.uniform(0.1, 2.0))
+        params = ModelParams(
+            c=c,
+            V_D=float(rng.uniform(0.1, 3.0)),
+            V_B=c + float(rng.uniform(0.1, 3.0)),
+            r=float(rng.uniform(0.0, 2.0)),
+            prior=float(rng.uniform(0.05, 0.95)),
+        )
+        n = int(rng.integers(1, 5))
+        messages = (0.0, *sorted(float(x) for x in rng.uniform(0.1, 4.0, n - 1)))
+        game = DiscreteGame(MechanismSpec(mech, variant), params, messages)
+        expected = [c_.to_dict() for c_ in brute_force_find_all(game)]
+        assert [c_.to_dict() for c_ in find_all_pbe(game)] == expected
+
+
+#: Grid for the pinned games: 1.0 is V_D (the aggressive type ties at t2
+#: under tying hands and reducible), and prior 0.75 leaves B indifferent
+#: when pooling with one type exploiting (0.25 * V_B == c).
+DIGEST_MESSAGES = (0.0, 1.0, 0.5, 2.5, 1.6)
+DIGEST_PARAMS = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.6, prior=0.75)
+
+
+def digest_games() -> dict[str, DiscreteGame]:
+    games = {}
+    for mech in Mechanism:
+        for variant in Variant:
+            for n in range(1, 6):
+                games[f"{mech.value}-{variant.value}-n{n}"] = DiscreteGame(
+                    MechanismSpec(mech, variant),
+                    DIGEST_PARAMS,
+                    tuple(sorted(DIGEST_MESSAGES[:n])),
+                )
+    # priors a hair from 0 and 1: Bayes weights that look degenerate
+    for mech, variant, prior in (
+        (Mechanism.SUNK, Variant.RISK, 1e-12),
+        (Mechanism.INSTALLMENT, Variant.BASE, 1e-12),
+        (Mechanism.TYING_HANDS, Variant.RISK, 1 - 1e-12),
+        (Mechanism.REDUCIBLE, Variant.BASE, 1 - 1e-12),
+    ):
+        params = ModelParams(**{**DIGEST_PARAMS.to_dict(), "prior": prior})
+        games[f"{mech.value}-{variant.value}-n5-prior-{prior!r}"] = DiscreteGame(
+            MechanismSpec(mech, variant), params, tuple(sorted(DIGEST_MESSAGES))
+        )
+    return games
+
+
+def certificates_digest(game: DiscreteGame) -> str:
+    payload = json.dumps([c.to_dict() for c in find_all_pbe(game)])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+#: sha256 of ``json.dumps([c.to_dict() for c in find_all_pbe(game)])`` per
+#: pinned game, recorded with the profile-by-profile search the factorized
+#: enumerator replaced: same certificates, beliefs, classes and order.
+FIND_ALL_DIGESTS = {
+    "installment-base-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "installment-base-n2": "b6ba7917d25a3db948de5c93987862fb47cc44e119395ebe8dbcf311b0a28d89",
+    "installment-base-n3": "6359794ede1491940885818ec1cf8d3b4dde96d710c063e1f8b9e3113181b388",
+    "installment-base-n4": "efce62611f4dc8ac272fd34cb0b2c1217ec2406e3fb28637d46a7909356eb294",
+    "installment-base-n5": "ccfada30a9257b899bb130d2d26babb421f4f61761c183121bbccce2e64f7c11",
+    "installment-base-n5-prior-1e-12": "0c6b29c4c8854f1a05d7e67482ed6267d7a009ae0accbe7f5e13047a70467b09",
+    "installment-risk-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "installment-risk-n2": "b6ba7917d25a3db948de5c93987862fb47cc44e119395ebe8dbcf311b0a28d89",
+    "installment-risk-n3": "6359794ede1491940885818ec1cf8d3b4dde96d710c063e1f8b9e3113181b388",
+    "installment-risk-n4": "efce62611f4dc8ac272fd34cb0b2c1217ec2406e3fb28637d46a7909356eb294",
+    "installment-risk-n5": "ccfada30a9257b899bb130d2d26babb421f4f61761c183121bbccce2e64f7c11",
+    "reducible-base-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "reducible-base-n2": "e025701338fbc5234611d9dffea1ee557c5186ef86b81ef5b0fda61afd2ee13f",
+    "reducible-base-n3": "f7f7e39dd026c28d82192228070e6ddab922204d2291d6c2cc554806a8549835",
+    "reducible-base-n4": "c402794686328a750dc368bdac72a66563d966a1594c1afe259a9f3c56da8fa2",
+    "reducible-base-n5": "51a0b8096ea1622eaabaef2fb544d7cf33d3c398aeab999de6a1fb43bd3fc8f5",
+    "reducible-base-n5-prior-0.999999999999": "8d6f86a1cef1b91712979840851d3fce2f79c7ba0bf052a74784d295a4c35ed6",
+    "reducible-risk-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "reducible-risk-n2": "551c403f57031644869aaefb64577ed6bcf8d4e52227449ab2012b1cba946116",
+    "reducible-risk-n3": "4ec9aa5b71d95973cbcf9e657857e8ee7a77366160e0abf77527fb19b8b8bbc3",
+    "reducible-risk-n4": "97866dc8b53f83d7624ebbbe5e73ef54a3fde4c4e64183a392ba728ff39cbdf6",
+    "reducible-risk-n5": "c9e7f455a5a3b01d04f1aa5efb569b6bb60f05d6ac3733764d1027651f175c5d",
+    "sunk-base-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "sunk-base-n2": "8011b256946dc54a26917cfce2f57be6d521dc67066c071b3d9331bc1dced949",
+    "sunk-base-n3": "0a4a360f382535dcd1138bb6715f7d7caf73e8f14d0531d506ab68fda78ebea6",
+    "sunk-base-n4": "94a28f13f80ac235164b98ccb869a576aee481d08550c8d9ef35e88006df0eee",
+    "sunk-base-n5": "e6e675e3fe88332afa832f64e4af867d77bab7a14163317ac58d756c7180414d",
+    "sunk-risk-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "sunk-risk-n2": "8011b256946dc54a26917cfce2f57be6d521dc67066c071b3d9331bc1dced949",
+    "sunk-risk-n3": "0a4a360f382535dcd1138bb6715f7d7caf73e8f14d0531d506ab68fda78ebea6",
+    "sunk-risk-n4": "94a28f13f80ac235164b98ccb869a576aee481d08550c8d9ef35e88006df0eee",
+    "sunk-risk-n5": "e6e675e3fe88332afa832f64e4af867d77bab7a14163317ac58d756c7180414d",
+    "sunk-risk-n5-prior-1e-12": "4799adc1f03c89b519918880c329058c99bd6b167bbffa2b0c7e47135893ba29",
+    "tying-hands-base-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "tying-hands-base-n2": "b03af5a8e3f8d90b4c1f31000ae40ef948c0191a8a202ffa88f079dc97169ca2",
+    "tying-hands-base-n3": "5b100f985e64c91aab650e7e31d4c3b15b03c4a69ac51af98f7d493f4125271b",
+    "tying-hands-base-n4": "c402794686328a750dc368bdac72a66563d966a1594c1afe259a9f3c56da8fa2",
+    "tying-hands-base-n5": "51a0b8096ea1622eaabaef2fb544d7cf33d3c398aeab999de6a1fb43bd3fc8f5",
+    "tying-hands-risk-n1": "899dd327a9744f424292c1477ba22440a12460838aea87bbdcfcbf6e3b170e8e",
+    "tying-hands-risk-n2": "e7bfe86f7e9f33eeb55a723a715041d56c406c32638e67e53cde00ff8dd3fa2d",
+    "tying-hands-risk-n3": "115cffc6b8ec5959873da0f52db95670863617cec393ea873cb57153398aec44",
+    "tying-hands-risk-n4": "5092a3681bf419c9fcef8c41ff81efb4208a35d1a45f01506625584135805ce2",
+    "tying-hands-risk-n5": "c655ef7096ea372fee272e660be778f9403f699be43aa07e38f9efd1562d6f89",
+    "tying-hands-risk-n5-prior-0.999999999999": "d15089d3d462db47458aab97479b7b8f6771e18e7580aebe2d8075d2e77b74d7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIND_ALL_DIGESTS))
+def test_find_all_pbe_bytes_unchanged(case):
+    assert certificates_digest(digest_games()[case]) == FIND_ALL_DIGESTS[case]
