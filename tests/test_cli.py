@@ -309,6 +309,11 @@ POINT = {
     "params": {"c": 0.5, "V_D": 1.0, "V_B": 2.0},
     "m": 2.0,
 }
+PROFILE = {
+    "signal_of": {"restrained": 2.0, "aggressive": 2.0},
+    "fight_after": [[0.0, True], [2.0, False]],
+    "t2_action": [[t, m, "restraint"] for t in ("restrained", "aggressive") for m in (0.0, 2.0)],
+}
 AXIS_WITHOUT_STEPS = dict(GRID_CONFIG, axes=[{"symbol": "m", "min": 0.5, "max": 2.0}])
 MALFORMED = {
     "config-c-not-a-number": (
@@ -325,6 +330,18 @@ MALFORMED = {
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
     "sweep-zero-jobs": ("sweep", GRID_CONFIG, "--oracle-fraction 0 --jobs 0"),
+    "classify-infinite-vd-and-m": ("classify", POINT, "--vd inf --m inf"),
+    "classify-infinite-vb": ("classify", POINT, "--vb inf"),
+    "classify-infinite-r": ("classify", POINT, "--variant risk --r inf"),
+    "oracle-infinite-message": ("oracle", dict(POINT, messages=[0.0, 2.0]), "--messages 0,inf"),
+    "simulate-profile-without-t2-action": (
+        "simulate", dict(POINT, profile={k: v for k, v in PROFILE.items() if k != "t2_action"}), ""
+    ),
+    "simulate-profile-unknown-action": (
+        "simulate",
+        dict(POINT, profile=dict(PROFILE, t2_action=[[t, m, "surrender"] for t, m, _ in PROFILE["t2_action"]])),
+        "",
+    ),
 }
 
 
