@@ -31,6 +31,7 @@ the type or on r (only the signal-cost terms vary by mechanism).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -146,6 +147,11 @@ class ModelParams:
             raise ParameterError("V_B > c", f"V_B={self.V_B}, c={self.c}")
         if not self.r >= 0:
             raise ParameterError("r >= 0", f"r={self.r}")
+        # c < V_B, so these bound every parameter
+        if not (self.V_B < math.inf and self.V_D < math.inf and self.r < math.inf):
+            raise ParameterError(
+                "V_D, V_B, r finite", f"V_D={self.V_D}, V_B={self.V_B}, r={self.r}"
+            )
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError("0 <= p <= 1", f"p={self.p}")
         if allow_degenerate_prior:
@@ -186,6 +192,8 @@ class PayoffPair(NamedTuple):
 def validate_signal(m: float) -> None:
     if not m >= 0:
         raise ParameterError("m >= 0", f"m={m}")
+    if not m < math.inf:
+        raise ParameterError("m finite", f"m={m}")
 
 
 def payoff(

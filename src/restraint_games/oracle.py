@@ -1,9 +1,9 @@
-"""Brute-force weak-PBE search on a finite signal grid.
+"""Exhaustive weak-PBE enumeration on a finite signal grid.
 
 This module is the independent verifier for the closed-form conditions in
 :mod:`restraint_games.conditions`: it discretizes the signal space to a
-finite grid, enumerates every pure strategy profile, and certifies a
-profile as a weak perfect Bayesian equilibrium when
+finite grid and lists every pure strategy profile that is a weak perfect
+Bayesian equilibrium, i.e. where
 
 (a) posteriors at on-path messages follow Bayes' rule from the prior,
 (b) State B's t1 choice at every message is optimal under its posterior
@@ -18,6 +18,17 @@ profile as a weak perfect Bayesian equilibrium when
 Indifference always admits either action (weak optimality), with the same
 absolute tolerance used by the closed forms, so boundary parameter points
 certify on both routes.
+
+The search is factorized rather than profile by profile. Under weak PBE
+(Fudenberg & Tirole, JET 1991) off-path beliefs are free, so once the
+on-path data is fixed -- both signals, B's fight bits there and the on-path
+types' t2 actions there -- each of (b)-(d) is a condition on one message:
+(d) bounds a type's value at every message by its on-path value. The
+certificates are then a union, over these anchors, of Cartesian products
+of small per-message option sets. Counting them and deciding whether one
+exists costs O(n^3) for n messages; listing them costs O(n^3 +
+certificates). The size guard of :func:`find_all_pbe` counts certificates
+exactly before building any.
 
 Certified profiles are classed by shape. Pooling profiles (both types at
 one message) are ``PoolingOnRestraint`` when nobody fights or exploits on
@@ -35,9 +46,10 @@ the non-existence theorems the oracle is meant to check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import conditions
 from .game import (
@@ -48,20 +60,21 @@ from .game import (
     ParameterError,
     TypeLabel,
     payoff,
+    validate_signal,
 )
 
-#: Nominal number of pure profiles the enumerator refuses to exceed.
-DEFAULT_PROFILE_BUDGET = 10**8
+#: Number of certificates :func:`find_all_pbe` lists before refusing.
+DEFAULT_CERTIFICATE_BUDGET = 5 * 10**4
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured profile budget."""
+    """The game has more certificates than the configured budget."""
 
-    def __init__(self, n_profiles: int, budget: int):
-        self.n_profiles = n_profiles
+    def __init__(self, n_certificates: int, budget: int):
+        self.n_certificates = n_certificates
         self.budget = budget
         super().__init__(
-            f"profile enumeration size {n_profiles} exceeds budget {budget}"
+            f"certificate count {n_certificates} exceeds budget {budget}"
         )
 
 
@@ -89,8 +102,8 @@ class DiscreteGame:
         self.params.validate()
         if not self.messages:
             raise ParameterError("messages nonempty")
-        if any(m < 0 for m in self.messages):
-            raise ParameterError("messages >= 0", f"messages={self.messages}")
+        for m in self.messages:
+            validate_signal(m)
         if any(a >= b for a, b in zip(self.messages, self.messages[1:])):
             raise ParameterError(
                 "messages strictly ascending", f"messages={self.messages}"
@@ -121,14 +134,20 @@ class StrategyProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyProfile":
-        return cls(
-            signal_of={TypeLabel[t.upper()]: float(m) for t, m in d["signal_of"].items()},
-            fight_after={float(m): bool(f) for m, f in d["fight_after"]},
-            t2_action={
-                (TypeLabel[t.upper()], float(m)): Outcome(a)
-                for t, m, a in d["t2_action"]
-            },
-        )
+        try:
+            return cls(
+                signal_of={TypeLabel[t.upper()]: float(m) for t, m in d["signal_of"].items()},
+                fight_after={float(m): bool(f) for m, f in d["fight_after"]},
+                t2_action={
+                    (TypeLabel[t.upper()], float(m)): Outcome(a)
+                    for t, m, a in d["t2_action"]
+                },
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParameterError(
+                "profile has signal_of, fight_after and t2_action over known types and outcomes",
+                f"{type(exc).__name__}: {exc}",
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -238,10 +257,46 @@ class _GameTable:
     def u_b_of_action(self, action: Outcome) -> float:
         return self.u_b_exploit if action is Outcome.EXPLOIT else self.u_b_restraint
 
-    def uA_after_no_fight(self, t: TypeLabel, j: int, action: Outcome) -> float:
+    def value(self, t: TypeLabel, j: int, action: Outcome, fight: bool) -> float:
+        """Type t's continuation value at message j."""
+        if fight:
+            return self.uA_conflict[t][j]
         if action is Outcome.EXPLOIT:
             return self.uA_exploit[t][j]
         return self.uA_restraint[t][j]
+
+
+def _supporting_belief(
+    table: _GameTable,
+    q: Optional[float],
+    action_R: Outcome,
+    action_A: Outcome,
+    fight: bool,
+) -> Optional[float]:
+    """Check (b) at one message: the belief that supports B's t1 choice, or
+    None. ``q`` is the Bayes posterior on path and None off path, where the
+    midpoint of the supporting interval is returned."""
+    u_b_R = table.u_b_of_action(action_R)
+    u_b_A = table.u_b_of_action(action_A)
+    u_fight = table.u_b_fight
+    if q is None:
+        interval = supporting_belief_interval(u_b_R, u_b_A, u_fight, fight)
+        return None if interval is None else 0.5 * (interval[0] + interval[1])
+    stand_down = q * u_b_R + (1.0 - q) * u_b_A
+    if fight:
+        return q if u_fight >= stand_down - TOL else None
+    return q if stand_down >= u_fight - TOL else None
+
+
+def _posterior(table: _GameTable, j: int, j_R: int, j_A: int) -> Optional[float]:
+    """Bayes posterior at message j, or None when j is off path."""
+    if j == j_R and j == j_A:
+        return table.prior
+    if j == j_R:
+        return 1.0
+    if j == j_A:
+        return 0.0
+    return None
 
 
 def _check_profile(
@@ -253,55 +308,22 @@ def _check_profile(
 ) -> Optional[dict[float, float]]:
     """Run checks (a)-(d); return a supporting belief map or None."""
     R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
-    u_fight = table.u_b_fight
     beliefs: dict[float, float] = {}
-
     for j in range(table.n):
-        u_b_R = table.u_b_of_action(t2[(R, j)])
-        u_b_A = table.u_b_of_action(t2[(A, j)])
-        if j == j_R and j == j_A:
-            q: Optional[float] = table.prior
-        elif j == j_R:
-            q = 1.0
-        elif j == j_A:
-            q = 0.0
-        else:
-            q = None  # off path: belief free
-        if q is not None:
-            stand_down = q * u_b_R + (1.0 - q) * u_b_A
-            if fight[j]:
-                if not u_fight >= stand_down - TOL:
-                    return None
-            else:
-                if not stand_down >= u_fight - TOL:
-                    return None
-            beliefs[table.messages[j]] = q
-        else:
-            interval = supporting_belief_interval(u_b_R, u_b_A, u_fight, fight[j])
-            if interval is None:
-                return None
-            beliefs[table.messages[j]] = 0.5 * (interval[0] + interval[1])
+        q = _supporting_belief(
+            table, _posterior(table, j, j_R, j_A), t2[(R, j)], t2[(A, j)], fight[j]
+        )
+        if q is None:
+            return None
+        beliefs[table.messages[j]] = q
 
     # (c) t2 optimality at every cell
-    for t in TypeLabel:
-        for j in range(table.n):
-            chosen = table.uA_after_no_fight(t, j, t2[(t, j)])
-            other = (
-                Outcome.RESTRAINT
-                if t2[(t, j)] is Outcome.EXPLOIT
-                else Outcome.EXPLOIT
-            )
-            if chosen < table.uA_after_no_fight(t, j, other) - TOL:
-                return None
+    if any(t2[cell] not in options for cell, options in table.t2_options.items()):
+        return None
 
     # (d) t0 optimality: continuation value of each message for each type
     for t, j_own in ((R, j_R), (A, j_A)):
-        values = [
-            table.uA_conflict[t][j]
-            if fight[j]
-            else table.uA_after_no_fight(t, j, t2[(t, j)])
-            for j in range(table.n)
-        ]
+        values = [table.value(t, j, t2[(t, j)], fight[j]) for j in range(table.n)]
         if values[j_own] < max(values) - TOL:
             return None
 
@@ -309,32 +331,28 @@ def _check_profile(
 
 
 def _classify(
-    table: _GameTable,
-    j_R: int,
-    j_A: int,
-    t2: dict[tuple[TypeLabel, int], Outcome],
-    fight: tuple[bool, ...],
+    pooled: bool, fight_R: bool, fight_A: bool, action_R: Outcome, action_A: Outcome
 ) -> PBEClass:
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
-    if j_R == j_A:
+    """Class from the on-path data: B's fight bits after each type's signal
+    and each type's t2 action at its own signal."""
+    if pooled:
         on_restraint = (
-            not fight[j_R]
-            and t2[(R, j_R)] is Outcome.RESTRAINT
-            and t2[(A, j_A)] is Outcome.RESTRAINT
+            not fight_R
+            and action_R is Outcome.RESTRAINT
+            and action_A is Outcome.RESTRAINT
         )
         return PBEClass.POOLING_ON_RESTRAINT if on_restraint else PBEClass.POOLING_OTHER
-    informative = (
-        not fight[j_R] and fight[j_A] and t2[(R, j_R)] is Outcome.RESTRAINT
-    )
+    informative = not fight_R and fight_A and action_R is Outcome.RESTRAINT
     return PBEClass.SEPARATING if informative else PBEClass.HYBRID
 
 
 def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECertificate]:
     """Certify one profile, or return None when no supporting beliefs exist."""
     table = _GameTable(game)
+    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
     try:
-        j_R = table.index[profile.signal_of[TypeLabel.RESTRAINED]]
-        j_A = table.index[profile.signal_of[TypeLabel.AGGRESSIVE]]
+        j_R = table.index[profile.signal_of[R]]
+        j_A = table.index[profile.signal_of[A]]
         fight = tuple(profile.fight_after[m] for m in game.messages)
         t2 = {
             (t, j): profile.t2_action[(t, m)]
@@ -351,66 +369,160 @@ def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECer
     return PBECertificate(
         profile=profile,
         beliefs=BeliefAssignment(posterior=beliefs),
-        pbe_class=_classify(table, j_R, j_A, t2, fight),
+        pbe_class=_classify(j_R == j_A, fight[j_R], fight[j_A], t2[(R, j_R)], t2[(A, j_A)]),
     )
 
 
-def profile_count(n_messages: int) -> int:
-    """Nominal enumeration size: signals x fight rules x t2 assignments."""
-    return n_messages**2 * 2**n_messages * 2 ** (2 * n_messages)
+class _Option(NamedTuple):
+    """One message's local choice, its supporting belief and what it is
+    worth to each type."""
+
+    t2_R: Outcome
+    t2_A: Outcome
+    fight: bool
+    belief: float
+    value_R: float
+    value_A: float
+    restrains_R: bool
+    restrains_A: bool
+
+
+def _local_options(table: _GameTable, j: int, q: Optional[float]) -> list[_Option]:
+    """Cell-optimal t2 actions and fight bits at message j that pass (b)."""
+    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
+    options = []
+    for action_R in table.t2_options[(R, j)]:
+        for action_A in table.t2_options[(A, j)]:
+            for fight in (False, True):
+                belief = _supporting_belief(table, q, action_R, action_A, fight)
+                if belief is not None:
+                    options.append(
+                        _Option(
+                            action_R,
+                            action_A,
+                            fight,
+                            belief,
+                            table.value(R, j, action_R, fight),
+                            table.value(A, j, action_A, fight),
+                            action_R is Outcome.RESTRAINT,
+                            action_A is Outcome.RESTRAINT,
+                        )
+                    )
+    return options
+
+
+def _admit(options: list[_Option], v_R: float, v_A: float) -> list[_Option]:
+    """(d) at one message: neither type gains by deviating to it. The
+    ``value - TOL`` form matches ``max(values) - TOL`` in _check_profile
+    exactly, since float rounding is monotone."""
+    return [o for o in options if not (v_R < o.value_R - TOL or v_A < o.value_A - TOL)]
+
+
+def _group(options: list[_Option], key) -> dict[tuple, list[_Option]]:
+    groups: dict[tuple, list[_Option]] = {}
+    for o in options:
+        groups.setdefault(key(o), []).append(o)
+    return groups
+
+
+_Anchor = tuple[int, int, PBEClass, list[list[_Option]]]
+
+
+def _anchors(table: _GameTable) -> Iterator[_Anchor]:
+    """Every weak PBE of the game, factorized.
+
+    Fixing the signals j_R and j_A, B's fight bits there and the on-path
+    types' t2 actions there (the anchor) fixes the posteriors, the class and
+    both on-path values. Checks (b)-(d) then hold message by message, so the
+    certified profiles under an anchor are exactly the product of each
+    message's admitted options. Yields ``(j_R, j_A, class, options)`` for
+    the anchors whose product is nonempty.
+    """
+    n = table.n
+    off_path = [_local_options(table, j, None) for j in range(n)]
+    pooled = [_local_options(table, j, table.prior) for j in range(n)]
+    by_R = [_group(_local_options(table, j, 1.0), lambda o: (o.t2_R, o.fight)) for j in range(n)]
+    by_A = [_group(_local_options(table, j, 0.0), lambda o: (o.t2_A, o.fight)) for j in range(n)]
+    for j_R in range(n):
+        for j_A in range(n):
+            if j_R == j_A:
+                anchors = [
+                    (
+                        {j_R: [o]},
+                        o.value_R,
+                        o.value_A,
+                        _classify(True, o.fight, o.fight, o.t2_R, o.t2_A),
+                    )
+                    for o in pooled[j_R]
+                ]
+            else:
+                anchors = [
+                    (
+                        {j_R: at_R, j_A: at_A},
+                        at_R[0].value_R,
+                        at_A[0].value_A,
+                        _classify(False, fight_R, fight_A, action_R, action_A),
+                    )
+                    for (action_R, fight_R), at_R in by_R[j_R].items()
+                    for (action_A, fight_A), at_A in by_A[j_A].items()
+                ]
+            for on_path, v_R, v_A, pbe_class in anchors:
+                options = []
+                for j in range(n):
+                    admitted = _admit(on_path.get(j, off_path[j]), v_R, v_A)
+                    if not admitted:
+                        break
+                    options.append(admitted)
+                else:
+                    yield j_R, j_A, pbe_class, options
+
+
+def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECertificate]:
+    """Materialize the anchors' products in the canonical order: signal
+    indices, then t2 actions (restraint bits, restrained cells first), then
+    the fight pattern."""
+    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
+    messages = table.messages
+    cells = [(R, m) for m in messages] + [(A, m) for m in messages]
+    # Enum hashing runs in Python, so each t2 pattern's dict is built once
+    # and copied (a copy reuses the stored hashes).
+    t2_actions: dict[tuple[bool, ...], dict[tuple[TypeLabel, float], Outcome]] = {}
+    found: list[tuple[tuple, PBECertificate]] = []
+    for j_R, j_A, pbe_class, options in anchors:
+        signal_of = {R: messages[j_R], A: messages[j_A]}
+        for combo in itertools.product(*options):
+            t2_R, t2_A, fight, belief, _, _, restrains_R, restrains_A = zip(*combo)
+            restrains = restrains_R + restrains_A
+            if restrains not in t2_actions:
+                t2_actions[restrains] = dict(zip(cells, t2_R + t2_A))
+            profile = StrategyProfile(
+                signal_of=signal_of.copy(),
+                fight_after=dict(zip(messages, fight)),
+                t2_action=t2_actions[restrains].copy(),
+            )
+            beliefs = BeliefAssignment(posterior=dict(zip(messages, belief)))
+            found.append(((j_R, j_A, restrains, fight), PBECertificate(profile, beliefs, pbe_class)))
+    found.sort(key=lambda kc: kc[0])
+    return [cert for _, cert in found]
 
 
 def find_all_pbe(
-    game: DiscreteGame, budget: int = DEFAULT_PROFILE_BUDGET
+    game: DiscreteGame, budget: int = DEFAULT_CERTIFICATE_BUDGET
 ) -> list[PBECertificate]:
-    """Enumerate every pure profile and return all weak-PBE certificates.
+    """Return every weak-PBE certificate of the game.
 
     Results are deterministic and sorted in the canonical lexicographic
     order of the profile encoding (signal indices, then t2 actions, then
-    fight pattern). Profiles whose t2 actions are not cell-optimal are
-    skipped up front; they can never certify.
+    fight pattern). The certificates are counted from the per-message
+    option sets before any is built; more than ``budget`` raises
+    :class:`BudgetExceededError` with the exact count.
     """
-    n = len(game.messages)
-    nominal = profile_count(n)
-    if nominal > budget:
-        raise BudgetExceededError(nominal, budget)
-
     table = _GameTable(game)
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
-    cells = [(R, j) for j in range(n)] + [(A, j) for j in range(n)]
-    cell_options = [table.t2_options[cell] for cell in cells]
-    fight_patterns = list(itertools.product((False, True), repeat=n))
-
-    found: list[tuple[tuple, PBECertificate]] = []
-    for j_R in range(n):
-        for j_A in range(n):
-            for actions in itertools.product(*cell_options):
-                t2 = dict(zip(cells, actions))
-                for fight in fight_patterns:
-                    beliefs = _check_profile(table, j_R, j_A, t2, fight)
-                    if beliefs is None:
-                        continue
-                    profile = StrategyProfile(
-                        signal_of={R: game.messages[j_R], A: game.messages[j_A]},
-                        fight_after=dict(zip(game.messages, fight)),
-                        t2_action={
-                            (t, game.messages[j]): a for (t, j), a in t2.items()
-                        },
-                    )
-                    cert = PBECertificate(
-                        profile=profile,
-                        beliefs=BeliefAssignment(posterior=beliefs),
-                        pbe_class=_classify(table, j_R, j_A, t2, fight),
-                    )
-                    key = (
-                        j_R,
-                        j_A,
-                        tuple(a is Outcome.RESTRAINT for a in actions),
-                        fight,
-                    )
-                    found.append((key, cert))
-    found.sort(key=lambda kc: kc[0])
-    return [cert for _, cert in found]
+    anchors = list(_anchors(table))
+    count = sum(math.prod(map(len, options)) for *_, options in anchors)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    return _certificates(table, anchors)
 
 
 @dataclass(frozen=True)
@@ -462,7 +574,6 @@ class DiscrepancyError(RuntimeError):
 def verify_against_closed_form(
     spec: MechanismSpec,
     grid: Iterable[tuple[ModelParams, float]],
-    budget: int = DEFAULT_PROFILE_BUDGET,
 ) -> DiscrepancyReport:
     """Compare closed-form verdicts against oracle findings on M = {0, m}.
 
@@ -470,8 +581,9 @@ def verify_against_closed_form(
     exists exactly when the closed form holds; separating agreement means
     a Separating certificate with the restrained type at m exists exactly
     when the closed form holds. An empty report is full agreement.
+    Certificates are built only for the points that disagree.
     """
-    R = TypeLabel.RESTRAINED
+    relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
     entries: list[Discrepancy] = []
     for params, m in grid:
         closed = {
@@ -479,21 +591,17 @@ def verify_against_closed_form(
             "separating": conditions.separating_exists(spec, params, m).holds,
         }
         messages = (0.0,) if m == 0 else (0.0, float(m))
-        certs = find_all_pbe(DiscreteGame(spec, params, messages), budget=budget)
+        table = _GameTable(DiscreteGame(spec, params, messages))
+        j_m = len(messages) - 1
         relevant = [
-            c
-            for c in certs
-            if (
-                c.pbe_class is PBEClass.POOLING_ON_RESTRAINT
-                or c.pbe_class is PBEClass.SEPARATING
-            )
-            and c.profile.signal_of[R] == m
+            anchor
+            for anchor in _anchors(table)
+            if anchor[0] == j_m and anchor[2] in relevant_classes
         ]
+        found = {pbe_class for _, _, pbe_class, _ in relevant}
         oracle = {
-            "pooling": any(
-                c.pbe_class is PBEClass.POOLING_ON_RESTRAINT for c in relevant
-            ),
-            "separating": any(c.pbe_class is PBEClass.SEPARATING for c in relevant),
+            "pooling": PBEClass.POOLING_ON_RESTRAINT in found,
+            "separating": PBEClass.SEPARATING in found,
         }
         if oracle != closed:
             entries.append(
@@ -502,7 +610,7 @@ def verify_against_closed_form(
                     m=m,
                     closed_form_verdict=closed,
                     oracle_verdict=oracle,
-                    certificates=tuple(relevant),
+                    certificates=tuple(_certificates(table, relevant)),
                 )
             )
     return DiscrepancyReport(spec=spec, entries=tuple(entries))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -113,9 +114,9 @@ class GridSpec:
             seen.add(axis.symbol)
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
-            if not axis.min < axis.max:
+            if not -math.inf < axis.min < axis.max < math.inf:
                 raise ParameterError(
-                    "min < max", f"{axis.symbol}: [{axis.min}, {axis.max}]"
+                    "finite min < max", f"{axis.symbol}: [{axis.min}, {axis.max}]"
                 )
         for sym in self.fixed:
             if sym not in ALL_SYMBOLS:

@@ -162,9 +162,9 @@ class TestOracle:
         assert sep[0]["profile"]["signal_of"] == {"restrained": 1.5, "aggressive": 0.0}
 
     def test_size_guard_exit_code(self, capsys):
-        messages = ",".join(str(float(i)) for i in range(9))
+        messages = ",".join(str(float(i)) for i in range(18))
         code, _, err = run(
-            f"oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages {messages}".split(),
+            f"oracle --mechanism sunk --c 0.5 --vd 1 --vb 2 --messages {messages}".split(),
             capsys,
         )
         assert code == 3
@@ -326,6 +326,15 @@ MALFORMED = {
         "sweep", dict(GRID_CONFIG, mechanism={"mechanism": "moat"}), "--oracle-fraction 0"
     ),
     "grid-axis-without-steps": ("sweep", AXIS_WITHOUT_STEPS, "--oracle-fraction 0"),
+    "grid-infinite-axis-bound": (
+        "sweep",
+        dict(
+            GRID_CONFIG,
+            axes=[{"symbol": "V_D", "min": 0.5, "max": float("inf"), "steps": 3}],
+            fixed=dict(GRID_CONFIG["fixed"], m=1.0),
+        ),
+        "--oracle-fraction 0",
+    ),
     "config-messages-as-string": ("oracle", dict(POINT, messages="0,2"), ""),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
@@ -416,7 +425,7 @@ STDOUT_DIGESTS = {
         "b005975282f70896c077b32bb8b66dc399be355920f0ff4904bf3424f3220e10",
     ),
     "oracle-size-guard": (
-        "oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,1,2,3,4,5,6,7,8",
+        "oracle --mechanism sunk --c 0.5 --vd 1 --vb 2 --messages " + ",".join(map(str, range(18))),
         "09f04881ea8a851192518e6a9f37b5c85d4fbb7004452eaddcbb4a557d218425",
     ),
     "sweep-csv": (

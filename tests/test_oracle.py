@@ -33,6 +33,7 @@ from restraint_games import (
     supporting_belief_interval,
     verify_against_closed_form,
 )
+from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -265,13 +266,18 @@ class TestFindAllPBE:
             recheck_certificate(game, cert)
 
     def test_budget_guard(self):
-        game = DiscreteGame(TH_BASE, BASE_PARAMS, tuple(float(i) for i in range(9)))
-        with pytest.raises(BudgetExceededError):
+        # the restrained type ties at every sunk-cost t2 cell, so the
+        # certificates roughly triple with each message
+        sunk = MechanismSpec(Mechanism.SUNK)
+        game = DiscreteGame(sunk, BASE_PARAMS, tuple(float(i) for i in range(18)))
+        with pytest.raises(BudgetExceededError) as exc:
             find_all_pbe(game)
-        # an explicit budget loosens the guard
-        small = DiscreteGame(TH_BASE, BASE_PARAMS, (0.0, 2.0))
-        with pytest.raises(BudgetExceededError):
+        assert exc.value.n_certificates > DEFAULT_CERTIFICATE_BUDGET
+        # an explicit budget tightens the guard; the error reports the real count
+        small = DiscreteGame(sunk, BASE_PARAMS, (0.0, 2.0, 4.0, 6.0))
+        with pytest.raises(BudgetExceededError) as exc:
             find_all_pbe(small, budget=10)
+        assert exc.value.n_certificates == len(find_all_pbe(small)) == 54
 
     def test_grid_validation(self):
         for bad in [(), (1.0, 2.0), (0.0, -1.0), (0.0, 2.0, 2.0), (2.0, 0.0)]:
