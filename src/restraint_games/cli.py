@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands map onto the library: ``classify`` (closed-form verdicts
-at one point), ``oracle`` (brute-force weak-PBE enumeration on a signal
+at one point), ``oracle`` (exhaustive weak-PBE enumeration on a signal
 grid), ``sweep`` (region tables over a parameter grid), and ``simulate``
 (type-drift Monte Carlo). Runs can be described by a JSON config file, by
 flags, or both, with flags winning; ``--dump-config`` writes the resolved
@@ -171,7 +171,7 @@ def _simulate(run: dict):
 #: and run fields in --dump-config key order.
 COMMANDS = {
     "classify": ("closed-form verdicts at one point", _classify, (*_POINT, _SIGNAL, *_io("json"))),
-    "oracle": ("brute-force weak-PBE enumeration", _oracle, (
+    "oracle": ("exhaustive weak-PBE enumeration", _oracle, (
         *_POINT,
         ("messages", "messages", _numbers, _REQUIRED),
         *_io("json"),

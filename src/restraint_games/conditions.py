@@ -29,7 +29,7 @@ signal:
 
 The pooling thresholds describe the base game. Under a risk variant with
 r > 0, the aggressive type's restraint payoff shifts to -r, and the
-brute-force weak-PBE finder in :mod:`restraint_games.oracle` genuinely
+exhaustive weak-PBE finder in :mod:`restraint_games.oracle` genuinely
 narrows the pooling region (to ``m >= V_D + r`` with ``r <= c``); the
 cross-checker reports that divergence rather than hiding it.
 """

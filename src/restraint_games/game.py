@@ -147,7 +147,8 @@ class ModelParams:
             raise ParameterError("V_B > c", f"V_B={self.V_B}, c={self.c}")
         if not self.r >= 0:
             raise ParameterError("r >= 0", f"r={self.r}")
-        # c < V_B, so these bound every parameter
+        # c < V_B, and p and prior are checked below, so this makes every
+        # parameter finite
         if not (self.V_B < math.inf and self.V_D < math.inf and self.r < math.inf):
             raise ParameterError(
                 "V_D, V_B, r finite", f"V_D={self.V_D}, V_B={self.V_B}, r={self.r}"

@@ -21,8 +21,8 @@ certify on both routes.
 
 The search is factorized rather than profile by profile. Under weak PBE
 (Fudenberg & Tirole, JET 1991) off-path beliefs are free, so once the
-on-path data is fixed -- both signals, B's fight bits there and the on-path
-types' t2 actions there -- each of (b)-(d) is a condition on one message:
+on-path data is fixed -- both signals, and the t2 actions and B's fight
+bit at those messages -- each of (b)-(d) is a condition on one message:
 (d) bounds a type's value at every message by its on-path value. The
 certificates are then a union, over these anchors, of Cartesian products
 of small per-message option sets. Counting them and deciding whether one
@@ -145,7 +145,7 @@ class StrategyProfile:
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParameterError(
-                "profile has signal_of, fight_after and t2_action over known types and outcomes",
+                "profile well-formed (signal_of, fight_after, t2_action)",
                 f"{type(exc).__name__}: {exc}",
             ) from exc
 
@@ -288,17 +288,6 @@ def _supporting_belief(
     return q if stand_down >= u_fight - TOL else None
 
 
-def _posterior(table: _GameTable, j: int, j_R: int, j_A: int) -> Optional[float]:
-    """Bayes posterior at message j, or None when j is off path."""
-    if j == j_R and j == j_A:
-        return table.prior
-    if j == j_R:
-        return 1.0
-    if j == j_A:
-        return 0.0
-    return None
-
-
 def _check_profile(
     table: _GameTable,
     j_R: int,
@@ -310,12 +299,18 @@ def _check_profile(
     R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
     beliefs: dict[float, float] = {}
     for j in range(table.n):
-        q = _supporting_belief(
-            table, _posterior(table, j, j_R, j_A), t2[(R, j)], t2[(A, j)], fight[j]
-        )
-        if q is None:
+        if j == j_R and j == j_A:
+            q: Optional[float] = table.prior
+        elif j == j_R:
+            q = 1.0
+        elif j == j_A:
+            q = 0.0
+        else:
+            q = None  # off path: belief free
+        belief = _supporting_belief(table, q, t2[(R, j)], t2[(A, j)], fight[j])
+        if belief is None:
             return None
-        beliefs[table.messages[j]] = q
+        beliefs[table.messages[j]] = belief
 
     # (c) t2 optimality at every cell
     if any(t2[cell] not in options for cell, options in table.t2_options.items()):
@@ -418,55 +413,36 @@ def _admit(options: list[_Option], v_R: float, v_A: float) -> list[_Option]:
     return [o for o in options if not (v_R < o.value_R - TOL or v_A < o.value_A - TOL)]
 
 
-def _group(options: list[_Option], key) -> dict[tuple, list[_Option]]:
-    groups: dict[tuple, list[_Option]] = {}
-    for o in options:
-        groups.setdefault(key(o), []).append(o)
-    return groups
-
-
 _Anchor = tuple[int, int, PBEClass, list[list[_Option]]]
 
 
 def _anchors(table: _GameTable) -> Iterator[_Anchor]:
     """Every weak PBE of the game, factorized.
 
-    Fixing the signals j_R and j_A, B's fight bits there and the on-path
-    types' t2 actions there (the anchor) fixes the posteriors, the class and
-    both on-path values. Checks (b)-(d) then hold message by message, so the
-    certified profiles under an anchor are exactly the product of each
-    message's admitted options. Yields ``(j_R, j_A, class, options)`` for
-    the anchors whose product is nonempty.
+    Fixing the signals j_R and j_A and the options at those messages (the
+    anchor) fixes the posteriors, the class and both on-path values. Checks
+    (b)-(d) then hold message by message, so the certified profiles under
+    an anchor are exactly the product of each message's admitted options.
+    Yields ``(j_R, j_A, class, options)`` for the anchors whose product is
+    nonempty.
     """
     n = table.n
     off_path = [_local_options(table, j, None) for j in range(n)]
     pooled = [_local_options(table, j, table.prior) for j in range(n)]
-    by_R = [_group(_local_options(table, j, 1.0), lambda o: (o.t2_R, o.fight)) for j in range(n)]
-    by_A = [_group(_local_options(table, j, 0.0), lambda o: (o.t2_A, o.fight)) for j in range(n)]
+    at_R = [_local_options(table, j, 1.0) for j in range(n)]
+    at_A = [_local_options(table, j, 0.0) for j in range(n)]
     for j_R in range(n):
         for j_A in range(n):
             if j_R == j_A:
-                anchors = [
-                    (
-                        {j_R: [o]},
-                        o.value_R,
-                        o.value_A,
-                        _classify(True, o.fight, o.fight, o.t2_R, o.t2_A),
-                    )
-                    for o in pooled[j_R]
-                ]
+                anchors = [({j_R: [o]}, o, o) for o in pooled[j_R]]
             else:
                 anchors = [
-                    (
-                        {j_R: at_R, j_A: at_A},
-                        at_R[0].value_R,
-                        at_A[0].value_A,
-                        _classify(False, fight_R, fight_A, action_R, action_A),
-                    )
-                    for (action_R, fight_R), at_R in by_R[j_R].items()
-                    for (action_A, fight_A), at_A in by_A[j_A].items()
+                    ({j_R: [o_R], j_A: [o_A]}, o_R, o_A)
+                    for o_R in at_R[j_R]
+                    for o_A in at_A[j_A]
                 ]
-            for on_path, v_R, v_A, pbe_class in anchors:
+            for on_path, o_R, o_A in anchors:
+                v_R, v_A = o_R.value_R, o_A.value_A
                 options = []
                 for j in range(n):
                     admitted = _admit(on_path.get(j, off_path[j]), v_R, v_A)
@@ -474,6 +450,7 @@ def _anchors(table: _GameTable) -> Iterator[_Anchor]:
                         break
                     options.append(admitted)
                 else:
+                    pbe_class = _classify(j_R == j_A, o_R.fight, o_A.fight, o_R.t2_R, o_A.t2_A)
                     yield j_R, j_A, pbe_class, options
 
 
@@ -501,7 +478,8 @@ def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECert
                 t2_action=t2_actions[restrains].copy(),
             )
             beliefs = BeliefAssignment(posterior=dict(zip(messages, belief)))
-            found.append(((j_R, j_A, restrains, fight), PBECertificate(profile, beliefs, pbe_class)))
+            key = (j_R, j_A, restrains, fight)
+            found.append((key, PBECertificate(profile, beliefs, pbe_class)))
     found.sort(key=lambda kc: kc[0])
     return [cert for _, cert in found]
 

@@ -4,7 +4,7 @@ A sweep runs the closed-form checkers over a rectangular grid of 1 to 3
 axes, classifies each point by which equilibria exist there, and emits
 plot-ready rows. Grid points that violate a model constraint are kept and
 marked ``Invalid`` so consumers can see the feasible region's shape. A
-seeded fraction of the valid points is re-derived with the brute-force
+seeded fraction of the valid points is re-derived with the exhaustive
 oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
 

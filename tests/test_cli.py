@@ -348,7 +348,12 @@ MALFORMED = {
     ),
     "simulate-profile-unknown-action": (
         "simulate",
-        dict(POINT, profile=dict(PROFILE, t2_action=[[t, m, "surrender"] for t, m, _ in PROFILE["t2_action"]])),
+        dict(
+            POINT,
+            profile=dict(
+                PROFILE, t2_action=[[t, m, "surrender"] for t, m, _ in PROFILE["t2_action"]]
+            ),
+        ),
         "",
     ),
 }

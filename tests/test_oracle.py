@@ -1,4 +1,4 @@
-"""Brute-force weak-PBE oracle tests.
+"""Weak-PBE oracle tests.
 
 The soundness checks here deliberately re-derive everything from the raw
 payoff table (Bayes posteriors, sequential rationality, deviation values)
@@ -642,6 +642,7 @@ def digest_games() -> dict[str, DiscreteGame]:
 def certificates_digest(game: DiscreteGame) -> str:
     payload = json.dumps([c.to_dict() for c in find_all_pbe(game)])
     return hashlib.sha256(payload.encode()).hexdigest()
+
 
 #: sha256 of ``json.dumps([c.to_dict() for c in find_all_pbe(game)])`` per
 #: pinned game, recorded with the profile-by-profile search the factorized
