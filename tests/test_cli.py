@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,6 +347,20 @@ MALFORMED = {
     "simulate-profile-without-t2-action": (
         "simulate", dict(POINT, profile={k: v for k, v in PROFILE.items() if k != "t2_action"}), ""
     ),
+    "simulate-infinite-m": (
+        "simulate",
+        dict(
+            POINT,
+            profile={
+                "signal_of": {"restrained": 0.0, "aggressive": 0.0},
+                "fight_after": [[0.0, False], [math.inf, True]],
+                "t2_action": [
+                    [t, m, "restraint"] for t in ("restrained", "aggressive") for m in (0.0, math.inf)
+                ],
+            },
+        ),
+        "--m inf --trials 10",
+    ),
     "simulate-profile-unknown-action": (
         "simulate",
         dict(
@@ -397,6 +412,15 @@ class TestProcessContract:
         assert proc.returncode == 0
         json.loads(proc.stdout)  # stdout carries only the result
         assert "classify" in proc.stderr  # the info log went to stderr
+
+    def test_import_leaves_out_process_pools(self):
+        # every CLI process pays for what `restraint_games.cli` imports
+        code = (
+            "import sys, restraint_games.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 SIM = "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --p 0.2 --trials 2000 --seed 7"
