@@ -138,7 +138,10 @@ def _oracle(run: dict):
 
 def _sweep(run: dict):
     grid = GridSpec.from_dict(run["grid"])
-    rows = run_sweep(grid, oracle_fraction=run["oracle_fraction"], seed=run["seed"], jobs=run["jobs"])
+    # `jobs` stays a run field so existing configs and dumps keep working
+    if run["jobs"] < 1:
+        raise ParameterError("jobs >= 1", f"got {run['jobs']}")
+    rows = run_sweep(grid, oracle_fraction=run["oracle_fraction"], seed=run["seed"])
     log.info("sweep: %d row(s), %d oracle-checked", len(rows), sum(row.oracle_checked for row in rows))
     return partial(write_rows_json, rows, grid.mechanism), partial(write_rows_csv, rows, grid.mechanism)
 
@@ -202,7 +205,7 @@ _FLAG_HELP = {
     "p": "type-drift probability",
     "m": "signal level",
     "messages": "comma-separated signal grid, e.g. 0,2",
-    "jobs": "worker cap for row evaluation",
+    "jobs": "accepted for compatibility; has no effect",
     "allow_degenerate_prior": "permit prior 0 or 1 (testing aid)",
     "dump_trials": "write one CSV row per trial",
     "output": "result target (default: stdout)",

@@ -45,6 +45,7 @@ from .game import (
     ParameterError,
     TypeLabel,
     payoff,
+    validate_signal,
 )
 from .oracle import StrategyProfile
 
@@ -89,8 +90,7 @@ class SimConfig:
 
     def validate(self) -> None:
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
-        if not self.m >= 0:
-            raise ParameterError("m >= 0", f"m={self.m}")
+        validate_signal(self.m)
         if self.n_trials < 1:
             raise ParameterError("n_trials >= 1", f"n_trials={self.n_trials}")
         if self.seed < 0:

@@ -179,7 +179,6 @@ def supporting_belief_interval(
     u_b_aggressive_action: float,
     u_b_fight: float,
     fight: bool,
-    tol: float = TOL,
 ) -> Optional[tuple[float, float]]:
     """Beliefs q = P(restrained) making B's t1 choice weakly optimal.
 
@@ -191,8 +190,8 @@ def supporting_belief_interval(
     slope = u_b_restrained_action - u_b_aggressive_action
     intercept = u_b_aggressive_action
     if fight:
-        # need f(q) <= u_b_fight + tol
-        threshold = u_b_fight + tol
+        # need f(q) <= u_b_fight + TOL
+        threshold = u_b_fight + TOL
         if slope == 0.0:
             return (0.0, 1.0) if intercept <= threshold else None
         q_cut = (threshold - intercept) / slope
@@ -201,8 +200,8 @@ def supporting_belief_interval(
         else:
             lo, hi = max(0.0, q_cut), 1.0
     else:
-        # need f(q) >= u_b_fight - tol
-        threshold = u_b_fight - tol
+        # need f(q) >= u_b_fight - TOL
+        threshold = u_b_fight - TOL
         if slope == 0.0:
             return (0.0, 1.0) if intercept >= threshold else None
         q_cut = (threshold - intercept) / slope
@@ -219,7 +218,6 @@ class _GameTable:
     """Per-game payoff tables flattened to plain floats for fast checks."""
 
     def __init__(self, game: DiscreteGame):
-        self.game = game
         self.messages = game.messages
         self.n = len(game.messages)
         self.index = {m: j for j, m in enumerate(game.messages)}

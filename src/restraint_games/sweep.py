@@ -18,7 +18,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Optional
@@ -28,12 +27,7 @@ import numpy as np
 from .conditions import classify
 from .game import TOL, MechanismSpec, ModelParams, ParameterError
 from .montecarlo import SimResult
-from .oracle import (
-    DiscrepancyError,
-    DiscrepancyReport,
-    PBECertificate,
-    verify_against_closed_form,
-)
+from .oracle import DiscrepancyError, PBECertificate, verify_against_closed_form
 
 #: Symbols a sweep axis may range over. The prior is fixed-only: no
 #: closed-form condition depends on it.
@@ -179,16 +173,8 @@ class RegionRow:
 
 
 def _evaluate_point(spec: MechanismSpec, coords: dict[str, float]) -> RegionRow:
-    params = ModelParams(
-        c=coords["c"],
-        V_D=coords["V_D"],
-        V_B=coords["V_B"],
-        r=coords["r"],
-        p=coords["p"],
-        prior=coords["prior"],
-    )
     try:
-        report = classify(spec, params, coords["m"])
+        report = classify(spec, ModelParams.from_dict(coords), coords["m"])
     except ParameterError:
         return RegionRow(coords, Classification.INVALID, None, None, None, None)
     pooling = report.pooling_on_restraint
@@ -217,10 +203,6 @@ def _evaluate_point(spec: MechanismSpec, coords: dict[str, float]) -> RegionRow:
     )
 
 
-def _evaluate_chunk(spec: MechanismSpec, chunk: list[dict[str, float]]) -> list[RegionRow]:
-    return [_evaluate_point(spec, coords) for coords in chunk]
-
-
 def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> RegionRow:
     """Classify a single parameter point into a sweep-style row."""
     coords = params.to_dict()
@@ -244,32 +226,21 @@ def run_sweep(
     grid: GridSpec,
     oracle_fraction: float = 0.05,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[RegionRow]:
     """Classify every grid point; oracle-check a seeded random subset.
 
-    Rows come back in row-major axis order whatever the worker count. The
-    oracle subset is drawn without replacement via a seeded shuffle of the
-    valid rows; ``int(oracle_fraction * n_valid)`` points are checked, and
-    any closed-form/oracle mismatch raises :class:`DiscrepancyError` with
-    the aggregated report.
+    Points are evaluated one after another and rows come back in row-major
+    axis order. The oracle subset is drawn without replacement via a seeded
+    shuffle of the valid rows; ``int(oracle_fraction * n_valid)`` points
+    are checked in one :func:`verify_against_closed_form` call, and any
+    closed-form/oracle mismatch raises :class:`DiscrepancyError` with its
+    report.
     """
     if not 0.0 <= oracle_fraction <= 1.0:
         raise ParameterError("0 <= oracle_fraction <= 1", f"got {oracle_fraction}")
     if seed < 0:
         raise ParameterError("seed >= 0", f"got {seed}")
-    if jobs < 1:
-        raise ParameterError("jobs >= 1", f"got {jobs}")
-    points = grid_points(grid)
-
-    if jobs > 1 and len(points) > 1:
-        chunk_size = max(1, len(points) // (jobs * 4))
-        chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_evaluate_chunk, itertools.repeat(grid.mechanism), chunks)
-            rows = [row for chunk_rows in results for row in chunk_rows]
-    else:
-        rows = [_evaluate_point(grid.mechanism, coords) for coords in points]
+    rows = [_evaluate_point(grid.mechanism, coords) for coords in grid_points(grid)]
 
     valid_idx = [
         i for i, row in enumerate(rows) if row.classification is not Classification.INVALID
@@ -278,27 +249,13 @@ def run_sweep(
     if n_checked > 0:
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(valid_idx))
-        chosen = [valid_idx[int(k)] for k in order[:n_checked]]
-        entries = []
-        for i in chosen:
-            coords = rows[i].coordinates
-            params = ModelParams(
-                c=coords["c"],
-                V_D=coords["V_D"],
-                V_B=coords["V_B"],
-                r=coords["r"],
-                p=coords["p"],
-                prior=coords["prior"],
-            )
-            report = verify_against_closed_form(
-                grid.mechanism, [(params, coords["m"])]
-            )
-            entries.extend(report.entries)
-            rows[i].oracle_checked = True
-        if entries:
-            raise DiscrepancyError(
-                DiscrepancyReport(spec=grid.mechanism, entries=tuple(entries))
-            )
+        chosen = [rows[valid_idx[int(k)]] for k in order[:n_checked]]
+        points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
+        report = verify_against_closed_form(grid.mechanism, points)
+        if not report.empty:
+            raise DiscrepancyError(report)
+        for row in chosen:
+            row.oracle_checked = True
     return rows
 
 
