@@ -242,14 +242,11 @@ def run_sweep(
         raise ParameterError("seed >= 0", f"got {seed}")
     rows = [_evaluate_point(grid.mechanism, coords) for coords in grid_points(grid)]
 
-    valid_idx = [
-        i for i, row in enumerate(rows) if row.classification is not Classification.INVALID
-    ]
-    n_checked = int(oracle_fraction * len(valid_idx))
+    valid = [row for row in rows if row.classification is not Classification.INVALID]
+    n_checked = int(oracle_fraction * len(valid))
     if n_checked > 0:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(valid_idx))
-        chosen = [rows[valid_idx[int(k)]] for k in order[:n_checked]]
+        order = np.random.default_rng(seed).permutation(len(valid))
+        chosen = [valid[int(k)] for k in order[:n_checked]]
         points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
         report = verify_against_closed_form(grid.mechanism, points)
         if not report.empty:
