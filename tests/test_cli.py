@@ -322,11 +322,22 @@ MALFORMED = {
     ),
     "config-m-not-a-number": ("classify", dict(POINT, m="x"), ""),
     "config-n-trials-not-an-integer": ("simulate", dict(POINT, n_trials="abc"), ""),
+    "config-n-trials-fractional": ("simulate", dict(POINT, n_trials=10.7), ""),
+    "config-degenerate-prior-override-as-string": (
+        "simulate",
+        dict(POINT, params=dict(POINT["params"], prior=1.0), allow_degenerate_prior="false"),
+        "--trials 10",
+    ),
     "config-unknown-mechanism": ("classify", dict(POINT, mechanism={"mechanism": "moat"}), ""),
     "grid-unknown-mechanism": (
         "sweep", dict(GRID_CONFIG, mechanism={"mechanism": "moat"}), "--oracle-fraction 0"
     ),
     "grid-axis-without-steps": ("sweep", AXIS_WITHOUT_STEPS, "--oracle-fraction 0"),
+    "grid-fractional-steps": (
+        "sweep",
+        dict(GRID_CONFIG, axes=[GRID_CONFIG["axes"][0], dict(GRID_CONFIG["axes"][1], steps=2.9)]),
+        "--oracle-fraction 0",
+    ),
     "grid-infinite-axis-bound": (
         "sweep",
         dict(
