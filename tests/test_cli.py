@@ -323,6 +323,7 @@ MALFORMED = {
     "config-m-not-a-number": ("classify", dict(POINT, m="x"), ""),
     "config-n-trials-not-an-integer": ("simulate", dict(POINT, n_trials="abc"), ""),
     "config-n-trials-fractional": ("simulate", dict(POINT, n_trials=10.7), ""),
+    "config-n-trials-infinite": ("simulate", dict(POINT, n_trials=math.inf), ""),
     "config-degenerate-prior-override-as-string": (
         "simulate",
         dict(POINT, params=dict(POINT["params"], prior=1.0), allow_degenerate_prior="false"),
