@@ -27,7 +27,7 @@ from functools import partial
 from typing import Optional
 
 from .conditions import classify as classify_point
-from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant
+from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, integer
 from .montecarlo import DriftMode, SimConfig, pooling_profile, simulate
 from .oracle import (
     BudgetExceededError,
@@ -83,9 +83,17 @@ def _comma_separated(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
 
 
+def _boolean(value) -> bool:
+    # only JSON true/false: bool("false") is True
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 # argparse and _resolve name a type by its __name__ in error messages
 _numbers.__name__ = "a list of numbers"
 _comma_separated.__name__ = "comma-separated numbers"
+_boolean.__name__ = "true or false"
 
 _REQUIRED = object()
 
@@ -182,8 +190,8 @@ COMMANDS = {
     "sweep": ("classify a parameter grid", _sweep, (
         ("grid", None, dict, _REQUIRED),
         ("oracle_fraction", "oracle_fraction", float, 0.05),
-        ("seed", "seed", int, 0),
-        ("jobs", "jobs", int, 1),
+        ("seed", "seed", integer, 0),
+        ("jobs", "jobs", integer, 1),
         *_io("csv"),
     )),
     "simulate": ("type-drift Monte Carlo", _simulate, (
@@ -191,9 +199,9 @@ COMMANDS = {
         _SIGNAL,
         ("profile", None, dict, lambda run: pooling_profile(run["m"]).to_dict()),
         ("drift_mode", "drift_mode", _one_of(*(d.value for d in DriftMode)), DriftMode.LITERAL.value),
-        ("n_trials", "trials", int, 100_000),
-        ("seed", "seed", int, 0),
-        ("allow_degenerate_prior", "allow_degenerate_prior", bool, False),
+        ("n_trials", "trials", integer, 100_000),
+        ("seed", "seed", integer, 0),
+        ("allow_degenerate_prior", "allow_degenerate_prior", _boolean, False),
         ("dump_trials", "dump_trials", str, None),
         *_io("json"),
     )),
@@ -213,7 +221,7 @@ _FLAG_HELP = {
 
 
 def _flag_kind(kind) -> dict:
-    if kind is bool:
+    if kind is _boolean:
         return {"action": "store_true", "default": None}
     if kind is _numbers:
         return {"type": _comma_separated}

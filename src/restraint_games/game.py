@@ -197,6 +197,18 @@ def validate_signal(m: float) -> None:
         raise ParameterError("m finite", f"m={m}")
 
 
+def integer(value) -> int:
+    """An integral number (3, 3.0, 1e6) or int text as an int; else raise."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def signal_grid(m: float) -> tuple[float, ...]:
+    """The grid {0, m} that simulation and the closed-form cross-check use."""
+    return (0.0,) if m == 0 else (0.0, float(m))
+
+
 def payoff(
     spec: MechanismSpec,
     params: ModelParams,

@@ -8,29 +8,31 @@ empirically: with every trial restrained up front and a pooling profile,
 State B's mean payoff converges to -p*V_B, which crosses its conflict
 payoff -c exactly at p = c/V_B.
 
-How t2 is played depends on the drift mode:
+The signal follows the initial type, B's t1 choice follows the signal, and
+the t2 action follows the final type at that signal. Drift only reaches a
+restrained type B did not fight, so a trial is in one of three (initial,
+final) type cells. ``simulate`` plays each cell once into a table of
+signal, outcome and payoffs, and keeps one cell index per trial.
 
-* ``literal``        -- the realized type acts on its label: aggressive
-                        (native or drifted) exploits, restrained restrains.
-* ``prior-weighted`` -- same play as literal, but the result additionally
-                        reports State B's mean payoff conditioned on the
-                        pre-drift type, whose on-path mixture weight under
-                        pooling is the prior. The restrained-conditional
-                        mean recovers -p*V_B; the unconditional mean is the
-                        prior-weighted alternative reading of the drift
-                        threshold.
-* ``best-response``  -- the realized type plays its payoff-maximizing t2
-                        action at the signal it sent, ties toward restraint.
+How a cell's t2 action is chosen depends on the drift mode:
+
+* ``literal`` -- the final type acts on its label: aggressive (native or
+  drifted) exploits, restrained restrains.
+* ``prior-weighted`` -- literal play, and the result also reports State B's
+  mean payoff conditioned on the pre-drift type, whose on-path weight under
+  pooling is the prior. The restrained-conditional mean recovers -p*V_B;
+  the unconditional mean is the prior-weighted reading of the threshold.
+* ``best-response`` -- the final type plays its payoff-maximizing t2 action
+  at the signal it sent, exploiting only when better by more than ``TOL``.
 
 Trial randomness comes from fixed counter offsets of a Philox stream keyed
 by the seed (trial i always consumes row i of the draw matrix), so results
 are bit-for-bit reproducible and independent of execution order; means use
-numpy's pairwise summation.
+numpy's pairwise summation over the per-trial payoffs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import IO, Optional
@@ -45,13 +47,13 @@ from .game import (
     ParameterError,
     TypeLabel,
     payoff,
+    signal_grid,
     validate_signal,
 )
 from .oracle import StrategyProfile
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
-
 
 class DriftMode(Enum):
     LITERAL = "literal"
@@ -62,7 +64,7 @@ class DriftMode(Enum):
 def pooling_profile(m: float) -> StrategyProfile:
     """Both types signal m, B stands down after m and fights the null
     signal, both types restrain on path. The default simulation profile."""
-    messages = (0.0,) if m == 0 else (0.0, float(m))
+    messages = signal_grid(m)
     return StrategyProfile(
         signal_of={R: float(m), A: float(m)},
         fight_after={msg: msg != m for msg in messages},
@@ -86,7 +88,7 @@ class SimConfig:
     allow_degenerate_prior: bool = False
 
     def messages(self) -> tuple[float, ...]:
-        return (0.0,) if self.m == 0 else (0.0, float(self.m))
+        return signal_grid(self.m)
 
     def validate(self) -> None:
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
@@ -134,7 +136,13 @@ class SimResult:
 
 
 def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResult:
-    """Run the configured trials; optionally dump one CSV line per trial."""
+    """Run the configured trials; optionally dump one CSV line per trial.
+
+    Trial i reads row (u0, u1) of the draw matrix: it starts restrained
+    when u0 < prior, and a restrained type that B did not fight drifts when
+    u1 < p. Its cell index is 0 when it starts aggressive, else 1, plus 1
+    when it drifts; that cell's table entry gives its outcome and payoffs.
+    """
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
     n = config.n_trials
@@ -142,50 +150,38 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     # here behind the override) must not trip payoff()'s strict validation
     pay = replace(p, prior=0.5) if not 0.0 < p.prior < 1.0 else p
 
+    table = []  # per reachable (initial type, final type) cell, in index order
+    for initial, final in ((A, A), (R, R), (R, A)):
+        signal = float(prof.signal_of[initial])
+        fought = bool(prof.fight_after[signal])
+        if fought:
+            outcome = Outcome.PREVENTIVE_CONFLICT
+        elif config.drift_mode is DriftMode.BEST_RESPONSE:
+            # exploit only when strictly better at that cell; ties restrain
+            gain = (
+                payoff(spec, pay, final, Outcome.EXPLOIT, signal).u_A
+                - payoff(spec, pay, final, Outcome.RESTRAINT, signal).u_A
+            )
+            outcome = Outcome.EXPLOIT if gain > TOL else Outcome.RESTRAINT
+        else:
+            outcome = Outcome.EXPLOIT if final is A else Outcome.RESTRAINT
+        a, b = map(float, payoff(spec, pay, final, outcome, signal))
+        row = f"{initial.theta},{final.theta},{signal!r},{str(fought).lower()},{outcome.value},"
+        row += f"{a!r},{b!r}\n"
+        table.append((outcome, a, b, row))
+    outcomes, u_A, u_B, rows = zip(*table)
+
     draws = np.random.Generator(np.random.Philox(key=config.seed)).random((n, 2))
     restrained0 = draws[:, 0] < p.prior
+    cell = restrained0.astype(np.intp)
+    if not prof.fight_after[prof.signal_of[R]]:
+        cell += restrained0 & (draws[:, 1] < p.p)
+    del draws
+    u_a = np.array(u_A)[cell]
+    u_b = np.array(u_B)[cell]
 
-    m_R, m_A = prof.signal_of[R], prof.signal_of[A]
-    fought = np.where(restrained0, prof.fight_after[m_R], prof.fight_after[m_A])
-    msg = np.where(restrained0, m_R, m_A)
-
-    drifted = restrained0 & ~fought & (draws[:, 1] < p.p)
-    aggressive_final = ~restrained0 | drifted
-
-    if config.drift_mode is DriftMode.BEST_RESPONSE:
-        # exploit only when strictly better at that cell; ties restrain
-        def prefers_exploit(t: TypeLabel, m: float) -> bool:
-            gain = (
-                payoff(spec, pay, t, Outcome.EXPLOIT, m).u_A
-                - payoff(spec, pay, t, Outcome.RESTRAINT, m).u_A
-            )
-            return gain > TOL
-
-        exploit = ~fought & np.where(
-            aggressive_final,
-            np.where(msg == m_R, prefers_exploit(A, m_R), prefers_exploit(A, m_A)),
-            np.where(msg == m_R, prefers_exploit(R, m_R), prefers_exploit(R, m_A)),
-        )
-    else:
-        exploit = ~fought & aggressive_final
-
-    # outcome codes: 0 conflict, 1 exploit, 2 restraint
-    outcome_code = np.where(fought, 0, np.where(exploit, 1, 2))
-
-    u_a = np.empty(n, dtype=float)
-    u_b = np.empty(n, dtype=float)
-    outcome_of_code = {0: Outcome.PREVENTIVE_CONFLICT, 1: Outcome.EXPLOIT, 2: Outcome.RESTRAINT}
-    for code, outcome in outcome_of_code.items():
-        for theta, theta_mask in ((R, ~aggressive_final), (A, aggressive_final)):
-            for m_cell in set(prof.signal_of.values()):
-                mask = (outcome_code == code) & theta_mask & (msg == m_cell)
-                if not mask.any():
-                    continue
-                pair = payoff(spec, pay, theta, outcome, m_cell)
-                u_a[mask] = pair.u_A
-                u_b[mask] = pair.u_B
-
-    counts = np.bincount(outcome_code, minlength=3)
+    counts = np.bincount(cell, minlength=3)
+    outcome_counts = {o: sum(int(k) for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
     by_initial: Optional[dict[str, Optional[float]]] = None
     if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
         by_initial = {
@@ -194,31 +190,13 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         }
 
     if trial_log is not None:
-        writer = csv.writer(trial_log, lineterminator="\n")
-        writer.writerow(
-            ["trial", "theta_initial", "theta_final", "message", "fought", "outcome", "u_A", "u_B"]
-        )
-        outcome_names = {0: "conflict", 1: "exploit", 2: "restraint"}
-        for i in range(n):
-            writer.writerow(
-                [
-                    i,
-                    int(not restrained0[i]),
-                    int(aggressive_final[i]),
-                    msg[i],
-                    "true" if fought[i] else "false",
-                    outcome_names[int(outcome_code[i])],
-                    u_a[i],
-                    u_b[i],
-                ]
-            )
+        trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
+        trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(cell.tolist()))
 
     return SimResult(
-        outcome_counts={outcome_of_code[code]: int(counts[code]) for code in range(3)},
+        outcome_counts=outcome_counts,
         mean_u_A=float(u_a.mean()),
         mean_u_B=float(u_b.mean()),
-        standard_error_u_B=(
-            float(u_b.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        ),
+        standard_error_u_B=float(u_b.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
         mean_u_B_by_initial_type=by_initial,
     )

@@ -60,6 +60,7 @@ from .game import (
     ParameterError,
     TypeLabel,
     payoff,
+    signal_grid,
     validate_signal,
 )
 
@@ -566,7 +567,7 @@ def verify_against_closed_form(
             "pooling": conditions.pooling_exists(spec, params, m).holds,
             "separating": conditions.separating_exists(spec, params, m).holds,
         }
-        messages = (0.0,) if m == 0 else (0.0, float(m))
+        messages = signal_grid(m)
         table = _GameTable(DiscreteGame(spec, params, messages))
         j_m = len(messages) - 1
         relevant = [

@@ -25,7 +25,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .conditions import classify
-from .game import TOL, MechanismSpec, ModelParams, ParameterError
+from .game import TOL, MechanismSpec, ModelParams, ParameterError, integer
 from .montecarlo import SimResult
 from .oracle import DiscrepancyError, PBECertificate, verify_against_closed_form
 
@@ -85,7 +85,7 @@ class Axis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Axis":
-        return cls(str(d["symbol"]), float(d["min"]), float(d["max"]), int(d["steps"]))
+        return cls(str(d["symbol"]), float(d["min"]), float(d["max"]), integer(d["steps"]))
 
 
 @dataclass(frozen=True)
