@@ -55,6 +55,7 @@ from .oracle import StrategyProfile
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
 
+
 class DriftMode(Enum):
     LITERAL = "literal"
     PRIOR_WEIGHTED = "prior-weighted"
@@ -138,10 +139,9 @@ class SimResult:
 def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResult:
     """Run the configured trials; optionally dump one CSV line per trial.
 
-    Trial i reads row (u0, u1) of the draw matrix: it starts restrained
-    when u0 < prior, and a restrained type that B did not fight drifts when
-    u1 < p. Its cell index is 0 when it starts aggressive, else 1, plus 1
-    when it drifts; that cell's table entry gives its outcome and payoffs.
+    Trial i reads row (u0, u1) of the draw matrix: it starts restrained when
+    u0 < prior, and a restrained type B did not fight drifts when u1 < p.
+    Its cell index is 0 if it starts aggressive, else 1, plus 1 if it drifts.
     """
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
