@@ -373,6 +373,24 @@ MALFORMED = {
         ),
         "--m inf --trials 10",
     ),
+    "config-c-as-boolean": (
+        "classify", dict(POINT, params={"c": True, "V_D": 1.0, "V_B": 2.0}), ""
+    ),
+    "config-message-as-boolean": ("oracle", dict(POINT, messages=[False, 2.0]), ""),
+    "grid-fixed-as-boolean": (
+        "sweep", dict(GRID_CONFIG, fixed=dict(GRID_CONFIG["fixed"], c=True)), "--oracle-fraction 0"
+    ),
+    "grid-axis-bound-as-boolean": (
+        "sweep",
+        dict(GRID_CONFIG, axes=[dict(GRID_CONFIG["axes"][0], min=True), GRID_CONFIG["axes"][1]]),
+        "--oracle-fraction 0",
+    ),
+    "simulate-profile-as-pairs": (
+        "simulate", dict(POINT, profile=[[key, value] for key, value in PROFILE.items()]), "--trials 10"
+    ),
+    "sweep-grid-as-pairs": (
+        "sweep", {"grid": [[key, value] for key, value in GRID_CONFIG.items()]}, "--oracle-fraction 0"
+    ),
     "simulate-profile-unknown-action": (
         "simulate",
         dict(

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -266,6 +267,9 @@ def digest_configs() -> dict[str, SimConfig]:
         "tying-hands-risk-literal-inexact-sums": case(
             "tying-hands", "risk", m=0.1, c=3.7, V_D=12.3, V_B=45.1, r=0.3, p=0.35, seed=23
         ),
+        "installment-risk-prior-weighted-multi-chunk": case(
+            "installment", "risk", m=0.9, mode="prior-weighted", p=0.3, prior=0.6, n_trials=200_003, seed=24
+        ),
     }
 
 
@@ -283,6 +287,8 @@ SIMULATE_DIGESTS = {
     "installment-base-best-response-hybrid": "cf3194f08b08af1df194fe7647cab64ec7a7eae5a0d331e7b87c3d896b4793f1",
     "installment-base-literal-p-0": "0017de22b59726af41b2fafa37041d7489a959993caaca125f7fed2f2fe835fd",
     "installment-base-literal-separating": "12018a57c343893c80e8340f730e7768720560e63a5fa23bd87173c7ad298312",
+    # recorded with the per-cell table's one-shot n x 2 draw matrix
+    "installment-risk-prior-weighted-multi-chunk": "ab5d2110beabbc74764fa04165a2034f299604607578f7623399262eb2bee3b2",
     "installment-risk-prior-weighted-restrained-fought": "2a77cad6c9fcca8ab359f12b749f976f088c835e3f58cf163d5287af6a75592e",
     "reducible-base-best-response-restrained-fought": "2ea8d6818460d660eba5fd999a5c808cd7d5d502f916e749aeda30da62c02a3e",
     "reducible-base-prior-weighted-prior-1": "59bec6fecf91dd1e715df7b97750ae4f070b9218511b76fe3e6e0e60e6b56a65",
@@ -308,3 +314,16 @@ SIMULATE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
 def test_simulate_bytes_unchanged(case):
     assert simulation_digest(digest_configs()[case]) == SIMULATE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("mode", list(DriftMode))
+def test_simulate_memory_per_trial(mode):
+    n = 10**6
+    cfg = config(drift_mode=mode, n_trials=n)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 20, f"{peak / n:.1f} bytes per trial"
