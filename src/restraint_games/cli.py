@@ -27,7 +27,7 @@ from functools import partial
 from typing import Optional
 
 from .conditions import classify as classify_point
-from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, integer
+from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, integer, real
 from .montecarlo import DriftMode, SimConfig, pooling_profile, simulate
 from .oracle import (
     BudgetExceededError,
@@ -76,7 +76,7 @@ def _one_of(*choices: str):
 def _numbers(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(value)
-    return tuple(float(v) for v in value)
+    return tuple(real(v) for v in value)
 
 
 def _comma_separated(text: str) -> tuple[float, ...]:
@@ -90,10 +90,18 @@ def _boolean(value) -> bool:
     return value
 
 
+def _object(value) -> dict:
+    # only a JSON object: dict() would also take a list of pairs
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return value
+
+
 # argparse and _resolve name a type by its __name__ in error messages
 _numbers.__name__ = "a list of numbers"
 _comma_separated.__name__ = "comma-separated numbers"
 _boolean.__name__ = "true or false"
+_object.__name__ = "a JSON object"
 
 _REQUIRED = object()
 
@@ -103,14 +111,14 @@ _REQUIRED = object()
 _POINT = (
     ("mechanism.mechanism", "mechanism", _one_of(*(m.value for m in Mechanism)), _REQUIRED),
     ("mechanism.variant", "variant", _one_of(*(v.value for v in Variant)), "base"),
-    ("params.c", "c", float, _REQUIRED),
-    ("params.V_D", "vd", float, _REQUIRED),
-    ("params.V_B", "vb", float, _REQUIRED),
-    ("params.r", "r", float, 0.0),
-    ("params.p", "p", float, 0.0),
-    ("params.prior", "prior", float, 0.5),
+    ("params.c", "c", real, _REQUIRED),
+    ("params.V_D", "vd", real, _REQUIRED),
+    ("params.V_B", "vb", real, _REQUIRED),
+    ("params.r", "r", real, 0.0),
+    ("params.p", "p", real, 0.0),
+    ("params.prior", "prior", real, 0.5),
 )
-_SIGNAL = ("m", "m", float, _REQUIRED)
+_SIGNAL = ("m", "m", real, _REQUIRED)
 
 
 def _io(default_format: str) -> tuple:
@@ -188,8 +196,8 @@ COMMANDS = {
         *_io("json"),
     )),
     "sweep": ("classify a parameter grid", _sweep, (
-        ("grid", None, dict, _REQUIRED),
-        ("oracle_fraction", "oracle_fraction", float, 0.05),
+        ("grid", None, _object, _REQUIRED),
+        ("oracle_fraction", "oracle_fraction", real, 0.05),
         ("seed", "seed", integer, 0),
         ("jobs", "jobs", integer, 1),
         *_io("csv"),
@@ -197,7 +205,7 @@ COMMANDS = {
     "simulate": ("type-drift Monte Carlo", _simulate, (
         *_POINT,
         _SIGNAL,
-        ("profile", None, dict, lambda run: pooling_profile(run["m"]).to_dict()),
+        ("profile", None, _object, lambda run: pooling_profile(run["m"]).to_dict()),
         ("drift_mode", "drift_mode", _one_of(*(d.value for d in DriftMode)), DriftMode.LITERAL.value),
         ("n_trials", "trials", integer, 100_000),
         ("seed", "seed", integer, 0),

@@ -197,6 +197,14 @@ def validate_signal(m: float) -> None:
         raise ParameterError("m finite", f"m={m}")
 
 
+def real(value) -> float:
+    """A number or numeric text as a float; raise on a boolean, which
+    ``float()`` would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def integer(value) -> int:
     """An integral number (3, 3.0, 1e6) or int text as an int; else raise."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -231,7 +239,18 @@ def payoff(
     """
     params.validate()
     validate_signal(m)
+    return unchecked_payoff(spec, params, theta, outcome, m)
 
+
+def unchecked_payoff(
+    spec: MechanismSpec,
+    params: ModelParams,
+    theta: TypeLabel,
+    outcome: Outcome,
+    m: float,
+) -> PayoffPair:
+    """:func:`payoff` without validating its inputs, for callers that
+    validated the parameters and signals once at their boundary."""
     t = theta.theta
     re = spec.effective_r(params)
     mech = spec.mechanism

@@ -12,7 +12,7 @@ The signal follows the initial type, B's t1 choice follows the signal, and
 the t2 action follows the final type at that signal. Drift only reaches a
 restrained type B did not fight, so a trial is in one of three (initial,
 final) type cells. ``simulate`` plays each cell once into a table of
-signal, outcome and payoffs, and keeps one cell index per trial.
+signal, outcome and payoffs, and keeps a one-byte cell index per trial.
 
 How a cell's t2 action is chosen depends on the drift mode:
 
@@ -25,15 +25,17 @@ How a cell's t2 action is chosen depends on the drift mode:
 * ``best-response`` -- the final type plays its payoff-maximizing t2 action
   at the signal it sent, exploiting only when better by more than ``TOL``.
 
-Trial randomness comes from fixed counter offsets of a Philox stream keyed
-by the seed (trial i always consumes row i of the draw matrix), so results
-are bit-for-bit reproducible and independent of execution order; means use
-numpy's pairwise summation over the per-trial payoffs.
+Trial randomness is one Philox stream keyed by the seed, drawn in chunks
+of rows: trial i always consumes row i, whatever the chunk size, so results
+are bit-for-bit reproducible. Each chunk goes straight into the cell index
+and, when asked, into the trial log, so a run holds one byte per trial plus
+one float64 payoff array at a time. Means and the standard error use
+numpy's pairwise summation over the full per-trial payoff arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Optional
 
@@ -46,8 +48,8 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
-    payoff,
     signal_grid,
+    unchecked_payoff,
     validate_signal,
 )
 from .oracle import StrategyProfile
@@ -55,6 +57,8 @@ from .oracle import StrategyProfile
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
 
+#: Draw rows per chunk: 1 MiB of float64 pairs.
+_CHUNK = 1 << 16
 
 class DriftMode(Enum):
     LITERAL = "literal"
@@ -139,16 +143,17 @@ class SimResult:
 def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResult:
     """Run the configured trials; optionally dump one CSV line per trial.
 
-    Trial i reads row (u0, u1) of the draw matrix: it starts restrained when
+    Trial i reads row (u0, u1) of the draw stream: it starts restrained when
     u0 < prior, and a restrained type B did not fight drifts when u1 < p.
     Its cell index is 0 if it starts aggressive, else 1, plus 1 if it drifts.
+    Draws come in chunks of ``_CHUNK`` rows, each written straight into a
+    one-byte cell index and, when asked, into the trial log. The means are
+    then taken over one float64 payoff array at a time, so a run peaks at
+    about 17 bytes per trial: the index, u_b and the temporary of its std.
     """
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
     n = config.n_trials
-    # payoffs never depend on the prior, so a degenerate prior (allowed
-    # here behind the override) must not trip payoff()'s strict validation
-    pay = replace(p, prior=0.5) if not 0.0 < p.prior < 1.0 else p
 
     table = []  # per reachable (initial type, final type) cell, in index order
     for initial, final in ((A, A), (R, R), (R, A)):
@@ -159,43 +164,54 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         elif config.drift_mode is DriftMode.BEST_RESPONSE:
             # exploit only when strictly better at that cell; ties restrain
             gain = (
-                payoff(spec, pay, final, Outcome.EXPLOIT, signal).u_A
-                - payoff(spec, pay, final, Outcome.RESTRAINT, signal).u_A
+                unchecked_payoff(spec, p, final, Outcome.EXPLOIT, signal).u_A
+                - unchecked_payoff(spec, p, final, Outcome.RESTRAINT, signal).u_A
             )
             outcome = Outcome.EXPLOIT if gain > TOL else Outcome.RESTRAINT
         else:
             outcome = Outcome.EXPLOIT if final is A else Outcome.RESTRAINT
-        a, b = map(float, payoff(spec, pay, final, outcome, signal))
+        a, b = map(float, unchecked_payoff(spec, p, final, outcome, signal))
         row = f"{initial.theta},{final.theta},{signal!r},{str(fought).lower()},{outcome.value},"
         row += f"{a!r},{b!r}\n"
         table.append((outcome, a, b, row))
     outcomes, u_A, u_B, rows = zip(*table)
+    u_A, u_B = np.array(u_A), np.array(u_B)
 
-    draws = np.random.Generator(np.random.Philox(key=config.seed)).random((n, 2))
-    restrained0 = draws[:, 0] < p.prior
-    cell = restrained0.astype(np.intp)
-    if not prof.fight_after[prof.signal_of[R]]:
-        cell += restrained0 & (draws[:, 1] < p.p)
-    del draws
-    u_a = np.array(u_A)[cell]
-    u_b = np.array(u_B)[cell]
-
-    counts = np.bincount(cell, minlength=3)
-    outcome_counts = {o: sum(int(k) for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
-    by_initial: Optional[dict[str, Optional[float]]] = None
-    if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
-        by_initial = {
-            "restrained": float(u_b[restrained0].mean()) if restrained0.any() else None,
-            "aggressive": float(u_b[~restrained0].mean()) if (~restrained0).any() else None,
-        }
-
+    drifts = not prof.fight_after[prof.signal_of[R]]
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    cell = np.empty(n, dtype=np.uint8)
+    counts = np.zeros(3, dtype=np.int64)
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
-        trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(cell.tolist()))
+    # consecutive draws continue one Philox stream, so row i is trial i
+    # whatever the chunk size
+    for lo in range(0, n, _CHUNK):
+        draws = rng.random((min(_CHUNK, n - lo), 2))
+        chunk = cell[lo : lo + len(draws)]
+        restrained0 = draws[:, 0] < p.prior
+        chunk[:] = restrained0
+        if drifts:
+            chunk += restrained0 & (draws[:, 1] < p.p)
+        counts += np.bincount(chunk, minlength=3)
+        if trial_log is not None:
+            trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(chunk.tolist(), lo))
+    outcome_counts = {o: sum(int(k) for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
 
+    by_initial: Optional[dict[str, Optional[float]]] = None
+    if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
+        # the same elements, in the same order, as u_b[restrained0] and
+        # u_b[~restrained0] over all trials, without holding u_b
+        by_initial = {
+            "restrained": float(u_B[cell[cell != 0]].mean()) if counts[0] < n else None,
+            "aggressive": float(u_B[cell[cell == 0]].mean()) if counts[0] else None,
+        }
+
+    # one float64 array per trial at a time: u_a is freed before u_b exists
+    mean_u_A = float(u_A[cell].mean())
+    u_b = u_B[cell]
     return SimResult(
         outcome_counts=outcome_counts,
-        mean_u_A=float(u_a.mean()),
+        mean_u_A=mean_u_A,
         mean_u_B=float(u_b.mean()),
         standard_error_u_B=float(u_b.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
         mean_u_B_by_initial_type=by_initial,

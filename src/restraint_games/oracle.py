@@ -59,8 +59,8 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
-    payoff,
     signal_grid,
+    unchecked_payoff,
     validate_signal,
 )
 
@@ -227,7 +227,8 @@ class _GameTable:
         self.u_b_fight = -p.c
         self.u_b_exploit = -p.V_B
         self.u_b_restraint = 0.0
-        # u_A by [type][message index] for each of A's three fates
+        # u_A by [type][message index] for each of A's three fates; the
+        # game validated its params and messages when it was built
         self.uA_conflict: dict[TypeLabel, list[float]] = {}
         self.uA_exploit: dict[TypeLabel, list[float]] = {}
         self.uA_restraint: dict[TypeLabel, list[float]] = {}
@@ -235,14 +236,16 @@ class _GameTable:
         self.t2_options: dict[tuple[TypeLabel, int], tuple[Outcome, ...]] = {}
         for t in TypeLabel:
             self.uA_conflict[t] = [
-                payoff(game.spec, p, t, Outcome.PREVENTIVE_CONFLICT, m).u_A
+                unchecked_payoff(game.spec, p, t, Outcome.PREVENTIVE_CONFLICT, m).u_A
                 for m in game.messages
             ]
             self.uA_exploit[t] = [
-                payoff(game.spec, p, t, Outcome.EXPLOIT, m).u_A for m in game.messages
+                unchecked_payoff(game.spec, p, t, Outcome.EXPLOIT, m).u_A
+                for m in game.messages
             ]
             self.uA_restraint[t] = [
-                payoff(game.spec, p, t, Outcome.RESTRAINT, m).u_A for m in game.messages
+                unchecked_payoff(game.spec, p, t, Outcome.RESTRAINT, m).u_A
+                for m in game.messages
             ]
             for j in range(self.n):
                 ue, ur = self.uA_exploit[t][j], self.uA_restraint[t][j]

@@ -25,7 +25,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .conditions import classify
-from .game import TOL, MechanismSpec, ModelParams, ParameterError, integer
+from .game import TOL, MechanismSpec, ModelParams, ParameterError, integer, real
 from .montecarlo import SimResult
 from .oracle import DiscrepancyError, PBECertificate, verify_against_closed_form
 
@@ -85,7 +85,7 @@ class Axis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Axis":
-        return cls(str(d["symbol"]), float(d["min"]), float(d["max"]), integer(d["steps"]))
+        return cls(str(d["symbol"]), real(d["min"]), real(d["max"]), integer(d["steps"]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class GridSpec:
         mechanism = MechanismSpec.from_dict(d.get("mechanism", {}))
         try:
             axes = tuple(Axis.from_dict(a) for a in d["axes"])
-            fixed = {str(k): float(v) for k, v in d["fixed"].items()}
+            fixed = {str(k): real(v) for k, v in d["fixed"].items()}
         except KeyError as exc:
             raise ParameterError("grid and axis keys present", f"missing {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

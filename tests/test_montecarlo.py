@@ -24,6 +24,7 @@ from restraint_games import (
     pooling_profile,
     simulate,
 )
+from restraint_games import montecarlo
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -327,3 +328,14 @@ def test_simulate_memory_per_trial(mode):
     finally:
         tracemalloc.stop()
     assert peak / n <= 20, f"{peak / n:.1f} bytes per trial"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, montecarlo._CHUNK])
+def test_chunking_is_invisible(chunk, monkeypatch):
+    # consecutive draws continue one Philox stream, so any chunk size plays
+    # trial i from row i and gives the same results and trial log
+    cases = ["tying-hands-base-literal-one-trial", "sunk-base-prior-weighted-pooling",
+             "installment-base-best-response-hybrid", "sunk-base-prior-weighted-prior-0"]
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    for case in cases:
+        assert simulation_digest(digest_configs()[case]) == SIMULATE_DIGESTS[case], case
