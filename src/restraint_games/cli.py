@@ -83,25 +83,22 @@ def _comma_separated(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _boolean(value) -> bool:
-    # only JSON true/false: bool("false") is True
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
+def _exactly(kind: type, name: str):
+    # no coercion: bool("false") is True, and dict() takes a list of pairs
+    def exactly(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+
+    exactly.__name__ = name
+    return exactly
 
 
-def _object(value) -> dict:
-    # only a JSON object: dict() would also take a list of pairs
-    if not isinstance(value, dict):
-        raise TypeError(value)
-    return value
-
-
+_boolean = _exactly(bool, "true or false")
+_object = _exactly(dict, "a JSON object")
 # argparse and _resolve name a type by its __name__ in error messages
 _numbers.__name__ = "a list of numbers"
 _comma_separated.__name__ = "comma-separated numbers"
-_boolean.__name__ = "true or false"
-_object.__name__ = "a JSON object"
 
 _REQUIRED = object()
 

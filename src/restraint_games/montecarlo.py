@@ -60,6 +60,7 @@ A = TypeLabel.AGGRESSIVE
 #: Draw rows per chunk: 1 MiB of float64 pairs.
 _CHUNK = 1 << 16
 
+
 class DriftMode(Enum):
     LITERAL = "literal"
     PRIOR_WEIGHTED = "prior-weighted"
@@ -199,8 +200,8 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
 
     by_initial: Optional[dict[str, Optional[float]]] = None
     if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
-        # the same elements, in the same order, as u_b[restrained0] and
-        # u_b[~restrained0] over all trials, without holding u_b
+        # the same elements, in the same order, as u_b masked by initial
+        # type, so the means keep their bits without holding u_b
         by_initial = {
             "restrained": float(u_B[cell[cell != 0]].mean()) if counts[0] < n else None,
             "aggressive": float(u_B[cell[cell == 0]].mean()) if counts[0] else None,

@@ -334,8 +334,13 @@ def test_simulate_memory_per_trial(mode):
 def test_chunking_is_invisible(chunk, monkeypatch):
     # consecutive draws continue one Philox stream, so any chunk size plays
     # trial i from row i and gives the same results and trial log
-    cases = ["tying-hands-base-literal-one-trial", "sunk-base-prior-weighted-pooling",
-             "installment-base-best-response-hybrid", "sunk-base-prior-weighted-prior-0"]
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    for case in cases:
-        assert simulation_digest(digest_configs()[case]) == SIMULATE_DIGESTS[case], case
+    configs = digest_configs()
+    for case in (
+        "tying-hands-base-literal-one-trial",
+        "sunk-base-prior-weighted-pooling",
+        "installment-base-best-response-hybrid",
+        "sunk-base-prior-weighted-prior-0",
+        "tying-hands-base-literal-p-1",
+    ):
+        assert simulation_digest(configs[case]) == SIMULATE_DIGESTS[case], case
