@@ -240,12 +240,10 @@ class _GameTable:
                 for m in game.messages
             ]
             self.uA_exploit[t] = [
-                unchecked_payoff(game.spec, p, t, Outcome.EXPLOIT, m).u_A
-                for m in game.messages
+                unchecked_payoff(game.spec, p, t, Outcome.EXPLOIT, m).u_A for m in game.messages
             ]
             self.uA_restraint[t] = [
-                unchecked_payoff(game.spec, p, t, Outcome.RESTRAINT, m).u_A
-                for m in game.messages
+                unchecked_payoff(game.spec, p, t, Outcome.RESTRAINT, m).u_A for m in game.messages
             ]
             for j in range(self.n):
                 ue, ur = self.uA_exploit[t][j], self.uA_restraint[t][j]
