@@ -391,6 +391,26 @@ MALFORMED = {
     "sweep-grid-as-pairs": (
         "sweep", {"grid": [[key, value] for key, value in GRID_CONFIG.items()]}, "--oracle-fraction 0"
     ),
+    "simulate-profile-fight-flag-as-string": (
+        "simulate",
+        dict(POINT, profile=dict(PROFILE, fight_after=[[0.0, "false"], [2.0, "false"]])),
+        "--trials 10",
+    ),
+    "simulate-profile-signal-as-boolean": (
+        "simulate",
+        dict(
+            POINT,
+            m=1.0,
+            profile={
+                "signal_of": {"restrained": True, "aggressive": 1.0},
+                "fight_after": [[0.0, True], [1.0, False]],
+                "t2_action": [
+                    [t, m, "restraint"] for t in ("restrained", "aggressive") for m in (0.0, 1.0)
+                ],
+            },
+        ),
+        "--trials 10",
+    ),
     "simulate-profile-unknown-action": (
         "simulate",
         dict(

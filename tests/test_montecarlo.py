@@ -7,7 +7,10 @@ import io
 import json
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from restraint_games import (
@@ -315,6 +318,112 @@ SIMULATE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
 def test_simulate_bytes_unchanged(case):
     assert simulation_digest(digest_configs()[case]) == SIMULATE_DIGESTS[case]
+
+
+def structure_digest(cfg: SimConfig) -> str:
+    """sha256 of what no rounding of the summaries can move: the outcome
+    counts, which conditional means exist, and the trial log."""
+    log = io.StringIO()
+    result = simulate(cfg, trial_log=log)
+    by_type = result.mean_u_B_by_initial_type
+    shape = {
+        "outcome_counts": result.to_dict()["outcome_counts"],
+        "missing_by_initial_type": None if by_type is None else {k: v is None for k, v in by_type.items()},
+    }
+    payload = json.dumps(shape) + "\n" + log.getvalue()
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: ``structure_digest`` per pinned config, recorded with the summaries
+#: taken by numpy's pairwise summation over per-trial payoff arrays.
+STRUCTURE_DIGESTS = {
+    "installment-base-best-response-hybrid": "52e5bbc213cd1aa002569238091ca92d7ad60ed680969c49cab2808b5deb32ca",
+    "installment-base-literal-p-0": "527fb94fc1997ab2b7bf4a7745f368f176899476b4701832386d238edde27726",
+    "installment-base-literal-separating": "0cb9627b7d7c0894eef7e37db104cef9c077a849ecc03d5f366be3c59e6472c6",
+    "installment-risk-prior-weighted-multi-chunk": "1d7c670020f4a4a7e378025b98cf993ff932f26499d95fee071058dc49c3830c",
+    "installment-risk-prior-weighted-restrained-fought": "0a9adc31b9bf95725e0cf04255503d8083524e46e46f8d44718dc020f11fc299",
+    "reducible-base-best-response-restrained-fought": "6fad5d20aadea56d54b60a04dafe413c0c204b65d992fae268623ca87840bef1",
+    "reducible-base-prior-weighted-prior-1": "7e52f4cc111d289b621aca91c54cfab886ab82b4fe3c9f1240df141e532016b9",
+    "reducible-risk-literal-m0": "a9671a5f1da7a782fd05bfed9f644e031d30070990a16bafb975d3cda49b61e8",
+    "reducible-risk-literal-small-scale": "c893f831547a24107c6522f1180fe7a3d241a070d6bc2dbede4cb98841b1b3c4",
+    "sunk-base-best-response-p-1": "692b04a6639c395683b850a61c5a4b4718f522eb791715d7a3948ac0e5d8cab7",
+    "sunk-base-prior-weighted-pooling": "d3ad9f48098bd4759bf9e1c1d73aab01257b6ef90507c48474d6e4099b52fdd0",
+    "sunk-base-prior-weighted-prior-0": "4c5b6ce44e3b40f157f6e005c6a3e71b840244435a0c16b439601e3896d4f0a8",
+    "sunk-risk-best-response-large-scale": "a0056b8a711a0b8fae6b19044adc56146679f9bce5edbb5e8118ae69c9629fa1",
+    "sunk-risk-best-response-separating": "9680661f7a9b89f4c0c02157c743389ee675ded62483bdd05e8cc75c38e44555",
+    "sunk-risk-prior-weighted-one-trial": "6a791f0d8954a3a3d3eba842c3da694571d8fd4a8e51287eb3501004c9a6b5d5",
+    "tying-hands-base-best-response-m0": "5d649a5dd443a2869b56b0ddd36922d818e8321e584a55176204203022d12e11",
+    "tying-hands-base-best-response-tie": "f2b87ca776420ae166e69a77edb9b89368a7c95f9404f5686558d5de18f59589",
+    "tying-hands-base-literal-one-trial": "00c6082ef11c9961006795d721bd35f9fc55262d969170925affdddbee30816a",
+    "tying-hands-base-literal-p-1": "5c59595093317a139920f6ffa511dbd5e6817d2e3def155f2edc38e36e40fca7",
+    "tying-hands-base-literal-pooling": "db0c8d8456b682437a472f4e547bce2559f85ac329d8d2001fb023fc614dfbf4",
+    "tying-hands-risk-best-response-pooling": "349d26fed872c52fc277697247d4cad0328dd65f4a91ad42fbbe8a3399631c93",
+    "tying-hands-risk-best-response-prior-1": "b07b84467e387dd1cf02e2bbc78e107dfe51a58a204a4358953e8503c6aa4175",
+    "tying-hands-risk-literal-inexact-sums": "99547cf95dd719a87832cbdafffc8562215fdb9eeef0e66d55f91424e6171b97",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_DIGESTS))
+def test_simulate_structure_unchanged(case):
+    assert structure_digest(digest_configs()[case]) == STRUCTURE_DIGESTS[case]
+
+
+def exact_mean(cells: Counter) -> Fraction:
+    return sum(count * Fraction(u) for u, count in cells.items()) / sum(cells.values())
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
+def test_summaries_are_exact(case):
+    # every trial of one (initial, final) type cell has the same payoffs, so
+    # the exact means and standard error follow from the cell counts in the log
+    log = io.StringIO()
+    result = simulate(digest_configs()[case], trial_log=log)
+    trials = [line.split(",") for line in log.getvalue().splitlines()[1:]]
+    cells = Counter((t[1], float(t[6]), float(t[7])) for t in trials)
+    u_A = Counter()
+    u_B = {"": Counter(), "0": Counter(), "1": Counter()}
+    for (initial, a, b), count in cells.items():
+        u_A[a] += count
+        for key in ("", initial):
+            u_B[key][b] += count
+    n = len(trials)
+    mean_u_B = exact_mean(u_B[""])
+    variance = sum(count * (Fraction(b) - mean_u_B) ** 2 for b, count in u_B[""].items())
+    exact = {
+        "mean_u_A": float(exact_mean(u_A)),
+        "mean_u_B": float(mean_u_B),
+        "standard_error_u_B": math.sqrt(variance / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+    }
+    pairwise = {
+        "mean_u_A": np.array([float(t[6]) for t in trials]).mean(),
+        "mean_u_B": np.array([float(t[7]) for t in trials]).mean(),
+        "standard_error_u_B": np.array([float(t[7]) for t in trials]).std(ddof=1) / np.sqrt(n)
+        if n > 1
+        else 0.0,
+    }
+    if result.mean_u_B_by_initial_type is not None:
+        for name, key in (("restrained", "0"), ("aggressive", "1")):
+            exact[name] = float(exact_mean(u_B[key])) if u_B[key] else None
+            picked = [float(t[7]) for t in trials if t[1] == key]
+            pairwise[name] = np.array(picked).mean() if picked else None
+    got = {**result.to_dict(), **(result.mean_u_B_by_initial_type or {})}
+    for name, value in exact.items():
+        assert got[name] == value, name
+        if value is not None:
+            assert abs(pairwise[name] - value) <= 4 * math.ulp(value), name
+
+
+@pytest.mark.parametrize("mode", list(DriftMode))
+def test_simulate_memory_is_flat(mode):
+    # the summaries come from three cell counts, so memory is one chunk's
+    cfg = config(drift_mode=mode, n_trials=4 * 10**6)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("mode", list(DriftMode))
