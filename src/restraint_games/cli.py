@@ -27,7 +27,7 @@ from functools import partial
 from typing import Optional
 
 from .conditions import classify as classify_point
-from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, integer, real
+from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, boolean, integer, real
 from .montecarlo import DriftMode, SimConfig, pooling_profile, simulate
 from .oracle import (
     BudgetExceededError,
@@ -83,20 +83,14 @@ def _comma_separated(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _exactly(kind: type, name: str):
-    # no coercion: bool("false") is True, and dict() takes a list of pairs
-    def exactly(value):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-
-    exactly.__name__ = name
-    return exactly
+def _object(value) -> dict:
+    if not isinstance(value, dict):  # dict() would take a list of pairs
+        raise TypeError(value)
+    return value
 
 
-_boolean = _exactly(bool, "true or false")
-_object = _exactly(dict, "a JSON object")
 # argparse and _resolve name a type by its __name__ in error messages
+_object.__name__ = "a JSON object"
 _numbers.__name__ = "a list of numbers"
 _comma_separated.__name__ = "comma-separated numbers"
 
@@ -206,7 +200,7 @@ COMMANDS = {
         ("drift_mode", "drift_mode", _one_of(*(d.value for d in DriftMode)), DriftMode.LITERAL.value),
         ("n_trials", "trials", integer, 100_000),
         ("seed", "seed", integer, 0),
-        ("allow_degenerate_prior", "allow_degenerate_prior", _boolean, False),
+        ("allow_degenerate_prior", "allow_degenerate_prior", boolean, False),
         ("dump_trials", "dump_trials", str, None),
         *_io("json"),
     )),
@@ -226,7 +220,7 @@ _FLAG_HELP = {
 
 
 def _flag_kind(kind) -> dict:
-    if kind is _boolean:
+    if kind is boolean:
         return {"action": "store_true", "default": None}
     if kind is _numbers:
         return {"type": _comma_separated}

@@ -212,6 +212,13 @@ def integer(value) -> int:
     return int(value)
 
 
+def boolean(value) -> bool:
+    """true or false itself; else raise, where ``bool("false")`` is True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def signal_grid(m: float) -> tuple[float, ...]:
     """The grid {0, m} that simulation and the closed-form cross-check use."""
     return (0.0,) if m == 0 else (0.0, float(m))

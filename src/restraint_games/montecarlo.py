@@ -12,7 +12,7 @@ The signal follows the initial type, B's t1 choice follows the signal, and
 the t2 action follows the final type at that signal. Drift only reaches a
 restrained type B did not fight, so a trial is in one of three (initial,
 final) type cells. ``simulate`` plays each cell once into a table of
-signal, outcome and payoffs, and keeps a one-byte cell index per trial.
+signal, outcome and payoffs, and counts the trials that land in each cell.
 
 How a cell's t2 action is chosen depends on the drift mode:
 
@@ -27,16 +27,18 @@ How a cell's t2 action is chosen depends on the drift mode:
 
 Trial randomness is one Philox stream keyed by the seed, drawn in chunks
 of rows: trial i always consumes row i, whatever the chunk size, so results
-are bit-for-bit reproducible. Each chunk goes straight into the cell index
-and, when asked, into the trial log, so a run holds one byte per trial plus
-one float64 payoff array at a time. Means and the standard error use
-numpy's pairwise summation over the full per-trial payoff arrays.
+are bit-for-bit reproducible. A run holds one chunk at a time: each is
+counted per cell and, when asked, logged, then dropped. Every trial in a
+cell has the same payoffs, so the means and the standard error are exact
+sums over the three cell counts, each rounded once to the nearest float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import IO, Optional
 
 import numpy as np
@@ -146,11 +148,8 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
 
     Trial i reads row (u0, u1) of the draw stream: it starts restrained when
     u0 < prior, and a restrained type B did not fight drifts when u1 < p.
-    Its cell index is 0 if it starts aggressive, else 1, plus 1 if it drifts.
-    Draws come in chunks of ``_CHUNK`` rows, each written straight into a
-    one-byte cell index and, when asked, into the trial log. The means are
-    then taken over one float64 payoff array at a time, so a run peaks at
-    about 17 bytes per trial: the index, u_b and the temporary of its std.
+    Its cell is 0 if it starts aggressive, else 1, plus 1 if it drifts.
+    Only the three cell counts outlive each chunk of ``_CHUNK`` rows.
     """
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
@@ -176,11 +175,9 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         row += f"{a!r},{b!r}\n"
         table.append((outcome, a, b, row))
     outcomes, u_A, u_B, rows = zip(*table)
-    u_A, u_B = np.array(u_A), np.array(u_B)
 
     drifts = not prof.fight_after[prof.signal_of[R]]
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    cell = np.empty(n, dtype=np.uint8)
     counts = np.zeros(3, dtype=np.int64)
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
@@ -188,32 +185,32 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     # whatever the chunk size
     for lo in range(0, n, _CHUNK):
         draws = rng.random((min(_CHUNK, n - lo), 2))
-        chunk = cell[lo : lo + len(draws)]
         restrained0 = draws[:, 0] < p.prior
-        chunk[:] = restrained0
+        cell = restrained0.astype(np.uint8)
         if drifts:
-            chunk += restrained0 & (draws[:, 1] < p.p)
-        counts += np.bincount(chunk, minlength=3)
+            cell += restrained0 & (draws[:, 1] < p.p)
+        counts += np.bincount(cell, minlength=3)
         if trial_log is not None:
-            trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(chunk.tolist(), lo))
-    outcome_counts = {o: sum(int(k) for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
+            trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(cell.tolist(), lo))
+    counts = counts.tolist()
+    outcome_counts = {o: sum(k for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
 
+    def mean(values, cells=(0, 1, 2)) -> Fraction:
+        # the exact mean of values[k] over the trials in cells
+        return sum(counts[k] * Fraction(values[k]) for k in cells) / sum(counts[k] for k in cells)
+
+    mean_u_B = mean(u_B)
+    square_sum = sum(c * (Fraction(b) - mean_u_B) ** 2 for c, b in zip(counts, u_B))
     by_initial: Optional[dict[str, Optional[float]]] = None
     if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
-        # the same elements, in the same order, as u_b masked by initial
-        # type, so the means keep their bits without holding u_b
         by_initial = {
-            "restrained": float(u_B[cell[cell != 0]].mean()) if counts[0] < n else None,
-            "aggressive": float(u_B[cell[cell == 0]].mean()) if counts[0] else None,
+            "restrained": float(mean(u_B, (1, 2))) if counts[0] < n else None,
+            "aggressive": float(mean(u_B, (0,))) if counts[0] else None,
         }
-
-    # one float64 array per trial at a time: u_a is freed before u_b exists
-    mean_u_A = float(u_A[cell].mean())
-    u_b = u_B[cell]
     return SimResult(
         outcome_counts=outcome_counts,
-        mean_u_A=mean_u_A,
-        mean_u_B=float(u_b.mean()),
-        standard_error_u_B=float(u_b.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        mean_u_A=float(mean(u_A)),
+        mean_u_B=float(mean_u_B),
+        standard_error_u_B=math.sqrt(square_sum / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
         mean_u_B_by_initial_type=by_initial,
     )

@@ -59,6 +59,8 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
+    boolean,
+    real,
     signal_grid,
     unchecked_payoff,
     validate_signal,
@@ -137,10 +139,10 @@ class StrategyProfile:
     def from_dict(cls, d: dict) -> "StrategyProfile":
         try:
             return cls(
-                signal_of={TypeLabel[t.upper()]: float(m) for t, m in d["signal_of"].items()},
-                fight_after={float(m): bool(f) for m, f in d["fight_after"]},
+                signal_of={TypeLabel[t.upper()]: real(m) for t, m in d["signal_of"].items()},
+                fight_after={real(m): boolean(f) for m, f in d["fight_after"]},
                 t2_action={
-                    (TypeLabel[t.upper()], float(m)): Outcome(a)
+                    (TypeLabel[t.upper()], real(m)): Outcome(a)
                     for t, m, a in d["t2_action"]
                 },
             )

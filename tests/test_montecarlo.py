@@ -286,20 +286,23 @@ def simulation_digest(cfg: SimConfig) -> str:
 
 #: sha256 of ``json.dumps(result.to_dict())``, a newline and the trial log
 #: per pinned config, recorded with the mask-per-outcome implementation
-#: that the per-cell payoff table replaced.
+#: that the per-cell payoff table replaced. Nine were re-recorded when the
+#: means and standard error became exact sums over the cell counts, rounded
+#: once: in each, one or two of them moved 1-2 ulp to the correctly rounded
+#: value, and the outcome counts and trial log kept their bytes.
 SIMULATE_DIGESTS = {
-    "installment-base-best-response-hybrid": "cf3194f08b08af1df194fe7647cab64ec7a7eae5a0d331e7b87c3d896b4793f1",
-    "installment-base-literal-p-0": "0017de22b59726af41b2fafa37041d7489a959993caaca125f7fed2f2fe835fd",
-    "installment-base-literal-separating": "12018a57c343893c80e8340f730e7768720560e63a5fa23bd87173c7ad298312",
+    "installment-base-best-response-hybrid": "36fcad36338c20eb25f1f8eedc7b5d5507b65fd99f3fd3b7d248f4e904eab523",
+    "installment-base-literal-p-0": "15ac1c861421905efe5fbcfa1691d6a3656a4c2a1d910e07adf8ea5d9ea743bf",
+    "installment-base-literal-separating": "7fb75b675c1a715009a17f322015956dba712b739d8d6b2012da8fde1e3859d4",
     # recorded with the per-cell table's one-shot n x 2 draw matrix
-    "installment-risk-prior-weighted-multi-chunk": "ab5d2110beabbc74764fa04165a2034f299604607578f7623399262eb2bee3b2",
+    "installment-risk-prior-weighted-multi-chunk": "90a2016ae3c97fb310cfd04038a23eee4920165224d99996bb0b4fa0002ecc81",
     "installment-risk-prior-weighted-restrained-fought": "2a77cad6c9fcca8ab359f12b749f976f088c835e3f58cf163d5287af6a75592e",
-    "reducible-base-best-response-restrained-fought": "2ea8d6818460d660eba5fd999a5c808cd7d5d502f916e749aeda30da62c02a3e",
-    "reducible-base-prior-weighted-prior-1": "59bec6fecf91dd1e715df7b97750ae4f070b9218511b76fe3e6e0e60e6b56a65",
+    "reducible-base-best-response-restrained-fought": "f45ca83427840df9cbd9d470ec2d388ffb5e1b8308150737d070edbe78bb8d80",
+    "reducible-base-prior-weighted-prior-1": "51ca583e3e202a7f7c88f57597ca02031fda38386080a47f65240aabf6a4c4d9",
     "reducible-risk-literal-m0": "27bc7e3b5dc04400851d47430f1a2f665ded566893a7a7494382c2220c547418",
-    "reducible-risk-literal-small-scale": "2984f55d8d65ece61063011cbe3ccc2930e5b69739d783d32985fa95299e1992",
+    "reducible-risk-literal-small-scale": "b2660c24d19b7e175c1a30f4eabaf77646493e01d2c6f8ee12b96c18a94e0374",
     "sunk-base-best-response-p-1": "c3c6c95cd39d1a391f037af3ba6274086d5b54b77b65c5f980c72e628091d09d",
-    "sunk-base-prior-weighted-pooling": "27a0615e4b578a943ec36aa599183dc000a74311e29e700ad29712c8ecb08722",
+    "sunk-base-prior-weighted-pooling": "2a97387c50b9bc2faefe37f5cf67f5e90c9d9bad903a6631a323d7e8d3b44519",
     "sunk-base-prior-weighted-prior-0": "779fe6a855b705022577426d85a81017be2ae9ac3eb9ba5e92665dcb97393ddd",
     "sunk-risk-best-response-large-scale": "671ec5a00b8a2d748f1edee6cb83830bc1b2664e01720309f8cd7e14786cc699",
     "sunk-risk-best-response-separating": "abac33c0c08bd8e932046a713a3bcbe4f1043a76b821a27a87ac475d1e8ad167",
@@ -311,7 +314,7 @@ SIMULATE_DIGESTS = {
     "tying-hands-base-literal-pooling": "9f3557e8049aa72d30add18a958ddcf1c1df19eacd5aa8a47331be7dffb0afe2",
     "tying-hands-risk-best-response-pooling": "e7b0761e1b00869ff7d4ba9ae629e93d60058a3c761447c3761322fc678a9b27",
     "tying-hands-risk-best-response-prior-1": "75228a7ea64f179991a0cdd273571019859bc4cc991ae2e7a402c407838d3203",
-    "tying-hands-risk-literal-inexact-sums": "2839cb69d0fa77e7701202d5774a11524ce456e3c5cc531f0c85ba2d19f2d33a",
+    "tying-hands-risk-literal-inexact-sums": "3a798df64839b902c44c83c6d163c433e9864ba8e015d93a4d836e1443306708",
 }
 
 
