@@ -27,10 +27,9 @@ How a cell's t2 action is chosen depends on the drift mode:
 
 Trial randomness is one Philox stream keyed by the seed, drawn in chunks
 of rows: trial i always consumes row i, whatever the chunk size, so results
-are bit-for-bit reproducible. A run holds one chunk at a time: each is
-counted per cell and, when asked, logged, then dropped. Every trial in a
-cell has the same payoffs, so the means and the standard error are exact
-sums over the three cell counts, each rounded once to the nearest float.
+are bit-for-bit reproducible, and a run holds one chunk at a time. Every
+trial in a cell has the same payoffs, so the means and the standard error
+are exact sums over the three cell counts, each rounded once.
 """
 
 from __future__ import annotations
@@ -196,11 +195,12 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     outcome_counts = {o: sum(k for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
 
     def mean(values, cells=(0, 1, 2)) -> Fraction:
-        # the exact mean of values[k] over the trials in cells
         return sum(counts[k] * Fraction(values[k]) for k in cells) / sum(counts[k] for k in cells)
 
     mean_u_B = mean(u_B)
-    square_sum = sum(c * (Fraction(b) - mean_u_B) ** 2 for c, b in zip(counts, u_B))
+    # ddof 1 (the sum is 0 at n = 1); rooted at a scale 4**k where it is a normal float
+    variance = sum(c * (Fraction(b) - mean_u_B) ** 2 for c, b in zip(counts, u_B)) / max(n - 1, 1)
+    k = (variance.numerator.bit_length() - variance.denominator.bit_length()) // 2
     by_initial: Optional[dict[str, Optional[float]]] = None
     if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
         by_initial = {
@@ -211,6 +211,6 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         outcome_counts=outcome_counts,
         mean_u_A=float(mean(u_A)),
         mean_u_B=float(mean_u_B),
-        standard_error_u_B=math.sqrt(square_sum / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+        standard_error_u_B=math.ldexp(math.sqrt(variance / Fraction(4) ** k), k) / math.sqrt(n),
         mean_u_B_by_initial_type=by_initial,
     )

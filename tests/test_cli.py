@@ -536,7 +536,6 @@ STDOUT_DIGESTS = {
         "6873af37fecee71836c619da3cd82c8e98c67afb275ca5561a467ce1036f42ad",
     ),
     # re-recorded when the standard error became exact from the cell counts
-    # (0.017959768279081977 -> ...974, 1 ulp)
     "simulate-csv-prior-weighted-degenerate": (
         f"{SIM} --drift-mode prior-weighted --prior 1 --allow-degenerate-prior --format csv",
         "88897fced436b3af2c02badebf9eba965764d1903698a72724b5bb4de62ae392",

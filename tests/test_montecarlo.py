@@ -416,6 +416,21 @@ def test_summaries_are_exact(case):
             assert abs(pairwise[name] - value) <= 4 * math.ulp(value), name
 
 
+@pytest.mark.parametrize("exponent", [700, -700])
+def test_standard_error_scales_exactly(exponent):
+    # payoffs scaled by a power of two scale every summary by it exactly,
+    # though the variance itself overflows or underflows a float here
+    def run(scale):
+        params = ModelParams(c=0.5 * scale, V_D=1.0 * scale, V_B=2.0 * scale, p=0.2, prior=0.5)
+        return simulate(config(m=2.0 * scale, params=params, drift_mode=DriftMode.PRIOR_WEIGHTED))
+
+    base, scaled = run(1.0), run(2.0**exponent)
+    assert scaled.outcome_counts == base.outcome_counts
+    assert scaled.standard_error_u_B == math.ldexp(base.standard_error_u_B, exponent)
+    assert scaled.mean_u_B == math.ldexp(base.mean_u_B, exponent)
+    assert scaled.mean_u_A == math.ldexp(base.mean_u_A, exponent)
+
+
 @pytest.mark.parametrize("mode", list(DriftMode))
 def test_simulate_memory_is_flat(mode):
     # the summaries come from three cell counts, so memory is one chunk's
