@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import IO, Optional
 
 import numpy as np
@@ -150,6 +149,7 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     Its cell is 0 if it starts aggressive, else 1, plus 1 if it drifts.
     Only the three cell counts outlive each chunk of ``_CHUNK`` rows.
     """
+    from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
     n = config.n_trials

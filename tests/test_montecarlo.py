@@ -382,27 +382,27 @@ def test_summaries_are_exact(case):
     log = io.StringIO()
     result = simulate(digest_configs()[case], trial_log=log)
     trials = [line.split(",") for line in log.getvalue().splitlines()[1:]]
-    cells = Counter((t[1], float(t[6]), float(t[7])) for t in trials)
+    # (theta_initial, theta_final, u_A, u_B) per cell, with its count
+    cells = Counter((t[1], t[2], float(t[6]), float(t[7])) for t in trials)
     u_A = Counter()
     u_B = {"": Counter(), "0": Counter(), "1": Counter()}
-    for (initial, a, b), count in cells.items():
+    for (initial, _, a, b), count in cells.items():
         u_A[a] += count
         for key in ("", initial):
             u_B[key][b] += count
     n = len(trials)
     mean_u_B = exact_mean(u_B[""])
-    variance = sum(count * (Fraction(b) - mean_u_B) ** 2 for b, count in u_B[""].items())
+    square_sum = sum(count * (Fraction(b) - mean_u_B) ** 2 for b, count in u_B[""].items())
     exact = {
         "mean_u_A": float(exact_mean(u_A)),
         "mean_u_B": float(mean_u_B),
-        "standard_error_u_B": math.sqrt(variance / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+        "standard_error_u_B": math.sqrt(square_sum / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
     }
+    u_b = np.array([float(t[7]) for t in trials])
     pairwise = {
         "mean_u_A": np.array([float(t[6]) for t in trials]).mean(),
-        "mean_u_B": np.array([float(t[7]) for t in trials]).mean(),
-        "standard_error_u_B": np.array([float(t[7]) for t in trials]).std(ddof=1) / np.sqrt(n)
-        if n > 1
-        else 0.0,
+        "mean_u_B": u_b.mean(),
+        "standard_error_u_B": u_b.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0,
     }
     if result.mean_u_B_by_initial_type is not None:
         for name, key in (("restrained", "0"), ("aggressive", "1")):
