@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from restraint_games.cli import main
-from restraint_games.sweep import CSV_HEADER
+from restraint_games.sweep import CSV_HEADER, Axis
 
 GRID_CONFIG = {
     "mechanism": {"mechanism": "tying-hands", "variant": "base"},
@@ -119,6 +119,16 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: discrepancy:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_size_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 1001 x 1000 points: refused before any axis value is computed
+        monkeypatch.setattr(Axis, "values", lambda axis: pytest.fail("grid points were built"))
+        config = tmp_path / "grid.json"
+        axes = [dict(GRID_CONFIG["axes"][0], steps=1001), dict(GRID_CONFIG["axes"][1], steps=1000)]
+        config.write_text(json.dumps(dict(GRID_CONFIG, axes=axes)))
+        code, out, err = run(f"sweep --config {config} --oracle-fraction 0".split(), capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: size-guard: grid point count 1001000 exceeds budget 1000000\n"
 
     def test_sweep_requires_grid(self, capsys):
         code, _, err = run("sweep --oracle-fraction 0".split(), capsys)
@@ -348,6 +358,15 @@ MALFORMED = {
         ),
         "--oracle-fraction 0",
     ),
+    "grid-axis-span-overflows": (
+        "sweep",
+        dict(
+            GRID_CONFIG,
+            axes=[{"symbol": "m", "min": -1e308, "max": 1e308, "steps": 3}],
+            fixed=dict(GRID_CONFIG["fixed"], V_D=1.0),
+        ),
+        "--oracle-fraction 0",
+    ),
     "config-messages-as-string": ("oracle", dict(POINT, messages="0,2"), ""),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
@@ -408,6 +427,24 @@ MALFORMED = {
                     [t, m, "restraint"] for t in ("restrained", "aggressive") for m in (0.0, 1.0)
                 ],
             },
+        ),
+        "--trials 10",
+    ),
+    "simulate-profile-repeated-fight-entry": (
+        "simulate",
+        dict(POINT, profile=dict(PROFILE, fight_after=[[0.0, True], [2.0, True], [2.0, False]])),
+        "--trials 10",
+    ),
+    "simulate-profile-repeated-t2-row": (
+        "simulate",
+        dict(POINT, profile=dict(PROFILE, t2_action=PROFILE["t2_action"] + [["restrained", 2.0, "exploit"]])),
+        "--trials 10",
+    ),
+    "simulate-profile-type-repeated-by-case": (
+        "simulate",
+        dict(
+            POINT,
+            profile=dict(PROFILE, signal_of={"restrained": 2.0, "Restrained": 0.0, "aggressive": 2.0}),
         ),
         "--trials 10",
     ),
@@ -472,6 +509,31 @@ class TestProcessContract:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            ("classify --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2", False),
+            ("oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,2", False),
+            ("sweep --config {grid} --oracle-fraction 0", False),
+            ("sweep --config {grid} --oracle-fraction 0.5", True),
+            ("simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --trials 10", True),
+        ],
+    )
+    def test_numpy_only_where_draws_are_made(self, argv, loads_numpy, tmp_path):
+        # `python -m restraint_games.cli ARGV`, reporting on stderr at exit
+        # whether numpy was ever imported
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GRID_CONFIG))
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+            "runpy.run_module('restraint_games.cli', run_name='__main__', alter_sys=True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, f"{loads_numpy}\n")
 
 SIM = "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --p 0.2 --trials 2000 --seed 7"
 TIES = "--mechanism installment --c 0.3 --vd 0.5 --vb 2 --prior 0.3 --messages 0,1.2,2.4"

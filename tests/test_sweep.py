@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from restraint_games import (
     TOL,
     Axis,
+    BudgetExceededError,
     Classification,
     DiscrepancyError,
     GridSpec,
@@ -148,9 +154,64 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             run_sweep(tying_grid(), oracle_fraction=1.5, seed=0)
 
+    def test_size_guard_counts_points_before_building_any(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def values(axis):
+            raise Built
+
+        monkeypatch.setattr(Axis, "values", values)
+        at_budget = (Axis("V_D", 0.5, 2.0, 1000), Axis("m", 0.5, 2.0, 1000))
+        with pytest.raises(Built):
+            run_sweep(tying_grid(axes=at_budget), oracle_fraction=0.0, seed=0)
+        fixed = {"c": 0.5, "V_B": 2.0, "p": 0.0, "prior": 0.5}
+        for r_steps in (101, 10**30):
+            axes = (Axis("V_D", 0.5, 2.0, 1000), Axis("m", 0.5, 2.0, 10), Axis("r", 0.0, 1.0, r_steps))
+            with pytest.raises(BudgetExceededError) as exc:
+                run_sweep(GridSpec(TH_BASE, axes, fixed), oracle_fraction=0.0, seed=0)
+            assert exc.value.budget == 10**6 < exc.value.count
+        with pytest.raises(BudgetExceededError):
+            boundary_trace(tying_grid(axes=(Axis("V_D", 0.5, 2.0, 1001), Axis("m", 0.5, 2.0, 1000))))
+
+    def test_axis_span_must_be_finite(self):
+        for lo, hi in ((-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)):
+            with pytest.raises(ParameterError, match="finite"):
+                tying_grid(axes=(Axis("V_D", 0.5, 2.0, 4), Axis("m", lo, hi, 3))).validate()
+        # the largest finite span is fine
+        tying_grid(axes=(Axis("V_D", 0.5, 2.0, 4), Axis("m", -1e308, 7e307, 3))).validate()
+
     def test_spec_roundtrip(self):
         grid = tying_grid()
         assert GridSpec.from_dict(grid.to_dict()) == grid
+
+
+_BOUND = st.floats(allow_nan=False, allow_infinity=False)
+_SPAN = st.one_of(
+    st.tuples(_BOUND, _BOUND),
+    _BOUND.map(lambda a: (a, a)),
+    # subnormal and near-zero spans
+    st.tuples(_BOUND, st.floats(-1e-300, 1e-300)).map(lambda t: (t[0], t[0] + t[1])),
+)
+
+
+def _bits(values) -> list[bytes]:
+    # -0.0 and every NaN payload compare by their bits
+    return [struct.pack("d", v) for v in values]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(span=_SPAN, n=st.integers(2, 500))
+@example(span=(0.0, 5e-324), n=3)  # the step underflows to 0
+@example(span=(1.5, 1.5), n=4)
+@example(span=(-0.0, 0.0), n=2)
+@example(span=(-1e308, 1e308), n=3)  # the span overflows
+@example(span=(0.5, 2.0), n=4)
+def test_axis_values_equal_linspace(span, n):
+    a, b = span
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [float(v) for v in np.linspace(a, b, n)]
+    assert _bits(Axis("m", a, b, n).values()) == _bits(expected)
 
 
 class TestEmit:
