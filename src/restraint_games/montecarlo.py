@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Optional
 
-import numpy as np
-
 from .game import (
     TOL,
     MechanismSpec,
@@ -150,6 +148,9 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     Only the three cell counts outlive each chunk of ``_CHUNK`` rows.
     """
     from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
+
+    import numpy as np  # here, so CLI runs that never draw skip importing numpy
+
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
     n = config.n_trials

@@ -71,14 +71,14 @@ DEFAULT_CERTIFICATE_BUDGET = 5 * 10**4
 
 
 class BudgetExceededError(RuntimeError):
-    """The game has more certificates than the configured budget."""
+    """A size guard refused the job: a game with more certificates, or a
+    sweep grid with more points, than the budget. ``n_certificates`` is
+    ``count`` under the name the oracle first gave it."""
 
-    def __init__(self, n_certificates: int, budget: int):
-        self.n_certificates = n_certificates
+    def __init__(self, count: int, budget: int, what: str = "certificate"):
+        self.count = self.n_certificates = count
         self.budget = budget
-        super().__init__(
-            f"certificate count {n_certificates} exceeds budget {budget}"
-        )
+        super().__init__(f"{what} count {count} exceeds budget {budget}")
 
 
 class PBEClass(Enum):
@@ -115,6 +115,17 @@ class DiscreteGame:
             raise ParameterError("messages contain 0", f"messages={self.messages}")
 
 
+def _unique(entries: Iterable[tuple]) -> dict:
+    """A dict of (key, value) entries that refuses a repeated key rather
+    than keep the last."""
+    out = {}
+    for key, value in entries:
+        if key in out:
+            raise ValueError(f"{key} repeated")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """Pure strategies for both players at every decision point."""
@@ -139,12 +150,11 @@ class StrategyProfile:
     def from_dict(cls, d: dict) -> "StrategyProfile":
         try:
             return cls(
-                signal_of={TypeLabel[t.upper()]: real(m) for t, m in d["signal_of"].items()},
-                fight_after={real(m): boolean(f) for m, f in d["fight_after"]},
-                t2_action={
-                    (TypeLabel[t.upper()], real(m)): Outcome(a)
-                    for t, m, a in d["t2_action"]
-                },
+                signal_of=_unique((TypeLabel[t.upper()], real(m)) for t, m in d["signal_of"].items()),
+                fight_after=_unique((real(m), boolean(f)) for m, f in d["fight_after"]),
+                t2_action=_unique(
+                    ((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d["t2_action"]
+                ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParameterError(

@@ -22,17 +22,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Optional
 
-import numpy as np
-
 from .conditions import classify
 from .game import TOL, MechanismSpec, ModelParams, ParameterError, integer, real
 from .montecarlo import SimResult
-from .oracle import DiscrepancyError, PBECertificate, verify_against_closed_form
+from .oracle import BudgetExceededError, DiscrepancyError, PBECertificate, verify_against_closed_form
 
 #: Symbols a sweep axis may range over. The prior is fixed-only: no
 #: closed-form condition depends on it.
 SWEEPABLE = ("c", "V_D", "V_B", "r", "p", "m")
 ALL_SYMBOLS = ("c", "V_D", "V_B", "r", "p", "prior", "m")
+
+#: Most grid points a sweep builds: each row is ~0.5 KB before any output.
+GRID_POINT_BUDGET = 10**6
 
 CSV_HEADER = [
     "mechanism",
@@ -78,7 +79,19 @@ class Axis:
     steps: int
 
     def values(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.min, self.max, self.steps)]
+        """``np.linspace(min, max, steps)`` in Python floats: the same IEEE
+        operations, so the same bits, without importing numpy."""
+        lo, hi, n = float(self.min), float(self.max), self.steps
+        div = max(n - 1, 1)
+        span = hi - lo
+        step = span / div
+        if step == 0:  # numpy's branch for a span too small to divide
+            points = [i / div * span + lo for i in range(n)]
+        else:
+            points = [i * step + lo for i in range(n)]
+        if n > 1:
+            points[-1] = hi
+        return points
 
     def to_dict(self) -> dict:
         return {"symbol": self.symbol, "min": self.min, "max": self.max, "steps": self.steps}
@@ -108,9 +121,10 @@ class GridSpec:
             seen.add(axis.symbol)
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
-            if not -math.inf < axis.min < axis.max < math.inf:
+            # a finite span also rules out infinite bounds
+            if not (axis.min < axis.max and math.isfinite(axis.max - axis.min)):
                 raise ParameterError(
-                    "finite min < max", f"{axis.symbol}: [{axis.min}, {axis.max}]"
+                    "min < max, finite max - min", f"{axis.symbol}: [{axis.min}, {axis.max}]"
                 )
         for sym in self.fixed:
             if sym not in ALL_SYMBOLS:
@@ -211,8 +225,13 @@ def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> 
 
 
 def grid_points(grid: GridSpec) -> list[dict[str, float]]:
-    """All coordinate maps in row-major axis order."""
+    """All coordinate maps in row-major axis order. More than
+    :data:`GRID_POINT_BUDGET` points raises :class:`BudgetExceededError`
+    before any is built."""
     grid.validate()
+    n_points = math.prod(axis.steps for axis in grid.axes)
+    if n_points > GRID_POINT_BUDGET:
+        raise BudgetExceededError(n_points, GRID_POINT_BUDGET, "grid point")
     axis_values = [axis.values() for axis in grid.axes]
     points = []
     for combo in itertools.product(*axis_values):
@@ -245,6 +264,8 @@ def run_sweep(
     valid = [row for row in rows if row.classification is not Classification.INVALID]
     n_checked = int(oracle_fraction * len(valid))
     if n_checked > 0:
+        import numpy as np  # here, so a sweep without an oracle sample skips importing numpy
+
         order = np.random.default_rng(seed).permutation(len(valid))
         chosen = [valid[int(k)] for k in order[:n_checked]]
         points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
