@@ -148,7 +148,6 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     Only the three cell counts outlive each chunk of ``_CHUNK`` rows.
     """
     from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
-
     import numpy as np  # here, so CLI runs that never draw skip importing numpy
 
     config.validate()

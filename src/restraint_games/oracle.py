@@ -115,13 +115,13 @@ class DiscreteGame:
             raise ParameterError("messages contain 0", f"messages={self.messages}")
 
 
-def _unique(entries: Iterable[tuple]) -> dict:
-    """A dict of (key, value) entries that refuses a repeated key rather
-    than keep the last."""
+def _unique(field: str, entries: Iterable[tuple]) -> dict:
+    """``field``'s (key, value) entries as a dict, refusing a repeated key
+    rather than keeping the last."""
     out = {}
     for key, value in entries:
         if key in out:
-            raise ValueError(f"{key} repeated")
+            raise ValueError(f"{field} repeats {key}")
         out[key] = value
     return out
 
@@ -150,10 +150,12 @@ class StrategyProfile:
     def from_dict(cls, d: dict) -> "StrategyProfile":
         try:
             return cls(
-                signal_of=_unique((TypeLabel[t.upper()], real(m)) for t, m in d["signal_of"].items()),
-                fight_after=_unique((real(m), boolean(f)) for m, f in d["fight_after"]),
+                signal_of=_unique(
+                    "signal_of", ((TypeLabel[t.upper()], real(m)) for t, m in d["signal_of"].items())
+                ),
+                fight_after=_unique("fight_after", ((real(m), boolean(f)) for m, f in d["fight_after"])),
                 t2_action=_unique(
-                    ((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d["t2_action"]
+                    "t2_action", (((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d["t2_action"])
                 ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

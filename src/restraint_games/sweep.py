@@ -82,11 +82,10 @@ class Axis:
         """``np.linspace(min, max, steps)`` in Python floats: the same IEEE
         operations, so the same bits, without importing numpy."""
         lo, hi, n = float(self.min), float(self.max), self.steps
-        div = max(n - 1, 1)
-        span = hi - lo
-        step = span / div
+        div = max(n - 1, 1)  # a 1-point linspace is [min]
+        step = (hi - lo) / div
         if step == 0:  # numpy's branch for a span too small to divide
-            points = [i / div * span + lo for i in range(n)]
+            points = [i / div * (hi - lo) + lo for i in range(n)]
         else:
             points = [i * step + lo for i in range(n)]
         if n > 1:
@@ -265,7 +264,6 @@ def run_sweep(
     n_checked = int(oracle_fraction * len(valid))
     if n_checked > 0:
         import numpy as np  # here, so a sweep without an oracle sample skips importing numpy
-
         order = np.random.default_rng(seed).permutation(len(valid))
         chosen = [valid[int(k)] for k in order[:n_checked]]
         points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
