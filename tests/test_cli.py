@@ -509,7 +509,6 @@ class TestProcessContract:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
-
     @pytest.mark.parametrize(
         "argv, loads_numpy",
         [
@@ -534,6 +533,7 @@ class TestProcessContract:
             [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stderr) == (0, f"{loads_numpy}\n")
+
 
 SIM = "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --p 0.2 --trials 2000 --seed 7"
 TIES = "--mechanism installment --c 0.3 --vd 0.5 --vb 2 --prior 0.3 --messages 0,1.2,2.4"
