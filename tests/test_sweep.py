@@ -200,7 +200,7 @@ def _bits(values) -> list[bytes]:
     return [struct.pack("d", v) for v in values]
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(span=_SPAN, n=st.integers(2, 500))
 @example(span=(0.0, 5e-324), n=3)  # the step underflows to 0
 @example(span=(1.5, 1.5), n=4)
