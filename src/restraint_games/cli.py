@@ -250,7 +250,11 @@ def _load_config(path: Optional[str], command: str) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        # not UTF-8 or JSON, an integer over int()'s digit limit, or too deep
+        except (ValueError, RecursionError) as exc:
+            raise ParameterError("config is UTF-8 JSON", str(exc)) from exc
     if not isinstance(data, dict):
         raise ParameterError("config is a JSON object", f"got {type(data).__name__}")
     if "command" in data:
@@ -332,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         with _open_target(path) as out:
             write(out)
         return EXIT_OK
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DiscrepancyError as exc:

@@ -4,7 +4,9 @@ Each checker returns a :class:`ConditionReport` whose clauses carry a
 signed slack: positive means strictly satisfied, zero is the boundary,
 negative is violated. A report holds when every clause's slack clears
 ``-TOL``, so boundary points count as satisfied (indifference breaks
-toward restraint).
+toward restraint). :func:`classify` validates a point once and builds
+every report there; :func:`pooling_exists` and :func:`separating_exists`
+are views of its reports.
 
 The encoded conditions, with m the pooled signal and m* the separating
 signal:
@@ -83,31 +85,13 @@ def _report(clauses: list[Clause], metrics: Optional[dict] = None) -> ConditionR
 
 def pooling_exists(spec: MechanismSpec, params: ModelParams, m: float) -> ConditionReport:
     """Can both types pool on the restraint signal m?"""
-    params.validate()
-    validate_signal(m)
-    if spec.mechanism in (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE):
-        clauses = [Clause("exploit_deterred", "V_D <= m", m - params.V_D)]
-    else:
-        # Non-contingent cost: m cancels out of the t2 comparison.
-        clauses = [Clause("noncontingent_cost", "0 >= V_D", -params.V_D)]
-    return _report(clauses)
+    return classify(spec, params, m).pooling_on_restraint
 
 
 def separating_exists(spec: MechanismSpec, params: ModelParams, m_star: float) -> ConditionReport:
     """Can the restrained type separate at signal m* while the aggressive
     type signals nothing and takes the preventive conflict?"""
-    params.validate()
-    validate_signal(m_star)
-    if spec.mechanism in (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE):
-        r_eff = spec.effective_r(params)
-        r_expr = "c <= r" if spec.variant is Variant.RISK else "c <= 0"
-        clauses = [
-            Clause("mimicry_deterred", "V_D <= m* - c", (m_star - params.c) - params.V_D),
-            Clause("risk_outweighs_conflict", r_expr, r_eff - params.c),
-        ]
-    else:
-        clauses = [Clause("noncontingent_cost", "V_D <= 0", -params.V_D)]
-    return _report(clauses)
+    return classify(spec, params, m_star).separating
 
 
 def type_shift_refrain(params: ModelParams) -> ConditionReport:
@@ -118,6 +102,10 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
     payoff from standing down against a drifting signaler.
     """
     params.validate()
+    return _type_shift(params)
+
+
+def _type_shift(params: ModelParams) -> ConditionReport:
     clauses = [Clause("drift_tolerated", "p <= c/V_B", params.c / params.V_B - params.p)]
     return _report(clauses, metrics={"expected_not_fight_payoff": -params.p * params.V_B})
 
@@ -145,14 +133,25 @@ class EquilibriumReport:
 
 
 def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumReport:
-    """Run all checkers at one point. The type-shift report is attached
-    only when drift is actually possible (p > 0)."""
+    """Every closed-form verdict at one point, its inputs validated once.
+    The type-shift report is attached only when drift is possible (p > 0)."""
     params.validate()
     validate_signal(m)
+    if spec.mechanism in (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE):
+        r_expr = "c <= r" if spec.variant is Variant.RISK else "c <= 0"
+        pooling = [Clause("exploit_deterred", "V_D <= m", m - params.V_D)]
+        separating = [
+            Clause("mimicry_deterred", "V_D <= m* - c", (m - params.c) - params.V_D),
+            Clause("risk_outweighs_conflict", r_expr, spec.effective_r(params) - params.c),
+        ]
+    else:
+        # Non-contingent cost: m cancels out of the t2 comparison.
+        pooling = [Clause("noncontingent_cost", "0 >= V_D", -params.V_D)]
+        separating = [Clause("noncontingent_cost", "V_D <= 0", -params.V_D)]
     return EquilibriumReport(
         mechanism=spec,
         m=m,
-        pooling_on_restraint=pooling_exists(spec, params, m),
-        separating=separating_exists(spec, params, m),
-        type_shift_refrain=type_shift_refrain(params) if params.p > 0 else None,
+        pooling_on_restraint=_report(pooling),
+        separating=_report(separating),
+        type_shift_refrain=_type_shift(params) if params.p > 0 else None,
     )

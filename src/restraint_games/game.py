@@ -198,11 +198,14 @@ def validate_signal(m: float) -> None:
 
 
 def real(value) -> float:
-    """A number or numeric text as a float; raise on a boolean, which
-    ``float()`` would read as 0 or 1."""
+    """A number or numeric text as a float; raise ValueError on a boolean,
+    which ``float()`` reads as 0 or 1, or on an integer past float range."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float") from exc
 
 
 def integer(value) -> int:

@@ -14,7 +14,8 @@ restrained type B did not fight, so a trial is in one of three (initial,
 final) type cells. ``simulate`` plays each cell once into a table of
 signal, outcome and payoffs, and counts the trials that land in each cell.
 
-How a cell's t2 action is chosen depends on the drift mode:
+The drift mode decides each cell's t2 action; the profile's t2 actions
+must cover every (type, message) cell but are never read:
 
 * ``literal`` -- the final type acts on its label: aggressive (native or
   drifted) exploits, restrained restrains.

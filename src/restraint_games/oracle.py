@@ -204,26 +204,19 @@ def supporting_belief_interval(
     """
     slope = u_b_restrained_action - u_b_aggressive_action
     intercept = u_b_aggressive_action
-    if fight:
-        # need f(q) <= u_b_fight + TOL
-        threshold = u_b_fight + TOL
-        if slope == 0.0:
-            return (0.0, 1.0) if intercept <= threshold else None
-        q_cut = (threshold - intercept) / slope
-        if slope > 0:
-            lo, hi = 0.0, min(1.0, q_cut)
-        else:
-            lo, hi = max(0.0, q_cut), 1.0
+    if not fight:
+        # standing down needs f(q) >= u_b_fight - TOL, which is the fight
+        # test below on -f and -u_b_fight; negation is exact
+        slope, intercept, u_b_fight = -slope, -intercept, -u_b_fight
+    # fighting needs f(q) <= u_b_fight + TOL
+    threshold = u_b_fight + TOL
+    if slope == 0.0:
+        return (0.0, 1.0) if intercept <= threshold else None
+    q_cut = (threshold - intercept) / slope
+    if slope > 0:
+        lo, hi = 0.0, min(1.0, q_cut)
     else:
-        # need f(q) >= u_b_fight - TOL
-        threshold = u_b_fight - TOL
-        if slope == 0.0:
-            return (0.0, 1.0) if intercept >= threshold else None
-        q_cut = (threshold - intercept) / slope
-        if slope > 0:
-            lo, hi = max(0.0, q_cut), 1.0
-        else:
-            lo, hi = 0.0, min(1.0, q_cut)
+        lo, hi = max(0.0, q_cut), 1.0
     if lo > hi:
         return None
     return (lo, hi)
@@ -578,10 +571,8 @@ def verify_against_closed_form(
     relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
     entries: list[Discrepancy] = []
     for params, m in grid:
-        closed = {
-            "pooling": conditions.pooling_exists(spec, params, m).holds,
-            "separating": conditions.separating_exists(spec, params, m).holds,
-        }
+        report = conditions.classify(spec, params, m)
+        closed = {"pooling": report.pooling_on_restraint.holds, "separating": report.separating.holds}
         messages = signal_grid(m)
         table = _GameTable(DiscreteGame(spec, params, messages))
         j_m = len(messages) - 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
 from restraint_games import Mechanism, MechanismSpec, ModelParams, Variant
@@ -33,3 +34,17 @@ signal_strategy = st.floats(min_value=0.0, max_value=200.0, **finite)
 mechanism_strategy = st.sampled_from(list(Mechanism))
 variant_strategy = st.sampled_from(list(Variant))
 spec_strategy = st.builds(MechanismSpec, mechanism_strategy, variant_strategy)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch) -> list[ModelParams]:
+    """Every ``ModelParams.validate`` call's params, in call order."""
+    calls = []
+    validate = ModelParams.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelParams, "validate", counted)
+    return calls

@@ -448,6 +448,13 @@ MALFORMED = {
         ),
         "--trials 10",
     ),
+    "config-c-overflows-float": (
+        "classify", dict(POINT, params={"c": 10**400, "V_D": 1.0, "V_B": 2.0}), ""
+    ),
+    "grid-fixed-overflows-float": (
+        "sweep", dict(GRID_CONFIG, fixed=dict(GRID_CONFIG["fixed"], c=10**400)), "--oracle-fraction 0"
+    ),
+    "config-message-overflows-float": ("oracle", dict(POINT, messages=[0.0, 10**400]), ""),
     "simulate-profile-unknown-action": (
         "simulate",
         dict(
@@ -469,6 +476,39 @@ def test_malformed_input_is_one_validation_line(case, tmp_path, capsys):
     code, out, err = run([command, "--config", str(path), *flags.split()], capsys)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'\xff\xfe{"m": 2}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the decoder's recursion limit
+        b'{"m": ' + b"1" * 5000 + b"}",  # an integer literal past int() digit limit
+    ],
+    ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+)
+def test_undecodable_config_is_one_validation_line(text, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(text)
+    code, out, err = run(["classify", "--config", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("drift_mode", ["literal", "prior-weighted", "best-response"])
+def test_simulate_t2_action_does_not_change_play(drift_mode, tmp_path, capsys):
+    # the drift mode decides every t2 action, so a profile's t2 entries
+    # are required but change neither the summary nor the trial log
+    outputs = []
+    for action in ("restraint", "exploit"):
+        profile = dict(PROFILE, t2_action=[[t, m, action] for t, m, _ in PROFILE["t2_action"]])
+        path, log = tmp_path / f"{action}.json", tmp_path / f"{action}.csv"
+        path.write_text(json.dumps(dict(POINT, profile=profile)))
+        argv = f"simulate --config {path} --p 0.3 --trials 500 --seed 4 --drift-mode {drift_mode}"
+        code, out, _ = run([*argv.split(), "--dump-trials", str(log)], capsys)
+        assert code == 0
+        outputs.append((out, log.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestProcessContract:

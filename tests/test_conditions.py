@@ -135,6 +135,11 @@ class TestClassify:
             classify(TH_BASE, ModelParams(c=0.5, V_D=1.0, V_B=0.4), 2.0)
         assert exc.value.constraint == "V_B > c"
 
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_validates_once(self, p, validate_calls):
+        classify(TH_RISK, ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.7, p=p), 2.0)
+        assert len(validate_calls) == 1
+
     def test_report_serializes(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=0.1)
         d = classify(TH_RISK, p, 2.0).to_dict()

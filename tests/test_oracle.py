@@ -528,6 +528,12 @@ class TestVerifyAgainstClosedForm:
         certs = find_all_pbe(DiscreteGame(TH_BASE, params, (0.0, 1.0)))
         assert any(c.pbe_class is PBEClass.POOLING_ON_RESTRAINT for c in certs)
 
+    def test_validates_twice_per_point(self, validate_calls):
+        # once in the closed-form classify, once when the grid game is built
+        grid = self.grid() + [(ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=0.3), 2.0)]
+        verify_against_closed_form(TH_BASE, grid)
+        assert validate_calls == [params for params, _ in grid for _ in range(2)]
+
     def test_risk_pooling_divergence_is_reported(self):
         # the closed-form pooling threshold describes the base game; with
         # r > 0 the aggressive type's restraint payoff is -r, the grid game
