@@ -212,6 +212,13 @@ class TestSimulate:
         assert sum(result["outcome_counts"].values()) == 20000
         assert result["outcome_counts"]["conflict"] == 0
 
+    def test_largest_philox_key_runs(self, capsys):
+        # the seed keys Philox, which takes keys below 2**128
+        argv = f"simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --trials 10 --seed {2**128 - 1}"
+        code, out, _ = run(argv.split(), capsys)
+        assert code == 0
+        assert sum(json.loads(out)["outcome_counts"].values()) == 10
+
     def test_degenerate_prior_flag(self, capsys):
         argv = (
             "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 "
@@ -369,6 +376,7 @@ MALFORMED = {
     ),
     "config-messages-as-string": ("oracle", dict(POINT, messages="0,2"), ""),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
+    "simulate-seed-past-philox-key": ("simulate", POINT, f"--trials 10 --seed {2**128}"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
     "sweep-zero-jobs": ("sweep", GRID_CONFIG, "--oracle-fraction 0 --jobs 0"),
     "classify-infinite-vd-and-m": ("classify", POINT, "--vd inf --m inf"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -704,3 +705,47 @@ FIND_ALL_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(FIND_ALL_DIGESTS))
 def test_find_all_pbe_bytes_unchanged(case):
     assert certificates_digest(digest_games()[case]) == FIND_ALL_DIGESTS[case]
+
+
+def test_find_all_pbe_memory_per_certificate():
+    # a certificate is one compact record; the public dataclasses are built
+    # only when read
+    game = DiscreteGame(
+        MechanismSpec(Mechanism.SUNK),
+        ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.6, prior=0.75),
+        tuple(k * 3 / 10 for k in range(8)),
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        certs = find_all_pbe(game)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 4509
+    assert retained / len(certs) <= 800, f"{retained / len(certs):.0f} bytes per certificate"
+
+
+def test_certificate_views_agree_with_record():
+    rng = np.random.default_rng(2718)
+    for mech in Mechanism:
+        for variant in Variant:
+            for prior in (1e-12, float(rng.uniform(0.05, 0.95)), 1 - 1e-12):
+                c = float(rng.uniform(0.1, 2.0))
+                params = ModelParams(
+                    c=c,
+                    V_D=float(rng.uniform(0.1, 3.0)),
+                    V_B=c + float(rng.uniform(0.1, 3.0)),
+                    r=float(rng.uniform(0.0, 2.0)),
+                    prior=prior,
+                )
+                n = int(rng.integers(1, 6))
+                messages = (0.0, *sorted(float(x) for x in rng.uniform(0.1, 4.0, n - 1)))
+                game = DiscreteGame(MechanismSpec(mech, variant), params, messages)
+                for cert in find_all_pbe(game):
+                    assert cert == is_weak_pbe(game, cert.profile)
+                    assert cert.to_dict() == {
+                        "class": cert.pbe_class.value,
+                        "profile": cert.profile.to_dict(),
+                        "beliefs": cert.beliefs.to_dict(),
+                    }
