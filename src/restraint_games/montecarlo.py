@@ -100,8 +100,8 @@ class SimConfig:
         validate_signal(self.m)
         if self.n_trials < 1:
             raise ParameterError("n_trials >= 1", f"n_trials={self.n_trials}")
-        if self.seed < 0:
-            raise ParameterError("seed >= 0", f"seed={self.seed}")
+        if not 0 <= self.seed < 2**128:  # Philox takes a 128-bit key
+            raise ParameterError("0 <= seed < 2**128", f"seed={self.seed}")
         msgs = set(self.messages())
         if not set(self.profile.signal_of) == {R, A}:
             raise ParameterError("profile signals both types")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -175,17 +176,81 @@ class BeliefAssignment:
         return {"posterior": [[m, q] for m, q in sorted(self.posterior.items())]}
 
 
-@dataclass(frozen=True)
+#: Type order of every per-type table and of a certificate's restraint
+#: bits: restrained first, as in the canonical certificate order.
+_TYPES = (TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE)
+_R, _A = 0, 1
+#: A t2 action by its restraint bit.
+_ACTIONS = (Outcome.EXPLOIT, Outcome.RESTRAINT)
+
+
 class PBECertificate:
-    profile: StrategyProfile
-    beliefs: BeliefAssignment
-    pbe_class: PBEClass
+    """One certified profile as a compact record.
+
+    It holds the game's ``messages`` (shared by every certificate of the
+    game, not copied), the signal indices ``j_R`` and ``j_A``, the
+    ``pbe_class``, the t2 ``restraint`` bits (restrained cells, then
+    aggressive cells, each in message order), the ``fight`` bits and the
+    supporting ``posterior`` beliefs, both by message index.
+    :attr:`profile` and :attr:`beliefs` build the public dataclasses when
+    read; :meth:`to_dict` formats straight from the record.
+    """
+
+    __slots__ = ("messages", "j_R", "j_A", "pbe_class", "restraint", "fight", "posterior")
+
+    def __init__(self, messages, j_R, j_A, pbe_class, restraint, fight, posterior):
+        self.messages = messages
+        self.j_R = j_R
+        self.j_A = j_A
+        self.pbe_class = pbe_class
+        self.restraint = restraint
+        self.fight = fight
+        self.posterior = posterior
+
+    def _fields(self) -> tuple:
+        return (
+            self.j_R, self.j_A, self.pbe_class, self.restraint, self.fight, self.posterior, self.messages
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, PBECertificate):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"PBECertificate(profile={self.profile!r}, beliefs={self.beliefs!r}, pbe_class={self.pbe_class!r})"
+
+    @property
+    def profile(self) -> StrategyProfile:
+        messages = self.messages
+        cells = [(t, m) for t in _TYPES for m in messages]
+        return StrategyProfile(
+            signal_of={_TYPES[_R]: messages[self.j_R], _TYPES[_A]: messages[self.j_A]},
+            fight_after=dict(zip(messages, self.fight)),
+            t2_action={cell: _ACTIONS[bit] for cell, bit in zip(cells, self.restraint)},
+        )
+
+    @property
+    def beliefs(self) -> BeliefAssignment:
+        return BeliefAssignment(posterior=dict(zip(self.messages, self.posterior)))
 
     def to_dict(self) -> dict:
+        """``{"class", "profile", "beliefs"}`` with the layout of
+        :meth:`StrategyProfile.to_dict` and :meth:`BeliefAssignment.to_dict`."""
+        messages, restraint = self.messages, self.restraint
+        n = len(messages)
         return {
             "class": self.pbe_class.value,
-            "profile": self.profile.to_dict(),
-            "beliefs": self.beliefs.to_dict(),
+            "profile": {
+                "signal_of": {"restrained": messages[self.j_R], "aggressive": messages[self.j_A]},
+                "fight_after": [[m, f] for m, f in zip(messages, self.fight)],
+                "t2_action": [
+                    [name, m, _ACTIONS[bit].value]
+                    for name, bits in (("restrained", restraint[:n]), ("aggressive", restraint[n:]))
+                    for m, bit in zip(messages, bits)
+                ],
+            },
+            "beliefs": {"posterior": [[m, q] for m, q in zip(messages, self.posterior)]},
         }
 
 
@@ -223,7 +288,9 @@ def supporting_belief_interval(
 
 
 class _GameTable:
-    """Per-game payoff tables flattened to plain floats for fast checks."""
+    """Per-game payoff tables flattened to plain floats for fast checks.
+    Types are indexed 0 (restrained) and 1 (aggressive), messages by their
+    grid index, and a t2 action is its restraint bit."""
 
     def __init__(self, game: DiscreteGame):
         self.messages = game.messages
@@ -232,59 +299,45 @@ class _GameTable:
         p = game.params
         self.prior = p.prior
         self.u_b_fight = -p.c
-        self.u_b_exploit = -p.V_B
-        self.u_b_restraint = 0.0
-        # u_A by [type][message index] for each of A's three fates; the
-        # game validated its params and messages when it was built
-        self.uA_conflict: dict[TypeLabel, list[float]] = {}
-        self.uA_exploit: dict[TypeLabel, list[float]] = {}
-        self.uA_restraint: dict[TypeLabel, list[float]] = {}
-        # weakly optimal t2 actions per cell, in canonical order
-        self.t2_options: dict[tuple[TypeLabel, int], tuple[Outcome, ...]] = {}
-        for t in TypeLabel:
-            self.uA_conflict[t] = [
-                unchecked_payoff(game.spec, p, t, Outcome.PREVENTIVE_CONFLICT, m).u_A
-                for m in game.messages
-            ]
-            self.uA_exploit[t] = [
-                unchecked_payoff(game.spec, p, t, Outcome.EXPLOIT, m).u_A for m in game.messages
-            ]
-            self.uA_restraint[t] = [
-                unchecked_payoff(game.spec, p, t, Outcome.RESTRAINT, m).u_A for m in game.messages
-            ]
-            for j in range(self.n):
-                ue, ur = self.uA_exploit[t][j], self.uA_restraint[t][j]
-                opts = []
-                if ue >= ur - TOL:
-                    opts.append(Outcome.EXPLOIT)
-                if ur >= ue - TOL:
-                    opts.append(Outcome.RESTRAINT)
-                self.t2_options[(t, j)] = tuple(opts)
+        # B's payoff from A's t2 action, by restraint bit
+        self.u_b_action = (-p.V_B, 0.0)
 
-    def u_b_of_action(self, action: Outcome) -> float:
-        return self.u_b_exploit if action is Outcome.EXPLOIT else self.u_b_restraint
+        # u_A by [type][message index]; the game validated its params and
+        # messages when it was built
+        def u_A(t: TypeLabel, outcome: Outcome) -> list[float]:
+            return [unchecked_payoff(game.spec, p, t, outcome, m).u_A for m in game.messages]
 
-    def value(self, t: TypeLabel, j: int, action: Outcome, fight: bool) -> float:
+        self.uA_conflict = [u_A(t, Outcome.PREVENTIVE_CONFLICT) for t in _TYPES]
+        # u_A of a t2 action by [type][restraint bit][message index]
+        self.uA_t2 = [tuple(u_A(t, action) for action in _ACTIONS) for t in _TYPES]
+        # weakly optimal t2 actions per [type][message index], exploit first
+        self.t2_options = [
+            [
+                tuple(bit for bit, ok in ((False, ue >= ur - TOL), (True, ur >= ue - TOL)) if ok)
+                for ue, ur in zip(exploit, restraint)
+            ]
+            for exploit, restraint in self.uA_t2
+        ]
+
+    def value(self, t: int, j: int, restrains: bool, fight: bool) -> float:
         """Type t's continuation value at message j."""
         if fight:
             return self.uA_conflict[t][j]
-        if action is Outcome.EXPLOIT:
-            return self.uA_exploit[t][j]
-        return self.uA_restraint[t][j]
+        return self.uA_t2[t][restrains][j]
 
 
 def _supporting_belief(
     table: _GameTable,
     q: Optional[float],
-    action_R: Outcome,
-    action_A: Outcome,
+    restrains_R: bool,
+    restrains_A: bool,
     fight: bool,
 ) -> Optional[float]:
     """Check (b) at one message: the belief that supports B's t1 choice, or
     None. ``q`` is the Bayes posterior on path and None off path, where the
     midpoint of the supporting interval is returned."""
-    u_b_R = table.u_b_of_action(action_R)
-    u_b_A = table.u_b_of_action(action_A)
+    u_b_R = table.u_b_action[restrains_R]
+    u_b_A = table.u_b_action[restrains_A]
     u_fight = table.u_b_fight
     if q is None:
         interval = supporting_belief_interval(u_b_R, u_b_A, u_fight, fight)
@@ -299,13 +352,15 @@ def _check_profile(
     table: _GameTable,
     j_R: int,
     j_A: int,
-    t2: dict[tuple[TypeLabel, int], Outcome],
+    restraint: tuple[bool, ...],
     fight: tuple[bool, ...],
-) -> Optional[dict[float, float]]:
-    """Run checks (a)-(d); return a supporting belief map or None."""
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
-    beliefs: dict[float, float] = {}
-    for j in range(table.n):
+) -> Optional[tuple[float, ...]]:
+    """Run checks (a)-(d); return the supporting beliefs by message index,
+    or None. ``restraint`` holds the restrained type's t2 bits, then the
+    aggressive type's."""
+    n = table.n
+    beliefs = []
+    for j in range(n):
         if j == j_R and j == j_A:
             q: Optional[float] = table.prior
         elif j == j_R:
@@ -314,100 +369,88 @@ def _check_profile(
             q = 0.0
         else:
             q = None  # off path: belief free
-        belief = _supporting_belief(table, q, t2[(R, j)], t2[(A, j)], fight[j])
+        belief = _supporting_belief(table, q, restraint[j], restraint[n + j], fight[j])
         if belief is None:
             return None
-        beliefs[table.messages[j]] = belief
+        beliefs.append(belief)
 
-    # (c) t2 optimality at every cell
-    if any(t2[cell] not in options for cell, options in table.t2_options.items()):
-        return None
-
-    # (d) t0 optimality: continuation value of each message for each type
-    for t, j_own in ((R, j_R), (A, j_A)):
-        values = [table.value(t, j, t2[(t, j)], fight[j]) for j in range(table.n)]
+    for t, j_own in ((_R, j_R), (_A, j_A)):
+        bits = restraint[t * n : (t + 1) * n]
+        # (c) t2 optimality at every cell
+        if any(bit not in options for bit, options in zip(bits, table.t2_options[t])):
+            return None
+        # (d) t0 optimality: continuation value of each message
+        values = [table.value(t, j, bits[j], fight[j]) for j in range(n)]
         if values[j_own] < max(values) - TOL:
             return None
 
-    return beliefs
+    return tuple(beliefs)
 
 
 def _classify(
-    pooled: bool, fight_R: bool, fight_A: bool, action_R: Outcome, action_A: Outcome
+    pooled: bool, fight_R: bool, fight_A: bool, restrains_R: bool, restrains_A: bool
 ) -> PBEClass:
     """Class from the on-path data: B's fight bits after each type's signal
-    and each type's t2 action at its own signal."""
+    and each type's t2 restraint bit at its own signal."""
     if pooled:
-        on_restraint = (
-            not fight_R
-            and action_R is Outcome.RESTRAINT
-            and action_A is Outcome.RESTRAINT
-        )
+        on_restraint = not fight_R and restrains_R and restrains_A
         return PBEClass.POOLING_ON_RESTRAINT if on_restraint else PBEClass.POOLING_OTHER
-    informative = not fight_R and fight_A and action_R is Outcome.RESTRAINT
+    informative = not fight_R and fight_A and restrains_R
     return PBEClass.SEPARATING if informative else PBEClass.HYBRID
 
 
 def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECertificate]:
     """Certify one profile, or return None when no supporting beliefs exist."""
     table = _GameTable(game)
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
+    messages = game.messages
     try:
-        j_R = table.index[profile.signal_of[R]]
-        j_A = table.index[profile.signal_of[A]]
-        fight = tuple(profile.fight_after[m] for m in game.messages)
-        t2 = {
-            (t, j): profile.t2_action[(t, m)]
-            for t in TypeLabel
-            for j, m in enumerate(game.messages)
-        }
+        j_R = table.index[profile.signal_of[TypeLabel.RESTRAINED]]
+        j_A = table.index[profile.signal_of[TypeLabel.AGGRESSIVE]]
+        fight = tuple(bool(profile.fight_after[m]) for m in messages)
+        actions = [profile.t2_action[(t, m)] for t in _TYPES for m in messages]
     except KeyError as exc:
         raise ParameterError(
             "profile total over message grid", f"missing entry {exc}"
         ) from exc
-    beliefs = _check_profile(table, j_R, j_A, t2, fight)
+    if any(action not in _ACTIONS for action in actions):
+        return None  # conflict is not a t2 action
+    restraint = tuple(action is Outcome.RESTRAINT for action in actions)
+    beliefs = _check_profile(table, j_R, j_A, restraint, fight)
     if beliefs is None:
         return None
-    return PBECertificate(
-        profile=profile,
-        beliefs=BeliefAssignment(posterior=beliefs),
-        pbe_class=_classify(j_R == j_A, fight[j_R], fight[j_A], t2[(R, j_R)], t2[(A, j_A)]),
-    )
+    n = table.n
+    pbe_class = _classify(j_R == j_A, fight[j_R], fight[j_A], restraint[j_R], restraint[n + j_A])
+    return PBECertificate(messages, j_R, j_A, pbe_class, restraint, fight, beliefs)
 
 
 class _Option(NamedTuple):
     """One message's local choice, its supporting belief and what it is
     worth to each type."""
 
-    t2_R: Outcome
-    t2_A: Outcome
+    restrains_R: bool
+    restrains_A: bool
     fight: bool
     belief: float
     value_R: float
     value_A: float
-    restrains_R: bool
-    restrains_A: bool
 
 
 def _local_options(table: _GameTable, j: int, q: Optional[float]) -> list[_Option]:
     """Cell-optimal t2 actions and fight bits at message j that pass (b)."""
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
     options = []
-    for action_R in table.t2_options[(R, j)]:
-        for action_A in table.t2_options[(A, j)]:
+    for restrains_R in table.t2_options[_R][j]:
+        for restrains_A in table.t2_options[_A][j]:
             for fight in (False, True):
-                belief = _supporting_belief(table, q, action_R, action_A, fight)
+                belief = _supporting_belief(table, q, restrains_R, restrains_A, fight)
                 if belief is not None:
                     options.append(
                         _Option(
-                            action_R,
-                            action_A,
+                            restrains_R,
+                            restrains_A,
                             fight,
                             belief,
-                            table.value(R, j, action_R, fight),
-                            table.value(A, j, action_A, fight),
-                            action_R is Outcome.RESTRAINT,
-                            action_A is Outcome.RESTRAINT,
+                            table.value(_R, j, restrains_R, fight),
+                            table.value(_A, j, restrains_A, fight),
                         )
                     )
     return options
@@ -457,38 +500,29 @@ def _anchors(table: _GameTable) -> Iterator[_Anchor]:
                         break
                     options.append(admitted)
                 else:
-                    pbe_class = _classify(j_R == j_A, o_R.fight, o_A.fight, o_R.t2_R, o_A.t2_A)
+                    pbe_class = _classify(
+                        j_R == j_A, o_R.fight, o_A.fight, o_R.restrains_R, o_A.restrains_A
+                    )
                     yield j_R, j_A, pbe_class, options
 
 
 def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECertificate]:
-    """Materialize the anchors' products in the canonical order: signal
-    indices, then t2 actions (restraint bits, restrained cells first), then
-    the fight pattern."""
-    R, A = TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE
+    """One record per element of the anchors' products, in the canonical
+    order: signal indices, then t2 actions (restraint bits, restrained
+    cells first), then the fight pattern."""
     messages = table.messages
-    cells = [(R, m) for m in messages] + [(A, m) for m in messages]
-    # Enum hashing runs in Python, so each t2 pattern's dict is built once
-    # and copied (a copy reuses the stored hashes).
-    t2_actions: dict[tuple[bool, ...], dict[tuple[TypeLabel, float], Outcome]] = {}
-    found: list[tuple[tuple, PBECertificate]] = []
+    found = []
     for j_R, j_A, pbe_class, options in anchors:
-        signal_of = {R: messages[j_R], A: messages[j_A]}
         for combo in itertools.product(*options):
-            t2_R, t2_A, fight, belief, _, _, restrains_R, restrains_A = zip(*combo)
-            restrains = restrains_R + restrains_A
-            if restrains not in t2_actions:
-                t2_actions[restrains] = dict(zip(cells, t2_R + t2_A))
-            profile = StrategyProfile(
-                signal_of=signal_of.copy(),
-                fight_after=dict(zip(messages, fight)),
-                t2_action=t2_actions[restrains].copy(),
+            restrains_R, restrains_A, fight, belief, _, _ = zip(*combo)
+            found.append(
+                PBECertificate(messages, j_R, j_A, pbe_class, restrains_R + restrains_A, fight, belief)
             )
-            beliefs = BeliefAssignment(posterior=dict(zip(messages, belief)))
-            key = (j_R, j_A, restrains, fight)
-            found.append((key, PBECertificate(profile, beliefs, pbe_class)))
-    found.sort(key=lambda kc: kc[0])
-    return [cert for _, cert in found]
+    found.sort(key=_CANONICAL)
+    return found
+
+
+_CANONICAL = operator.attrgetter("j_R", "j_A", "restraint", "fight")
 
 
 def find_all_pbe(

@@ -370,19 +370,31 @@ def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) ->
 
 
 def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
-    """One row per certificate; each strategy map is a ';'-joined cell."""
+    """One row per certificate; each strategy map is a ';'-joined cell,
+    formatted from the certificate's record."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CERTIFICATE_CSV_HEADER)
+    messages = None
     for cert in certs:
-        d = cert.profile.to_dict()
+        if cert.messages is not messages:
+            # a game's certificates share its messages, so each message's
+            # text is formatted once per game rather than once per row
+            messages = cert.messages
+            fights = [(f"{m}:yield", f"{m}:fight") for m in messages]
+            actions = [
+                (f"{t}@{m}:exploit", f"{t}@{m}:restraint")
+                for t in ("restrained", "aggressive")
+                for m in messages
+            ]
+            at = [f"{m}:" for m in messages]
         writer.writerow(
             [
                 cert.pbe_class.value,
-                d["signal_of"]["restrained"],
-                d["signal_of"]["aggressive"],
-                ";".join(f"{m}:{'fight' if f else 'yield'}" for m, f in d["fight_after"]),
-                ";".join(f"{t}@{m}:{a}" for t, m, a in d["t2_action"]),
-                ";".join(f"{m}:{q}" for m, q in cert.beliefs.to_dict()["posterior"]),
+                messages[cert.j_R],
+                messages[cert.j_A],
+                ";".join([texts[f] for texts, f in zip(fights, cert.fight)]),
+                ";".join([texts[r] for texts, r in zip(actions, cert.restraint)]),
+                ";".join([f"{m}{q}" for m, q in zip(at, cert.posterior)]),
             ]
         )
 
