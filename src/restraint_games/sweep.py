@@ -185,9 +185,11 @@ class RegionRow:
         return d
 
 
-def _evaluate_point(spec: MechanismSpec, coords: dict[str, float]) -> RegionRow:
+def _evaluate_point(spec: MechanismSpec, params: ModelParams, coords: dict[str, float]) -> RegionRow:
+    """The row of the point ``params`` at ``coords["m"]``; ``coords`` holds
+    every symbol's value."""
     try:
-        report = classify(spec, ModelParams.from_dict(coords), coords["m"])
+        report = classify(spec, params, coords["m"])
     except ParameterError:
         return RegionRow(coords, Classification.INVALID, None, None, None, None)
     pooling = report.pooling_on_restraint
@@ -220,7 +222,7 @@ def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> 
     """Classify a single parameter point into a sweep-style row."""
     coords = params.to_dict()
     coords["m"] = float(m)
-    return _evaluate_point(spec, coords)
+    return _evaluate_point(spec, params, coords)
 
 
 def grid_points(grid: GridSpec) -> list[dict[str, float]]:
@@ -258,7 +260,10 @@ def run_sweep(
         raise ParameterError("0 <= oracle_fraction <= 1", f"got {oracle_fraction}")
     if seed < 0:
         raise ParameterError("seed >= 0", f"got {seed}")
-    rows = [_evaluate_point(grid.mechanism, coords) for coords in grid_points(grid)]
+    rows = [
+        _evaluate_point(grid.mechanism, ModelParams.from_dict(coords), coords)
+        for coords in grid_points(grid)
+    ]
 
     valid = [row for row in rows if row.classification is not Classification.INVALID]
     n_checked = int(oracle_fraction * len(valid))
@@ -308,7 +313,6 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
     refrain flag, so a (p, V_B) sweep traces the drift-tolerance boundary
     even though pooling/separating do not move.
     """
-    grid.validate()
     if len(grid.axes) != 2:
         raise ParameterError("boundary_trace needs exactly 2 axes", f"got {len(grid.axes)}")
     rows = run_sweep(grid, oracle_fraction=0.0, seed=0)

@@ -21,6 +21,7 @@ from restraint_games import (
     GridSpec,
     Mechanism,
     MechanismSpec,
+    ModelParams,
     ParameterError,
     Variant,
     boundary_trace,
@@ -28,7 +29,7 @@ from restraint_games import (
     write_rows_csv,
     write_rows_json,
 )
-from restraint_games.sweep import CSV_HEADER
+from restraint_games.sweep import CSV_HEADER, region_row_for_point
 
 TH_BASE = MechanismSpec(Mechanism.TYING_HANDS)
 TH_RISK = MechanismSpec(Mechanism.TYING_HANDS, Variant.RISK)
@@ -269,7 +270,26 @@ class TestBoundaryTrace:
             budget = cell_p * v_b if bp.axis == "p" else cell_vb * p
             assert slack <= budget + 1e-9
 
+    def test_validates_the_grid_once(self, monkeypatch):
+        calls = []
+        validate = GridSpec.validate
+
+        def counted(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(GridSpec, "validate", counted)
+        boundary_trace(tying_grid())
+        assert len(calls) == 1
+
     def test_needs_two_axes(self):
         grid = tying_grid(axes=(Axis("m", 0.5, 2.0, 4),), fixed={"V_D": 1.0})
         with pytest.raises(ParameterError):
             boundary_trace(grid)
+
+
+def test_region_row_for_point_classifies_the_params_given(validate_calls):
+    params = ModelParams(c=0.5, V_D=1.0, V_B=2.0)
+    row = region_row_for_point(TH_BASE, params, 2.0)
+    assert row.classification is Classification.POOLING_ONLY
+    assert len(validate_calls) == 1 and validate_calls[0] is params
