@@ -207,25 +207,26 @@ class PBECertificate:
         self.fight = fight
         self.posterior = posterior
 
-    def _fields(self) -> tuple:
-        return (
-            self.j_R, self.j_A, self.pbe_class, self.restraint, self.fight, self.posterior, self.messages
-        )
-
     def __eq__(self, other):
         if not isinstance(other, PBECertificate):
             return NotImplemented
-        return self._fields() == other._fields()
+        return all(getattr(self, field) == getattr(other, field) for field in self.__slots__)
 
     def __repr__(self) -> str:
-        return f"PBECertificate(profile={self.profile!r}, beliefs={self.beliefs!r}, pbe_class={self.pbe_class!r})"
+        return (
+            f"PBECertificate(profile={self.profile!r}, beliefs={self.beliefs!r}, "
+            f"pbe_class={self.pbe_class!r})"
+        )
 
     @property
     def profile(self) -> StrategyProfile:
         messages = self.messages
         cells = [(t, m) for t in _TYPES for m in messages]
         return StrategyProfile(
-            signal_of={_TYPES[_R]: messages[self.j_R], _TYPES[_A]: messages[self.j_A]},
+            signal_of={
+                TypeLabel.RESTRAINED: messages[self.j_R],
+                TypeLabel.AGGRESSIVE: messages[self.j_A],
+            },
             fight_after=dict(zip(messages, self.fight)),
             t2_action={cell: _ACTIONS[bit] for cell, bit in zip(cells, self.restraint)},
         )
@@ -506,6 +507,9 @@ def _anchors(table: _GameTable) -> Iterator[_Anchor]:
                     yield j_R, j_A, pbe_class, options
 
 
+_CANONICAL = operator.attrgetter("j_R", "j_A", "restraint", "fight")
+
+
 def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECertificate]:
     """One record per element of the anchors' products, in the canonical
     order: signal indices, then t2 actions (restraint bits, restrained
@@ -515,14 +519,10 @@ def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECert
     for j_R, j_A, pbe_class, options in anchors:
         for combo in itertools.product(*options):
             restrains_R, restrains_A, fight, belief, _, _ = zip(*combo)
-            found.append(
-                PBECertificate(messages, j_R, j_A, pbe_class, restrains_R + restrains_A, fight, belief)
-            )
+            restraint = restrains_R + restrains_A
+            found.append(PBECertificate(messages, j_R, j_A, pbe_class, restraint, fight, belief))
     found.sort(key=_CANONICAL)
     return found
-
-
-_CANONICAL = operator.attrgetter("j_R", "j_A", "restraint", "fight")
 
 
 def find_all_pbe(
