@@ -390,7 +390,7 @@ def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
                 for t in ("restrained", "aggressive")
                 for m in messages
             ]
-            at = [f"{m}:" for m in messages]
+            belief_at = [f"{m}:" for m in messages]
         writer.writerow(
             [
                 cert.pbe_class.value,
@@ -398,7 +398,7 @@ def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
                 messages[cert.j_A],
                 ";".join([texts[f] for texts, f in zip(fights, cert.fight)]),
                 ";".join([texts[r] for texts, r in zip(actions, cert.restraint)]),
-                ";".join([f"{m}{q}" for m, q in zip(at, cert.posterior)]),
+                ";".join([f"{prefix}{q}" for prefix, q in zip(belief_at, cert.posterior)]),
             ]
         )
 
