@@ -30,6 +30,17 @@ RISK_GRID_CONFIG = {
     "fixed": {"c": 0.5, "V_D": 1.0, "V_B": 2.0, "r": 0.8, "p": 0.0, "prior": 0.5},
 }
 
+#: Drift on (p > 0) and a c = 2.4 > V_B strip of Invalid rows, so its table
+#: has empty cells and type-shift slacks.
+DRIFT_GRID_CONFIG = {
+    "mechanism": {"mechanism": "tying-hands", "variant": "base"},
+    "axes": [
+        {"symbol": "c", "min": 0.1, "max": 2.4, "steps": 5},
+        {"symbol": "m", "min": 0.0, "max": 3.0, "steps": 4},
+    ],
+    "fixed": {"V_D": 1.0, "V_B": 2.0, "r": 0.6, "p": 0.2, "prior": 0.5},
+}
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -462,6 +473,13 @@ MALFORMED = {
     "grid-fixed-overflows-float": (
         "sweep", dict(GRID_CONFIG, fixed=dict(GRID_CONFIG["fixed"], c=10**400)), "--oracle-fraction 0"
     ),
+    # json.dumps writes these as the literals NaN and Infinity, which json.load reads
+    "grid-fixed-nan": (
+        "sweep", dict(GRID_CONFIG, fixed=dict(GRID_CONFIG["fixed"], c=math.nan)), "--oracle-fraction 0"
+    ),
+    "grid-fixed-infinite": (
+        "sweep", dict(GRID_CONFIG, fixed=dict(GRID_CONFIG["fixed"], prior=math.inf)), "--oracle-fraction 0"
+    ),
     "config-message-overflows-float": ("oracle", dict(POINT, messages=[0.0, 10**400]), ""),
     "simulate-profile-unknown-action": (
         "simulate",
@@ -472,6 +490,23 @@ MALFORMED = {
             ),
         ),
         "",
+    ),
+    # B fights after every message, so every cell pays -c - m = -inf
+    "simulate-payoff-overflows": (
+        "simulate",
+        {
+            "mechanism": {"mechanism": "sunk", "variant": "base"},
+            "params": {"c": 1e308, "V_D": 1.0, "V_B": 1.5e308},
+            "m": 1e308,
+            "profile": {
+                "signal_of": {"restrained": 1e308, "aggressive": 1e308},
+                "fight_after": [[0.0, True], [1e308, True]],
+                "t2_action": [
+                    [t, m, "restraint"] for t in ("restrained", "aggressive") for m in (0.0, 1e308)
+                ],
+            },
+        },
+        "--trials 10",
     ),
 }
 
@@ -625,6 +660,14 @@ STDOUT_DIGESTS = {
         "sweep --config {grid} --oracle-fraction 0 --format json",
         "b8ecda4c715410c9858c2126ca6d1a2fa8d6563f6c3c859dd8708f9d88e867d5",
     ),
+    "sweep-csv-invalid-drift": (
+        "sweep --config {drift_grid} --oracle-fraction 0.25 --seed 3",
+        "c1ab1701148d6876f93eea6d8249520b839214927c4ab6178a53be27168cb812",
+    ),
+    "sweep-json-invalid-drift": (
+        "sweep --config {drift_grid} --oracle-fraction 0.25 --seed 3 --format json",
+        "c29396cbbf8d6a42a2eb5f22ee5978cf0176d9ae5f28c16466f3ed4c7cdc8853",
+    ),
     "sweep-discrepancy": (
         "sweep --config {risk_grid} --oracle-fraction 1.0 --seed 1",
         "5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff",
@@ -674,7 +717,8 @@ STDOUT_DIGESTS = {
 def test_stdout_bytes_unchanged(case, tmp_path, capsys):
     argv, expected = STDOUT_DIGESTS[case]
     configs = {}
-    for name, config in (("grid", GRID_CONFIG), ("risk_grid", RISK_GRID_CONFIG)):
+    grids = (("grid", GRID_CONFIG), ("risk_grid", RISK_GRID_CONFIG), ("drift_grid", DRIFT_GRID_CONFIG))
+    for name, config in grids:
         configs[name] = tmp_path / f"{name}.json"
         configs[name].write_text(json.dumps(config))
     code, out, _ = run(argv.format(**configs).split(), capsys)
