@@ -175,6 +175,8 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         row += f"{a!r},{b!r}\n"
         table.append((outcome, a, b, row))
     outcomes, u_A, u_B, rows = zip(*table)
+    if not all(map(math.isfinite, u_A + u_B)):  # e.g. -c - m past the float range
+        raise ParameterError("payoffs finite", f"u_A={list(u_A)}, u_B={list(u_B)}")
 
     drifts = not prof.fight_after[prof.signal_of[R]]
     rng = np.random.Generator(np.random.Philox(key=config.seed))

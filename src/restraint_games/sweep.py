@@ -125,11 +125,13 @@ class GridSpec:
                 raise ParameterError(
                     "min < max, finite max - min", f"{axis.symbol}: [{axis.min}, {axis.max}]"
                 )
-        for sym in self.fixed:
+        for sym, value in self.fixed.items():
             if sym not in ALL_SYMBOLS:
                 raise ParameterError(f"fixed symbol in {ALL_SYMBOLS}", f"got {sym!r}")
             if sym in seen:
                 raise ParameterError("fixed and axes disjoint", f"{sym!r} in both")
+            if not math.isfinite(value):
+                raise ParameterError("fixed values finite", f"{sym}={value}")
         missing = [s for s in ALL_SYMBOLS if s not in seen and s not in self.fixed]
         if missing:
             raise ParameterError(
