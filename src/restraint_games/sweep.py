@@ -9,7 +9,10 @@ oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
 
 Every result table the package writes is formatted here: sweep rows as
-CSV or JSON, oracle certificates and simulation summaries as CSV.
+CSV or JSON, oracle certificates and simulation summaries as CSV. A sweep
+row's layout is spelled out once, as :data:`CSV_HEADER` and
+:meth:`RegionRow.cells`, and ``csv`` formats the cells: an absent value is
+an empty cell and a number is written as ``str(number)``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from typing import IO, Optional
 
 from .conditions import classify
-from .game import TOL, MechanismSpec, ModelParams, ParameterError, integer, real
+from .game import TOL, MechanismSpec, ModelParams, Outcome, ParameterError, integer, real
 from .montecarlo import SimResult
 from .oracle import BudgetExceededError, DiscrepancyError, PBECertificate, verify_against_closed_form
 
@@ -38,13 +41,7 @@ GRID_POINT_BUDGET = 10**6
 CSV_HEADER = [
     "mechanism",
     "variant",
-    "c",
-    "V_D",
-    "V_B",
-    "r",
-    "p",
-    "prior",
-    "m",
+    *ALL_SYMBOLS,
     "classification",
     "pooling_slack",
     "separating_slack_1",
@@ -168,23 +165,24 @@ class RegionRow:
     typeshift_slack: Optional[float]
     oracle_checked: bool = False
 
+    def cells(self, spec: MechanismSpec) -> list:
+        """The row's values in :data:`CSV_HEADER` order, None where a
+        slack does not apply: the one place the row layout is spelled out."""
+        coords = self.coordinates
+        return [
+            spec.mechanism.value,
+            spec.variant.value,
+            *[coords[sym] for sym in ALL_SYMBOLS],
+            self.classification.value,
+            self.pooling_slack,
+            self.separating_slack_1,
+            self.separating_slack_2,
+            self.typeshift_slack,
+            self.oracle_checked,
+        ]
+
     def to_flat_dict(self, spec: MechanismSpec) -> dict:
-        d = {
-            "mechanism": spec.mechanism.value,
-            "variant": spec.variant.value,
-        }
-        d.update({sym: self.coordinates[sym] for sym in ALL_SYMBOLS})
-        d.update(
-            {
-                "classification": self.classification.value,
-                "pooling_slack": self.pooling_slack,
-                "separating_slack_1": self.separating_slack_1,
-                "separating_slack_2": self.separating_slack_2,
-                "typeshift_slack": self.typeshift_slack,
-                "oracle_checked": self.oracle_checked,
-            }
-        )
-        return d
+        return dict(zip(CSV_HEADER, self.cells(spec)))
 
 
 def _evaluate_point(spec: MechanismSpec, params: ModelParams, coords: dict[str, float]) -> RegionRow:
@@ -300,11 +298,11 @@ class BoundaryPoint:
         }
 
 
-def _signature(row: RegionRow) -> tuple:
+def _signature(row: RegionRow) -> dict:
     type_shift = (
         None if row.typeshift_slack is None else bool(row.typeshift_slack >= -TOL)
     )
-    return (row.classification.value, type_shift)
+    return {"classification": row.classification.value, "type_shift_refrain": type_shift}
 
 
 def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
@@ -321,48 +319,36 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
     ax0, ax1 = grid.axes
     v0, v1 = ax0.values(), ax1.values()
     n0, n1 = len(v0), len(v1)
-
-    def sig(i, j):
-        return _signature(rows[i * n1 + j])
-
-    def describe(i, j):
-        row = rows[i * n1 + j]
-        s = _signature(row)
-        return {"classification": s[0], "type_shift_refrain": s[1]}
+    sigs = [_signature(row) for row in rows]
 
     out: list[BoundaryPoint] = []
     for i in range(n0):
         for j in range(n1):
-            if i + 1 < n0 and sig(i, j) != sig(i + 1, j):
-                coords = dict(rows[i * n1 + j].coordinates)
+            k = i * n1 + j
+            if i + 1 < n0 and sigs[k] != sigs[k + n1]:
+                coords = dict(rows[k].coordinates)
                 coords[ax0.symbol] = 0.5 * (v0[i] + v0[i + 1])
                 out.append(
-                    BoundaryPoint(coords, ax0.symbol, describe(i, j), describe(i + 1, j))
+                    BoundaryPoint(coords, ax0.symbol, dict(sigs[k]), dict(sigs[k + n1]))
                 )
-            if j + 1 < n1 and sig(i, j) != sig(i, j + 1):
-                coords = dict(rows[i * n1 + j].coordinates)
+            if j + 1 < n1 and sigs[k] != sigs[k + 1]:
+                coords = dict(rows[k].coordinates)
                 coords[ax1.symbol] = 0.5 * (v1[j] + v1[j + 1])
                 out.append(
-                    BoundaryPoint(coords, ax1.symbol, describe(i, j), describe(i, j + 1))
+                    BoundaryPoint(coords, ax1.symbol, dict(sigs[k]), dict(sigs[k + 1]))
                 )
     return out
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, fixed header."""
+    """UTF-8, LF line endings, '.' decimal separator, fixed header. ``csv``
+    writes None as an empty cell and a float as ``str(float)``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        flat = row.to_flat_dict(spec)
-        writer.writerow([_cell(flat[col]) for col in CSV_HEADER])
+        cells = row.cells(spec)
+        cells[-1] = "true" if row.oracle_checked else "false"  # csv would write True
+        writer.writerow(cells)
 
 
 def write_json(data, out: IO[str]) -> None:
@@ -408,9 +394,8 @@ def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
 def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
     """Header plus one summary row. Prior-weighted results add State B's
     mean payoff by initial type, empty where no trial had that type."""
-    counts = result.to_dict()["outcome_counts"]
     header = ["conflict", "exploit", "restraint", "mean_u_A", "mean_u_B", "standard_error_u_B"]
-    values = [counts.get(name, 0) for name in header[:3]]
+    values = [result.outcome_counts.get(outcome, 0) for outcome in Outcome]
     values += [result.mean_u_A, result.mean_u_B, result.standard_error_u_B]
     by_type = result.mean_u_B_by_initial_type
     if by_type is not None:
@@ -418,4 +403,4 @@ def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
         values += [by_type["restrained"], by_type["aggressive"]]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerow([_cell(v) for v in values])
+    writer.writerow(values)
