@@ -341,8 +341,7 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
 
 
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, fixed header. ``csv``
-    writes None as an empty cell and a float as ``str(float)``."""
+    """UTF-8, LF line endings, '.' decimal separator, fixed header."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
