@@ -508,6 +508,16 @@ MALFORMED = {
         },
         "--trials 10",
     ),
+    # conflict at m pays -c - m = -inf, which no certificate may be built on
+    "oracle-payoff-overflows": (
+        "oracle",
+        {
+            "mechanism": {"mechanism": "sunk", "variant": "base"},
+            "params": {"c": 1e308, "V_D": 1.0, "V_B": 1.5e308},
+            "messages": [0.0, 1e308],
+        },
+        "",
+    ),
 }
 
 

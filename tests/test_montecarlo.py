@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from restraint_games import (
+    DiscreteGame,
     DriftMode,
     Mechanism,
     MechanismSpec,
@@ -24,6 +25,7 @@ from restraint_games import (
     StrategyProfile,
     TypeLabel,
     Variant,
+    find_all_pbe,
     pooling_profile,
     simulate,
 )
@@ -103,6 +105,20 @@ class TestSimulate:
         cfg = config(
             m=1.0,
             params=ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=1.0, prior=0.5),
+            drift_mode=DriftMode.BEST_RESPONSE,
+        )
+        assert simulate(cfg).outcome_counts[Outcome.EXPLOIT] == 0
+
+    def test_best_response_follows_the_oracle_at_the_band_edge(self):
+        # the aggressive type's exploit margin V_D - m + r rounds to a hair
+        # over TOL: the oracle certifies restraint there, so play restrains
+        m = 0.799999999
+        spec = MechanismSpec(Mechanism.TYING_HANDS, Variant.RISK)
+        params = ModelParams(c=0.5, V_D=0.3, V_B=2.0, r=0.5, p=0.2, prior=0.5)
+        certified = find_all_pbe(DiscreteGame(spec, params, (0.0, m)))
+        assert any(c.profile.t2_action[(A, m)] is Outcome.RESTRAINT for c in certified)
+        cfg = config(
+            spec=spec, params=params, m=m, n_trials=1_000, seed=1,
             drift_mode=DriftMode.BEST_RESPONSE,
         )
         assert simulate(cfg).outcome_counts[Outcome.EXPLOIT] == 0
