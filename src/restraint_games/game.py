@@ -222,6 +222,13 @@ def boolean(value) -> bool:
     return value
 
 
+def t2_options(u_exploit: float, u_restraint: float) -> tuple[bool, ...]:
+    """Restraint bits of A's weakly optimal t2 actions, exploit first; a
+    margin within ``TOL`` admits both."""
+    options = ((False, u_exploit >= u_restraint - TOL), (True, u_restraint >= u_exploit - TOL))
+    return tuple(bit for bit, ok in options if ok)
+
+
 def signal_grid(m: float) -> tuple[float, ...]:
     """The grid {0, m} that simulation and the closed-form cross-check use."""
     return (0.0,) if m == 0 else (0.0, float(m))

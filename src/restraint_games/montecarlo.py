@@ -24,7 +24,8 @@ must cover every (type, message) cell but are never read:
   pooling is the prior. The restrained-conditional mean recovers -p*V_B;
   the unconditional mean is the prior-weighted reading of the threshold.
 * ``best-response`` -- the final type plays its payoff-maximizing t2 action
-  at the signal it sent, exploiting only when better by more than ``TOL``.
+  at the signal it sent, by the oracle's rule (:func:`~.game.t2_options`):
+  it restrains whenever restraint is weakly optimal, so ties restrain.
 
 Trial randomness is one Philox stream keyed by the seed, drawn in chunks
 of rows: trial i always consumes row i, whatever the chunk size, so results
@@ -41,13 +42,13 @@ from enum import Enum
 from typing import IO, Optional
 
 from .game import (
-    TOL,
     MechanismSpec,
     ModelParams,
     Outcome,
     ParameterError,
     TypeLabel,
     signal_grid,
+    t2_options,
     unchecked_payoff,
     validate_signal,
 )
@@ -162,12 +163,12 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         if fought:
             outcome = Outcome.PREVENTIVE_CONFLICT
         elif config.drift_mode is DriftMode.BEST_RESPONSE:
-            # exploit only when strictly better at that cell; ties restrain
-            gain = (
-                unchecked_payoff(spec, p, final, Outcome.EXPLOIT, signal).u_A
-                - unchecked_payoff(spec, p, final, Outcome.RESTRAINT, signal).u_A
+            # the oracle's t2 rule at that cell; ties restrain
+            options = t2_options(
+                unchecked_payoff(spec, p, final, Outcome.EXPLOIT, signal).u_A,
+                unchecked_payoff(spec, p, final, Outcome.RESTRAINT, signal).u_A,
             )
-            outcome = Outcome.EXPLOIT if gain > TOL else Outcome.RESTRAINT
+            outcome = Outcome.RESTRAINT if True in options else Outcome.EXPLOIT
         else:
             outcome = Outcome.EXPLOIT if final is A else Outcome.RESTRAINT
         a, b = map(float, unchecked_payoff(spec, p, final, outcome, signal))

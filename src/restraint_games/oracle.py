@@ -7,11 +7,13 @@ Bayesian equilibrium, i.e. where
 
 (a) posteriors at on-path messages follow Bayes' rule from the prior,
 (b) State B's t1 choice at every message is optimal under its posterior
-    there -- off-path posteriors are free, and because B's expected payoff
-    is affine in the belief, the set of supporting beliefs is a closed
-    interval computed exactly,
+    there -- because B's expected payoff is affine in the belief, the
+    supporting beliefs form a closed interval, computed exactly by
+    :func:`supporting_belief_interval`; an on-path posterior passes when
+    it lies in the interval, and off path, where posteriors are free, the
+    interval's midpoint is reported,
 (c) each type's t2 action is optimal at its cell, for every cell on or
-    off the path, and
+    off the path, by :func:`~.game.t2_options`, and
 (d) no type can improve its continuation value by sending a different
     message, given B's strategy and the profile's own t2 play.
 
@@ -71,6 +73,7 @@ from .game import (
     boolean,
     real,
     signal_grid,
+    t2_options,
     unchecked_payoff,
     validate_signal,
 )
@@ -314,19 +317,16 @@ class _GameTable:
         # u_A by [type][message index]; the game validated its params and
         # messages when it was built
         def u_A(t: TypeLabel, outcome: Outcome) -> list[float]:
-            return [unchecked_payoff(game.spec, p, t, outcome, m).u_A for m in game.messages]
+            row = [unchecked_payoff(game.spec, p, t, outcome, m).u_A for m in game.messages]
+            if not all(map(math.isfinite, row)):  # e.g. -c - m past the float range
+                raise ParameterError("payoffs finite", f"u_A({t.name.lower()}, {outcome.value})={row}")
+            return row
 
         self.uA_conflict = [u_A(t, Outcome.PREVENTIVE_CONFLICT) for t in _TYPES]
         # u_A of a t2 action by [type][restraint bit][message index]
         self.uA_t2 = [tuple(u_A(t, action) for action in _ACTIONS) for t in _TYPES]
         # weakly optimal t2 actions per [type][message index], exploit first
-        self.t2_options = [
-            [
-                tuple(bit for bit, ok in ((False, ue >= ur - TOL), (True, ur >= ue - TOL)) if ok)
-                for ue, ur in zip(exploit, restraint)
-            ]
-            for exploit, restraint in self.uA_t2
-        ]
+        self.t2_options = [list(map(t2_options, *rows)) for rows in self.uA_t2]
 
     def value(self, t: int, j: int, restrains: bool, fight: bool) -> float:
         """Type t's continuation value at message j."""
@@ -335,26 +335,16 @@ class _GameTable:
         return self.uA_t2[t][restrains][j]
 
 
-def _supporting_belief(
-    table: _GameTable,
-    q: Optional[float],
-    restrains_R: bool,
-    restrains_A: bool,
-    fight: bool,
-) -> Optional[float]:
-    """Check (b) at one message: the belief that supports B's t1 choice, or
-    None. ``q`` is the Bayes posterior on path and None off path, where the
-    midpoint of the supporting interval is returned."""
-    u_b_R = table.u_b_action[restrains_R]
-    u_b_A = table.u_b_action[restrains_A]
-    u_fight = table.u_b_fight
+def _supporting_belief(interval: Optional[tuple[float, float]], q: Optional[float]) -> Optional[float]:
+    """Check (b) at one message: ``q``, the Bayes posterior on path, if it
+    lies in the supporting ``interval``; off path (``q`` None) the
+    interval's midpoint; else None."""
+    if interval is None:
+        return None
+    lo, hi = interval
     if q is None:
-        interval = supporting_belief_interval(u_b_R, u_b_A, u_fight, fight)
-        return None if interval is None else 0.5 * (interval[0] + interval[1])
-    stand_down = q * u_b_R + (1.0 - q) * u_b_A
-    if fight:
-        return q if u_fight >= stand_down - TOL else None
-    return q if stand_down >= u_fight - TOL else None
+        return 0.5 * (lo + hi)
+    return q if lo <= q <= hi else None
 
 
 def _check_profile(
@@ -368,6 +358,7 @@ def _check_profile(
     or None. ``restraint`` holds the restrained type's t2 bits, then the
     aggressive type's."""
     n = table.n
+    u_b, u_fight = table.u_b_action, table.u_b_fight
     beliefs = []
     for j in range(n):
         if j == j_R and j == j_A:
@@ -378,7 +369,8 @@ def _check_profile(
             q = 0.0
         else:
             q = None  # off path: belief free
-        belief = _supporting_belief(table, q, restraint[j], restraint[n + j], fight[j])
+        interval = supporting_belief_interval(u_b[restraint[j]], u_b[restraint[n + j]], u_fight, fight[j])
+        belief = _supporting_belief(interval, q)
         if belief is None:
             return None
         beliefs.append(belief)
@@ -444,24 +436,25 @@ class _Option(NamedTuple):
     value_A: float
 
 
-def _local_options(table: _GameTable, j: int, q: Optional[float]) -> list[_Option]:
-    """Cell-optimal t2 actions and fight bits at message j that pass (b)."""
-    options = []
+def _local_options(table: _GameTable, j: int) -> tuple[list[_Option], ...]:
+    """Cell-optimal t2 actions and fight bits at message j that pass (b),
+    once for each belief an anchor can put there: off path, pooled at the
+    prior, at the restrained type's signal (1.0) and at the aggressive
+    type's (0.0)."""
+    u_b, u_fight = table.u_b_action, table.u_b_fight
+    beliefs = (None, table.prior, 1.0, 0.0)
+    options: tuple[list[_Option], ...] = tuple([] for _ in beliefs)
     for restrains_R in table.t2_options[_R][j]:
         for restrains_A in table.t2_options[_A][j]:
             for fight in (False, True):
-                belief = _supporting_belief(table, q, restrains_R, restrains_A, fight)
-                if belief is not None:
-                    options.append(
-                        _Option(
-                            restrains_R,
-                            restrains_A,
-                            fight,
-                            belief,
-                            table.value(_R, j, restrains_R, fight),
-                            table.value(_A, j, restrains_A, fight),
-                        )
-                    )
+                interval = supporting_belief_interval(u_b[restrains_R], u_b[restrains_A], u_fight, fight)
+                if interval is None:
+                    continue
+                values = (table.value(_R, j, restrains_R, fight), table.value(_A, j, restrains_A, fight))
+                for found, q in zip(options, beliefs):
+                    belief = _supporting_belief(interval, q)
+                    if belief is not None:
+                        found.append(_Option(restrains_R, restrains_A, fight, belief, *values))
     return options
 
 
@@ -486,10 +479,7 @@ def _anchors(table: _GameTable) -> Iterator[_Anchor]:
     nonempty.
     """
     n = table.n
-    off_path = [_local_options(table, j, None) for j in range(n)]
-    pooled = [_local_options(table, j, table.prior) for j in range(n)]
-    at_R = [_local_options(table, j, 1.0) for j in range(n)]
-    at_A = [_local_options(table, j, 0.0) for j in range(n)]
+    off_path, pooled, at_R, at_A = zip(*(_local_options(table, j) for j in range(n)))
     for j_R in range(n):
         for j_A in range(n):
             if j_R == j_A:
