@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -25,11 +26,14 @@ from restraint_games import (
     ParameterError,
     Variant,
     boundary_trace,
+    classify,
     run_sweep,
     write_rows_csv,
     write_rows_json,
 )
-from restraint_games.sweep import CSV_HEADER, region_row_for_point
+from restraint_games.sweep import CSV_HEADER, region_row_for_point, write_json
+
+from conftest import params_strategy, signal_strategy, spec_strategy
 
 TH_BASE = MechanismSpec(Mechanism.TYING_HANDS)
 TH_RISK = MechanismSpec(Mechanism.TYING_HANDS, Variant.RISK)
@@ -293,3 +297,131 @@ def test_region_row_for_point_classifies_the_params_given(validate_calls):
     row = region_row_for_point(TH_BASE, params, 2.0)
     assert row.classification is Classification.POOLING_ONLY
     assert len(validate_calls) == 1 and validate_calls[0] is params
+
+
+def _plain_csv(rows, spec) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        cells = row.cells(spec)
+        cells[-1] = "true" if row.oracle_checked else "false"
+        writer.writerow(cells)
+    return buf.getvalue()
+
+
+def _plain_json(rows, spec) -> str:
+    buf = io.StringIO()
+    write_json([row.to_flat_dict(spec) for row in rows], buf)
+    return buf.getvalue()
+
+
+#: (grid, oracle fraction) of sweeps whose emitted bytes must match a plain
+#: ``csv.writer`` and ``json.dump`` of the same rows.
+EMIT_CASES = {
+    # r = -0.0 on every row beside m = 0.0 on the first column: 0.0 == -0.0,
+    # but the two print differently; p = c/V_B makes a 0.0 type-shift slack
+    "signed-zeros": (
+        GridSpec(
+            TH_RISK,
+            (Axis("m", 0.0, 2.0, 5), Axis("V_D", 0.5, 2.0, 4)),
+            {"c": 0.5, "V_B": 2.0, "r": -0.0, "p": 0.25, "prior": 0.5},
+        ),
+        0.0,
+    ),
+    # (m - c) - V_D overflows to -inf on part of the grid
+    "overflow": (
+        GridSpec(
+            TH_BASE,
+            (Axis("c", 1e307, 1.7e308, 5), Axis("V_D", 1e300, 1.7e308, 5)),
+            {"V_B": 1.79e308, "r": 0.0, "p": 0.1, "prior": 0.5, "m": 0.0},
+        ),
+        0.0,
+    ),
+    # V_B crosses c, so a strip of Invalid rows; half the valid rows oracle-checked
+    "invalid-strip": (
+        GridSpec(
+            TH_BASE,
+            (Axis("V_B", 0.25, 2.0, 8), Axis("m", 0.5, 2.0, 4)),
+            {"c": 0.5, "V_D": 1.0, "r": 0.0, "p": 0.3, "prior": 0.5},
+        ),
+        0.5,
+    ),
+    "sunk-risk-no-drift": (
+        GridSpec(
+            MechanismSpec(Mechanism.SUNK, Variant.RISK),
+            (Axis("c", 0.1, 3.0, 6), Axis("r", 0.0, 1.0, 3)),
+            {"V_D": 1.0, "V_B": 2.0, "p": 0.0, "prior": 0.5, "m": 1.5},
+        ),
+        0.0,
+    ),
+}
+
+
+class TestEmitBytes:
+    @pytest.mark.parametrize("name", sorted(EMIT_CASES))
+    def test_rows_match_plain_writers(self, name):
+        grid, fraction = EMIT_CASES[name]
+        rows = run_sweep(grid, oracle_fraction=fraction, seed=3)
+        texts = {str(v) for row in rows for v in row.cells(grid.mechanism)}
+        expected = {
+            "signed-zeros": {"0.0", "-0.0"},
+            "overflow": {"-inf"},
+            "invalid-strip": {"Invalid", "True"},
+            "sunk-risk-no-drift": {"None"},
+        }[name]
+        assert expected <= texts  # the case shows what it is there for
+        for write, plain in ((write_rows_csv, _plain_csv), (write_rows_json, _plain_json)):
+            buf = io.StringIO()
+            write(rows, grid.mechanism, buf)
+            assert buf.getvalue() == plain(rows, grid.mechanism)
+
+    def test_no_rows(self):
+        for write, plain in ((write_rows_csv, _plain_csv), (write_rows_json, _plain_json)):
+            buf = io.StringIO()
+            write([], TH_BASE, buf)
+            assert buf.getvalue() == plain([], TH_BASE)
+
+
+_PARAM = st.one_of(
+    st.floats(-0.5, 3.0),
+    st.sampled_from([0.0, -0.0, 1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=spec_strategy,
+    # valid points, and points that break any constraint (Invalid rows)
+    params=st.one_of(params_strategy(with_drift=True), st.builds(ModelParams, *[_PARAM] * 6)),
+    m=st.one_of(signal_strategy, _PARAM),
+)
+@example(spec=TH_BASE, params=ModelParams(0.5, 1.0, 2.0), m=2.0)
+@example(spec=TH_RISK, params=ModelParams(0.5, 1.0, 2.0, 0.7, 0.25, 0.5), m=1.5)  # drift slack 0.0
+@example(spec=TH_BASE, params=ModelParams(1.7e308, 1.7e308, 1.79e308, 0.0, 0.1), m=0.0)  # -inf slack
+@example(spec=TH_BASE, params=ModelParams(0.5, 1.0, 0.25), m=1.0)  # V_B < c
+def test_region_row_agrees_with_classify(spec, params, m):
+    row = region_row_for_point(spec, params, m)
+    try:
+        report = classify(spec, params, m)
+    except ParameterError:
+        assert row.classification is Classification.INVALID
+        assert (row.pooling_slack, row.separating_slack_1, row.separating_slack_2, row.typeshift_slack) == (None,) * 4
+        return
+    separating = [cl.slack for cl in report.separating.clauses]
+    type_shift = report.type_shift_refrain
+    expected = [
+        report.pooling_on_restraint.clauses[0].slack,
+        separating[0],
+        separating[1] if len(separating) > 1 else None,
+        None if type_shift is None else type_shift.clauses[0].slack,
+    ]
+    got = [row.pooling_slack, row.separating_slack_1, row.separating_slack_2, row.typeshift_slack]
+    assert [v is None for v in got] == [v is None for v in expected]
+    assert _bits(v for v in got if v is not None) == _bits(v for v in expected if v is not None)
+    assert row.classification is {
+        (True, True): Classification.BOTH,
+        (True, False): Classification.POOLING_ONLY,
+        (False, True): Classification.SEPARATING_ONLY,
+        (False, False): Classification.NEITHER,
+    }[(report.pooling_on_restraint.holds, report.separating.holds)]
