@@ -1,12 +1,13 @@
 """Closed-form existence conditions for pure-strategy equilibria.
 
-Each checker returns a :class:`ConditionReport` whose clauses carry a
-signed slack: positive means strictly satisfied, zero is the boundary,
-negative is violated. A report holds when every clause's slack clears
-``-TOL``, so boundary points count as satisfied (indifference breaks
-toward restraint). :func:`classify` validates a point once and builds
-every report there; :func:`pooling_exists` and :func:`separating_exists`
-are views of its reports.
+Each closed form is written once, in :func:`slacks`, as signed slacks
+over plain floats: positive means strictly satisfied, zero is the
+boundary, negative is violated. :func:`holds` is the one tie rule: every
+slack clears ``-TOL``, so boundary points count as satisfied
+(indifference breaks toward restraint). The sweep reads the slacks
+directly. :func:`classify` validates a point once and wraps the same
+slacks into :class:`ConditionReport` clauses; :func:`pooling_exists` and
+:func:`separating_exists` are views of its reports.
 
 The encoded conditions, with m the pooled signal and m* the separating
 signal:
@@ -78,9 +79,37 @@ class ConditionReport:
         return d
 
 
-def _report(clauses: list[Clause], metrics: Optional[dict] = None) -> ConditionReport:
-    holds = all(cl.slack >= -TOL for cl in clauses)
-    return ConditionReport(holds=holds, clauses=tuple(clauses), metrics=metrics or {})
+def holds(slacks) -> bool:
+    """The tie rule: every slack clears ``-TOL``."""
+    return all(slack >= -TOL for slack in slacks)
+
+
+def _report(names, slacks: tuple[float, ...], metrics: Optional[dict] = None) -> ConditionReport:
+    """A report of the clauses named by (name, expression) pairs."""
+    clauses = tuple(Clause(name, expr, slack) for (name, expr), slack in zip(names, slacks))
+    return ConditionReport(holds=holds(slacks), clauses=clauses, metrics=metrics or {})
+
+
+#: Mechanisms whose cost m enters the aggressive type's t2 comparison.
+_CONTINGENT = (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE)
+
+
+def _drift_slack(params: ModelParams) -> float:
+    return params.c / params.V_B - params.p
+
+
+def slacks(
+    spec: MechanismSpec, params: ModelParams, m: float
+) -> tuple[tuple[float, ...], tuple[float, ...], Optional[float]]:
+    """The pooling and separating clauses' slacks, and the drift-tolerance
+    slack when drift is possible (p > 0), at a point already validated."""
+    if spec.mechanism in _CONTINGENT:
+        pooling = (m - params.V_D,)
+        separating = ((m - params.c) - params.V_D, spec.effective_r(params) - params.c)
+    else:
+        # Non-contingent cost: m cancels out of the t2 comparison.
+        pooling = separating = (-params.V_D,)
+    return pooling, separating, _drift_slack(params) if params.p > 0 else None
 
 
 def pooling_exists(spec: MechanismSpec, params: ModelParams, m: float) -> ConditionReport:
@@ -102,12 +131,12 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
     payoff from standing down against a drifting signaler.
     """
     params.validate()
-    return _type_shift(params)
+    return _type_shift(params, _drift_slack(params))
 
 
-def _type_shift(params: ModelParams) -> ConditionReport:
-    clauses = [Clause("drift_tolerated", "p <= c/V_B", params.c / params.V_B - params.p)]
-    return _report(clauses, metrics={"expected_not_fight_payoff": -params.p * params.V_B})
+def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
+    metrics = {"expected_not_fight_payoff": -params.p * params.V_B}
+    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), metrics)
 
 
 @dataclass(frozen=True)
@@ -137,21 +166,18 @@ def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumR
     The type-shift report is attached only when drift is possible (p > 0)."""
     params.validate()
     validate_signal(m)
-    if spec.mechanism in (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE):
+    pooling, separating, drift = slacks(spec, params, m)
+    if spec.mechanism in _CONTINGENT:
         r_expr = "c <= r" if spec.variant is Variant.RISK else "c <= 0"
-        pooling = [Clause("exploit_deterred", "V_D <= m", m - params.V_D)]
-        separating = [
-            Clause("mimicry_deterred", "V_D <= m* - c", (m - params.c) - params.V_D),
-            Clause("risk_outweighs_conflict", r_expr, spec.effective_r(params) - params.c),
-        ]
+        pooling_names = [("exploit_deterred", "V_D <= m")]
+        separating_names = [("mimicry_deterred", "V_D <= m* - c"), ("risk_outweighs_conflict", r_expr)]
     else:
-        # Non-contingent cost: m cancels out of the t2 comparison.
-        pooling = [Clause("noncontingent_cost", "0 >= V_D", -params.V_D)]
-        separating = [Clause("noncontingent_cost", "V_D <= 0", -params.V_D)]
+        pooling_names = [("noncontingent_cost", "0 >= V_D")]
+        separating_names = [("noncontingent_cost", "V_D <= 0")]
     return EquilibriumReport(
         mechanism=spec,
         m=m,
-        pooling_on_restraint=_report(pooling),
-        separating=_report(separating),
-        type_shift_refrain=_type_shift(params) if params.p > 0 else None,
+        pooling_on_restraint=_report(pooling_names, pooling),
+        separating=_report(separating_names, separating),
+        type_shift_refrain=None if drift is None else _type_shift(params, drift),
     )

@@ -8,11 +8,19 @@ seeded fraction of the valid points is re-derived with the exhaustive
 oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
 
+A point's row comes straight from :func:`~restraint_games.conditions.slacks`
+and :func:`~restraint_games.conditions.holds`: the parameters are
+validated once and no report objects are built.
+
 Every result table the package writes is formatted here: sweep rows as
 CSV or JSON, oracle certificates and simulation summaries as CSV. A sweep
 row's layout is spelled out once, as :data:`CSV_HEADER` and
-:meth:`RegionRow.cells`, and ``csv`` formats the cells: an absent value is
-an empty cell and a number is written as ``str(number)``.
+:meth:`RegionRow.cells`. ``csv`` writes the cells: an absent value is an
+empty cell and a number is written as ``str(number)``. JSON rows are
+written by hand in the layout of ``json.dump(..., indent=2)``, each key and
+value encoded as ``json`` encodes it. Both writers format each distinct
+float once per table, since fixed values repeat on every row and an axis
+value on many.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Optional
+from operator import itemgetter
+from typing import IO, Callable, Optional
 
-from .conditions import classify
-from .game import TOL, MechanismSpec, ModelParams, Outcome, ParameterError, integer, real
+from .conditions import holds, slacks
+from .game import MechanismSpec, ModelParams, Outcome, ParameterError, integer, real, validate_signal
 from .montecarlo import SimResult
 from .oracle import BudgetExceededError, DiscrepancyError, PBECertificate, verify_against_closed_form
 
@@ -34,6 +43,9 @@ from .oracle import BudgetExceededError, DiscrepancyError, PBECertificate, verif
 #: closed-form condition depends on it.
 SWEEPABLE = ("c", "V_D", "V_B", "r", "p", "m")
 ALL_SYMBOLS = ("c", "V_D", "V_B", "r", "p", "prior", "m")
+
+#: A coordinate map's :class:`ModelParams` fields, in field order.
+_PARAMS_OF = itemgetter("c", "V_D", "V_B", "r", "p", "prior")
 
 #: Most grid points a sweep builds: each row is ~0.5 KB before any output.
 GRID_POINT_BUDGET = 10**6
@@ -185,36 +197,32 @@ class RegionRow:
         return dict(zip(CSV_HEADER, self.cells(spec)))
 
 
+#: Classification by whether (pooling, separating) hold.
+_CLASSIFICATION = {
+    (True, True): Classification.BOTH,
+    (True, False): Classification.POOLING_ONLY,
+    (False, True): Classification.SEPARATING_ONLY,
+    (False, False): Classification.NEITHER,
+}
+
+
 def _evaluate_point(spec: MechanismSpec, params: ModelParams, coords: dict[str, float]) -> RegionRow:
     """The row of the point ``params`` at ``coords["m"]``; ``coords`` holds
     every symbol's value."""
+    m = coords["m"]
     try:
-        report = classify(spec, params, coords["m"])
+        params.validate()
+        validate_signal(m)
     except ParameterError:
         return RegionRow(coords, Classification.INVALID, None, None, None, None)
-    pooling = report.pooling_on_restraint
-    separating = report.separating
-    if pooling.holds and separating.holds:
-        cls = Classification.BOTH
-    elif pooling.holds:
-        cls = Classification.POOLING_ONLY
-    elif separating.holds:
-        cls = Classification.SEPARATING_ONLY
-    else:
-        cls = Classification.NEITHER
-    sep_slacks = [clause.slack for clause in separating.clauses]
+    pooling, separating, drift = slacks(spec, params, m)
     return RegionRow(
         coordinates=coords,
-        classification=cls,
-        pooling_slack=pooling.clauses[0].slack,
-        separating_slack_1=sep_slacks[0],
-        separating_slack_2=sep_slacks[1] if len(sep_slacks) > 1 else None,
-        typeshift_slack=(
-            report.type_shift_refrain.clauses[0].slack
-            if report.type_shift_refrain is not None
-            else None
-        ),
-        oracle_checked=False,
+        classification=_CLASSIFICATION[holds(pooling), holds(separating)],
+        pooling_slack=pooling[0],
+        separating_slack_1=separating[0],
+        separating_slack_2=separating[1] if len(separating) > 1 else None,
+        typeshift_slack=drift,
     )
 
 
@@ -260,8 +268,10 @@ def run_sweep(
         raise ParameterError("0 <= oracle_fraction <= 1", f"got {oracle_fraction}")
     if seed < 0:
         raise ParameterError("seed >= 0", f"got {seed}")
+    spec = grid.mechanism
+    # float() as in ModelParams.from_dict: a grid built in Python may fix an int
     rows = [
-        _evaluate_point(grid.mechanism, ModelParams.from_dict(coords), coords)
+        _evaluate_point(spec, ModelParams(*map(float, _PARAMS_OF(coords))), coords)
         for coords in grid_points(grid)
     ]
 
@@ -299,9 +309,7 @@ class BoundaryPoint:
 
 
 def _signature(row: RegionRow) -> dict:
-    type_shift = (
-        None if row.typeshift_slack is None else bool(row.typeshift_slack >= -TOL)
-    )
+    type_shift = None if row.typeshift_slack is None else holds((row.typeshift_slack,))
     return {"classification": row.classification.value, "type_shift_refrain": type_shift}
 
 
@@ -340,14 +348,62 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
     return out
 
 
+#: Most float texts a table writer remembers at once; it forgets them all
+#: when full, so a grid of unique slacks costs a bounded memo, not one entry
+#: per row, while repeated values are formatted about once per refill.
+_MEMO_SIZE = 4096
+
+
+def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
+    """``fmt``, remembering its text of each distinct float for one table:
+    fixed values repeat on every row and an axis value on many. Zeros are
+    not remembered, since 0.0 == -0.0 but the two print differently, nor is
+    any value that is not a float, since True == 1.0."""
+    texts: dict[float, str] = {}
+
+    def text(value) -> str:
+        if type(value) is not float or not value:
+            return fmt(value)
+        t = texts.get(value)
+        if t is None:
+            if len(texts) >= _MEMO_SIZE:
+                texts.clear()
+            t = texts[value] = fmt(value)
+        return t
+
+    return text
+
+
+def _csv_text(value) -> str:
+    """A cell as ``csv`` writes it."""
+    return "" if value is None else str(value)
+
+
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value) -> str:
+    """A value as ``json`` encodes it, whose float text is the float's repr."""
+    if value is None or type(value) is bool:
+        return _JSON_LITERALS[value]
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
     """UTF-8, LF line endings, '.' decimal separator, fixed header."""
+    text = _memo_floats(_csv_text)
+
+    def lines():
+        for row in rows:
+            cells = list(map(text, row.cells(spec)))
+            cells[-1] = "true" if row.oracle_checked else "false"  # csv would write True
+            yield cells
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        cells = row.cells(spec)
-        cells[-1] = "true" if row.oracle_checked else "false"  # csv would write True
-        writer.writerow(cells)
+    writer.writerows(lines())
 
 
 def write_json(data, out: IO[str]) -> None:
@@ -357,7 +413,17 @@ def write_json(data, out: IO[str]) -> None:
 
 
 def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    write_json([row.to_flat_dict(spec) for row in rows], out)
+    """:func:`write_json` of the rows' flat dicts, written row by row in
+    the same layout: ``indent`` would force the pure-Python encoder."""
+    text = _memo_floats(_json_text)
+    fields = ",\n".join(f"    {json.dumps(key)}: %s" for key in CSV_HEADER)
+    row_format = "\n  {\n" + fields + "\n  }"
+    out.write("[")
+    sep = ""
+    for row in rows:
+        out.write(sep + row_format % tuple(map(text, row.cells(spec))))
+        sep = ","
+    out.write("\n]\n" if rows else "]\n")
 
 
 def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:

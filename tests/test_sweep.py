@@ -31,6 +31,7 @@ from restraint_games import (
     write_rows_csv,
     write_rows_json,
 )
+from restraint_games import sweep
 from restraint_games.sweep import CSV_HEADER, region_row_for_point, write_json
 
 from conftest import params_strategy, signal_strategy, spec_strategy
@@ -131,6 +132,18 @@ class TestRunSweep:
                 (False, False): Classification.NEITHER,
             }[(pooling, separating)]
             assert row.classification is expected
+
+    def test_int_fixed_values_give_float_slacks(self):
+        # a grid built in Python may fix ints; the slacks are those of
+        # ModelParams.from_dict's floats, so -V_D prints as -1.0, not -1
+        grid = GridSpec(
+            mechanism=MechanismSpec(Mechanism.SUNK, Variant.RISK),
+            axes=(Axis("m", 0.0, 2.0, 3), Axis("c", 1.0, 3.0, 3)),
+            fixed={"V_D": 1, "V_B": 4, "r": 2, "p": 1, "prior": 0.5},
+        )
+        for row in run_sweep(grid, oracle_fraction=0.0, seed=0):
+            got = (row.pooling_slack, row.separating_slack_1, row.typeshift_slack)
+            assert [type(s) for s in got] == [float] * 3
 
     def test_risk_pooling_mismatch_aborts(self):
         # closed-form pooling tracks the base game; the oracle disagrees for
@@ -347,6 +360,15 @@ EMIT_CASES = {
         ),
         0.5,
     ),
+    # ints and a bool fixed from Python, written as csv and json write them
+    "python-numbers": (
+        GridSpec(
+            MechanismSpec(Mechanism.SUNK, Variant.RISK),
+            (Axis("m", 0.0, 2.0, 3), Axis("c", 1.0, 3.0, 3)),
+            {"V_D": 1, "V_B": 4, "r": 2, "p": True, "prior": 0.5},
+        ),
+        0.0,
+    ),
     "sunk-risk-no-drift": (
         GridSpec(
             MechanismSpec(Mechanism.SUNK, Variant.RISK),
@@ -359,8 +381,11 @@ EMIT_CASES = {
 
 
 class TestEmitBytes:
+    @pytest.mark.parametrize("memo_size", [None, 3])
     @pytest.mark.parametrize("name", sorted(EMIT_CASES))
-    def test_rows_match_plain_writers(self, name):
+    def test_rows_match_plain_writers(self, name, memo_size, monkeypatch):
+        if memo_size is not None:  # the float-text memo fills and is cleared many times
+            monkeypatch.setattr(sweep, "_MEMO_SIZE", memo_size)
         grid, fraction = EMIT_CASES[name]
         rows = run_sweep(grid, oracle_fraction=fraction, seed=3)
         texts = {str(v) for row in rows for v in row.cells(grid.mechanism)}
@@ -368,6 +393,7 @@ class TestEmitBytes:
             "signed-zeros": {"0.0", "-0.0"},
             "overflow": {"-inf"},
             "invalid-strip": {"Invalid", "True"},
+            "python-numbers": {"1", "True"},
             "sunk-risk-no-drift": {"None"},
         }[name]
         assert expected <= texts  # the case shows what it is there for
