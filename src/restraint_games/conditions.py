@@ -79,12 +79,14 @@ class ConditionReport:
         return d
 
 
-def holds(slacks) -> bool:
+def holds(slacks: tuple[float, ...]) -> bool:
     """The tie rule: every slack clears ``-TOL``."""
     return all(slack >= -TOL for slack in slacks)
 
 
-def _report(names, slacks: tuple[float, ...], metrics: Optional[dict] = None) -> ConditionReport:
+def _report(
+    names: list[tuple[str, str]], slacks: tuple[float, ...], metrics: Optional[dict] = None
+) -> ConditionReport:
     """A report of the clauses named by (name, expression) pairs."""
     clauses = tuple(Clause(name, expr, slack) for (name, expr), slack in zip(names, slacks))
     return ConditionReport(holds=holds(slacks), clauses=clauses, metrics=metrics or {})
