@@ -1,12 +1,12 @@
 """Closed-form existence conditions for pure-strategy equilibria.
 
-Each closed form is written once, in :func:`slacks`, as signed slacks
-over plain floats: positive means strictly satisfied, zero is the
-boundary, negative is violated. :func:`holds` is the one tie rule: every
-slack clears ``-TOL``, so boundary points count as satisfied
-(indifference breaks toward restraint). The sweep reads the slacks
-directly. :func:`classify` validates a point once and wraps the same
-slacks into :class:`ConditionReport` clauses; :func:`pooling_exists` and
+Each closed form is written once, in :func:`slacks`, as signed slacks over
+plain floats: positive means strictly satisfied, zero is the boundary,
+negative is violated. :func:`holds` applies the one tie rule,
+:func:`~.game.tie_floor`: every slack is at least ``tie_floor(0)``, so
+boundary points count as satisfied. The sweep reads the slacks directly.
+:func:`classify` validates a point once and wraps the same slacks into
+:class:`ConditionReport` clauses; :func:`pooling_exists` and
 :func:`separating_exists` are views of its reports.
 
 The encoded conditions, with m the pooled signal and m* the separating
@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .game import (
-    TOL,
     Mechanism,
     MechanismSpec,
     ModelParams,
     Variant,
+    tie_floor,
     validate_signal,
 )
 
@@ -80,8 +80,8 @@ class ConditionReport:
 
 
 def holds(slacks: tuple[float, ...]) -> bool:
-    """The tie rule: every slack clears ``-TOL``."""
-    return all(slack >= -TOL for slack in slacks)
+    """Every slack is at least 0 by the tie rule."""
+    return all(slack >= tie_floor(0) for slack in slacks)
 
 
 def _report(

@@ -36,10 +36,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-#: Absolute tolerance for every weak inequality in the package. A boundary
-#: point (slack exactly 0) counts as satisfied; indifference breaks toward
-#: restraint.
+#: Absolute tolerance of every weak inequality, read only by tie_floor.
 TOL = 1e-9
+
+
+def tie_floor(x: float) -> float:
+    """The least value that still counts as at least ``x``: the one tie rule,
+    ``a >= tie_floor(b)``. It keeps the number type of ``x`` and ``TOL``."""
+    return x - TOL
 
 
 class ParameterError(ValueError):
@@ -101,8 +105,8 @@ class MechanismSpec:
     variant: Variant = Variant.BASE
 
     def effective_r(self, params: "ModelParams") -> float:
-        """Risk borne by an unexploiting aggressive type: r, or 0 in base."""
-        return params.r if self.variant is Variant.RISK else 0.0
+        """Risk borne by an unexploiting aggressive type: r, or 0 of r's type in base."""
+        return params.r if self.variant is Variant.RISK else params.r - params.r
 
     def to_dict(self) -> dict:
         return {"mechanism": self.mechanism.value, "variant": self.variant.value}
@@ -224,8 +228,8 @@ def boolean(value) -> bool:
 
 def t2_options(u_exploit: float, u_restraint: float) -> tuple[bool, ...]:
     """Restraint bits of A's weakly optimal t2 actions, exploit first; a
-    margin within ``TOL`` admits both."""
-    options = ((False, u_exploit >= u_restraint - TOL), (True, u_restraint >= u_exploit - TOL))
+    tie by :func:`tie_floor` admits both."""
+    options = ((False, u_exploit >= tie_floor(u_restraint)), (True, u_restraint >= tie_floor(u_exploit)))
     return tuple(bit for bit, ok in options if ok)
 
 

@@ -17,9 +17,10 @@ Bayesian equilibrium, i.e. where
 (d) no type can improve its continuation value by sending a different
     message, given B's strategy and the profile's own t2 play.
 
-Indifference always admits either action (weak optimality), with the same
-absolute tolerance used by the closed forms, so boundary parameter points
-certify on both routes.
+Indifference always admits either action (weak optimality): every weak
+inequality here is ``a >= tie_floor(b)``, the closed forms' one tie rule
+:func:`~.game.tie_floor`, so boundary parameter points certify on both
+routes.
 
 The search is factorized rather than profile by profile. Under weak PBE
 (Fudenberg & Tirole, JET 1991) off-path beliefs are free, so once the
@@ -64,7 +65,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import conditions
 from .game import (
-    TOL,
     MechanismSpec,
     ModelParams,
     Outcome,
@@ -74,6 +74,7 @@ from .game import (
     real,
     signal_grid,
     t2_options,
+    tie_floor,
     unchecked_payoff,
     validate_signal,
 )
@@ -281,19 +282,19 @@ def supporting_belief_interval(
     """
     slope = u_b_restrained_action - u_b_aggressive_action
     intercept = u_b_aggressive_action
-    if not fight:
-        # standing down needs f(q) >= u_b_fight - TOL, which is the fight
-        # test below on -f and -u_b_fight; negation is exact
+    if fight:
+        # fighting needs -f(q) >= tie_floor(-u_b_fight), which is the
+        # stand-down test below on -f and -u_b_fight; negation is exact
         slope, intercept, u_b_fight = -slope, -intercept, -u_b_fight
-    # fighting needs f(q) <= u_b_fight + TOL
-    threshold = u_b_fight + TOL
+    # standing down needs f(q) >= tie_floor(u_b_fight)
+    threshold = tie_floor(u_b_fight)
     if slope == 0.0:
-        return (0.0, 1.0) if intercept <= threshold else None
+        return (0.0, 1.0) if intercept >= threshold else None
     q_cut = (threshold - intercept) / slope
     if slope > 0:
-        lo, hi = 0.0, min(1.0, q_cut)
-    else:
         lo, hi = max(0.0, q_cut), 1.0
+    else:
+        lo, hi = 0.0, min(1.0, q_cut)
     if lo > hi:
         return None
     return (lo, hi)
@@ -311,8 +312,8 @@ class _GameTable:
         p = game.params
         self.prior = p.prior
         self.u_b_fight = -p.c
-        # B's payoff from A's t2 action, by restraint bit
-        self.u_b_action = (-p.V_B, 0.0)
+        # B's payoff from A's t2 action, by restraint bit; 0 * V_B keeps V_B's number type
+        self.u_b_action = (-p.V_B, 0 * p.V_B)
 
         # u_A by [type][message index]; the game validated its params and
         # messages when it was built
@@ -382,7 +383,7 @@ def _check_profile(
             return None
         # (d) t0 optimality: continuation value of each message
         values = [table.value(t, j, bits[j], fight[j]) for j in range(n)]
-        if values[j_own] < max(values) - TOL:
+        if values[j_own] < tie_floor(max(values)):
             return None
 
     return tuple(beliefs)
@@ -459,10 +460,8 @@ def _local_options(table: _GameTable, j: int) -> tuple[list[_Option], ...]:
 
 
 def _admit(options: list[_Option], v_R: float, v_A: float) -> list[_Option]:
-    """(d) at one message: neither type gains by deviating to it. The
-    ``value - TOL`` form matches ``max(values) - TOL`` in _check_profile
-    exactly, since float rounding is monotone."""
-    return [o for o in options if not (v_R < o.value_R - TOL or v_A < o.value_A - TOL)]
+    """(d) at one message: neither type gains by deviating to it."""
+    return [o for o in options if not (v_R < tie_floor(o.value_R) or v_A < tie_floor(o.value_A))]
 
 
 _Anchor = tuple[int, int, PBEClass, list[list[_Option]]]

@@ -129,6 +129,8 @@ class GridSpec:
             seen.add(axis.symbol)
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
+            if isinstance(axis.min, bool) or isinstance(axis.max, bool):
+                raise ParameterError("axis bounds not booleans", f"{axis.symbol}: [{axis.min}, {axis.max}]")
             # a finite span also rules out infinite bounds
             if not (axis.min < axis.max and math.isfinite(axis.max - axis.min)):
                 raise ParameterError(
@@ -139,8 +141,8 @@ class GridSpec:
                 raise ParameterError(f"fixed symbol in {ALL_SYMBOLS}", f"got {sym!r}")
             if sym in seen:
                 raise ParameterError("fixed and axes disjoint", f"{sym!r} in both")
-            if not math.isfinite(value):
-                raise ParameterError("fixed values finite", f"{sym}={value}")
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ParameterError("fixed values finite, not booleans", f"{sym}={value}")
         missing = [s for s in ALL_SYMBOLS if s not in seen and s not in self.fixed]
         if missing:
             raise ParameterError(

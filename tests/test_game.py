@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from restraint_games import (
+    DiscreteGame,
     Mechanism,
     MechanismSpec,
     ModelParams,
@@ -15,8 +16,14 @@ from restraint_games import (
     ParameterError,
     TypeLabel,
     Variant,
+    find_all_pbe,
+    is_weak_pbe,
     payoff,
+    supporting_belief_interval,
 )
+from restraint_games import game as game_module
+from restraint_games.conditions import holds
+from restraint_games.game import t2_options
 
 from conftest import params_strategy, signal_strategy, spec_strategy
 
@@ -40,6 +47,14 @@ class TestPayoffTable:
         for variant in Variant:
             got = payoff(spec(Mechanism.TYING_HANDS, variant), p, R, Outcome.RESTRAINT, 3.0)
             assert got == (0.0, 0.0)
+
+    def test_base_risk_is_positive_zero_at_negative_zero_r(self):
+        # the base variant's zero is r - r: 0 * r would be -0.0 here, and the
+        # simulate trial log would print the restrained type's u_A as -0.0
+        params = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=-0.0)
+        params.validate()
+        u_A = payoff(spec(Mechanism.TYING_HANDS), params, R, Outcome.RESTRAINT, 0.0).u_A
+        assert math.copysign(1.0, u_A) == 1.0
 
     def test_sunk_risk_restraint_aggressive(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.8)
@@ -173,3 +188,45 @@ class TestValidation:
     def test_params_roundtrip(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.25, p=0.1, prior=0.3)
         assert ModelParams.from_dict(p.to_dict()) == p
+
+
+class TestTieRule:
+    """``game.TOL`` is the one tolerance: patching it alone moves every
+    weak inequality whose margin lies between 0 and the patched value."""
+
+    WIDE = 0.1
+    # sunk base at messages {0, 0.05}: a type's value at the two messages
+    # differs by 0.05 when the action is the same; every other margin of the
+    # game (t2, B's cut at q = 0.75 against beliefs 0, 0.5, 1) is 0 or at
+    # least 0.45, so between TOL = 0 and WIDE only check (d) moves
+    GAME = DiscreteGame(MechanismSpec(Mechanism.SUNK), ModelParams(c=0.5, V_D=1.0, V_B=2.0), (0.0, 0.05))
+
+    def decisions(self, monkeypatch, tol):
+        monkeypatch.setattr(game_module, "TOL", tol)
+        return {
+            "holds": holds((-0.05,)),
+            "t2_options": t2_options(1.0, 1.05),
+            "stand down": supporting_belief_interval(0.0, -2.0, -0.5, fight=False),
+            "fight": supporting_belief_interval(0.0, -2.0, -0.5, fight=True),
+            "flat stand down": supporting_belief_interval(-0.55, -0.55, -0.5, fight=False),
+            "flat fight": supporting_belief_interval(-0.45, -0.45, -0.5, fight=True),
+            "certificates": find_all_pbe(self.GAME),
+        }
+
+    def test_every_decision_reads_game_tol(self, monkeypatch):
+        wide = self.decisions(monkeypatch, self.WIDE)
+        exact = self.decisions(monkeypatch, 0)
+        assert (wide["holds"], exact["holds"]) == (True, False)
+        assert (wide["t2_options"], exact["t2_options"]) == ((False, True), (True,))
+        assert wide["stand down"] == pytest.approx((0.75 - self.WIDE / 2, 1.0))
+        assert exact["stand down"] == (0.75, 1.0)
+        assert wide["fight"] == pytest.approx((0.0, 0.75 + self.WIDE / 2))
+        assert exact["fight"] == (0.0, 0.75)
+        assert wide["flat stand down"] == wide["flat fight"] == (0.0, 1.0)
+        assert exact["flat stand down"] is exact["flat fight"] is None
+        # (d) in find_all_pbe: the wide band certifies strictly more profiles
+        shape = lambda certs: {(c.j_R, c.j_A, c.pbe_class, c.restraint, c.fight) for c in certs}
+        assert shape(exact["certificates"]) < shape(wide["certificates"])
+        # (d) in is_weak_pbe: under TOL = 0 it rejects exactly the extra ones
+        kept = [c for c in wide["certificates"] if is_weak_pbe(self.GAME, c.profile) is not None]
+        assert shape(kept) == shape(exact["certificates"])

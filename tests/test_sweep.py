@@ -145,6 +145,22 @@ class TestRunSweep:
             got = (row.pooling_slack, row.separating_slack_1, row.typeshift_slack)
             assert [type(s) for s in got] == [float] * 3
 
+    def test_python_bool_refused(self):
+        # float(True) is 1.0: a bool fixed or bounding an axis from Python
+        # would sweep as 1 and print True as the coordinate
+        m_axis = Axis("m", 0.5, 2.0, 4)
+        for grid in (
+            tying_grid(fixed={"p": True}),
+            tying_grid(fixed={"r": False}),
+            tying_grid(axes=(Axis("V_D", False, 2.0, 4), m_axis)),
+            tying_grid(axes=(Axis("V_D", 0.5, True, 4), m_axis)),
+        ):
+            with pytest.raises(ParameterError, match="not booleans"):
+                run_sweep(grid, oracle_fraction=0.0, seed=0)
+        # ints from Python keep working
+        rows = run_sweep(tying_grid(fixed={"p": 1}, axes=(Axis("V_D", 0, 2, 3), m_axis)), 0.0, 0)
+        assert len(rows) == 12 and rows[-1].coordinates["p"] == 1
+
     def test_risk_pooling_mismatch_aborts(self):
         # closed-form pooling tracks the base game; the oracle disagrees for
         # r > 0, and a full cross-check must abort with the report
@@ -360,12 +376,12 @@ EMIT_CASES = {
         ),
         0.5,
     ),
-    # ints and a bool fixed from Python, written as csv and json write them
+    # ints fixed from Python, written as csv and json write them
     "python-numbers": (
         GridSpec(
             MechanismSpec(Mechanism.SUNK, Variant.RISK),
             (Axis("m", 0.0, 2.0, 3), Axis("c", 1.0, 3.0, 3)),
-            {"V_D": 1, "V_B": 4, "r": 2, "p": True, "prior": 0.5},
+            {"V_D": 1, "V_B": 4, "r": 2, "p": 1, "prior": 0.5},
         ),
         0.0,
     ),
@@ -393,7 +409,7 @@ class TestEmitBytes:
             "signed-zeros": {"0.0", "-0.0"},
             "overflow": {"-inf"},
             "invalid-strip": {"Invalid", "True"},
-            "python-numbers": {"1", "True"},
+            "python-numbers": {"1"},
             "sunk-risk-no-drift": {"None"},
         }[name]
         assert expected <= texts  # the case shows what it is there for
