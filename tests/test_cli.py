@@ -564,6 +564,23 @@ def test_simulate_t2_action_does_not_change_play(drift_mode, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+#: Per CLI process: whether it may import numpy, and the package modules it
+#: may load. Only `simulate` and a sweep that oracle-checks a point draw.
+PROCESS_IMPORTS = {
+    "classify --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2": (False, "game conditions emit"),
+    "classify --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --format csv": (
+        False,
+        "game conditions emit sweep",
+    ),
+    "oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,2": (False, "game conditions oracle emit"),
+    "sweep --config {grid} --oracle-fraction 0": (False, "game conditions sweep emit"),
+    "sweep --config {grid} --oracle-fraction 0.5": (True, "game conditions sweep emit oracle"),
+    "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --trials 10": (
+        True,
+        "game conditions oracle montecarlo emit",
+    ),
+}
+
 class TestProcessContract:
     def test_stdout_purity_and_logging(self, tmp_path):
         # subprocess so the env-var logging setup is exercised cleanly
@@ -602,30 +619,42 @@ class TestProcessContract:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize(
-        "argv, loads_numpy",
-        [
-            ("classify --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2", False),
-            ("oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,2", False),
-            ("sweep --config {grid} --oracle-fraction 0", False),
-            ("sweep --config {grid} --oracle-fraction 0.5", True),
-            ("simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --trials 10", True),
-        ],
-    )
+    @pytest.mark.parametrize("argv, loads_numpy", [(argv, numpy) for argv, (numpy, _) in PROCESS_IMPORTS.items()])
     def test_numpy_only_where_draws_are_made(self, argv, loads_numpy, tmp_path):
         # `python -m restraint_games.cli ARGV`, reporting on stderr at exit
-        # whether numpy was ever imported
+        # whether numpy and logging were ever imported, and which package
+        # modules were
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(GRID_CONFIG))
         code = (
             "import atexit, runpy, sys\n"
-            "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+            "atexit.register(lambda: print('numpy' in sys.modules, 'logging' in sys.modules,"
+            " *sorted(m for m in sys.modules if m.startswith('restraint_games.')), file=sys.stderr))\n"
             "runpy.run_module('restraint_games.cli', run_name='__main__', alter_sys=True)"
         )
+        env = {k: v for k, v in os.environ.items() if k != "RESTRAINT_GAMES_LOG"}
         proc = subprocess.run(
-            [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True
+            [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True, env=env
         )
-        assert (proc.returncode, proc.stderr) == (0, f"{loads_numpy}\n")
+        modules = [f"restraint_games.{name}" for name in sorted(PROCESS_IMPORTS[argv][1].split())]
+        assert (proc.returncode, proc.stderr.split()) == (0, [str(loads_numpy), "False", *modules])
+
+    def test_debug_log_reports_the_discrepancy_before_the_error_line(self, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(RISK_GRID_CONFIG))
+        argv = ["sweep", "--config", str(config), "--oracle-fraction", "1.0", "--seed", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "restraint_games.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, RESTRAINT_GAMES_LOG="debug"),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        errors = [i for i, line in enumerate(lines) if line.startswith("error: ")]
+        reports = [i for i, line in enumerate(lines) if "discrepancy report: [" in line]
+        assert errors == [len(lines) - 1] and lines[-1].startswith("error: discrepancy:")
+        assert len(reports) == 1 and reports[0] < errors[0]
 
 
 SIM = "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --p 0.2 --trials 2000 --seed 7"

@@ -161,6 +161,13 @@ class TestRunSweep:
         rows = run_sweep(tying_grid(fixed={"p": 1}, axes=(Axis("V_D", 0, 2, 3), m_axis)), 0.0, 0)
         assert len(rows) == 12 and rows[-1].coordinates["p"] == 1
 
+    def test_axis_steps_must_be_an_int(self):
+        # a count built in Python that range() cannot take is a named
+        # constraint, not a TypeError from inside the sweep
+        for steps in (3.5, 3.0, True, "3"):
+            with pytest.raises(ParameterError, match="steps an integer"):
+                run_sweep(tying_grid(fixed={"V_D": 1.0}, axes=(Axis("m", 0.0, 2.0, steps),)), 0.0, 0)
+
     def test_risk_pooling_mismatch_aborts(self):
         # closed-form pooling tracks the base game; the oracle disagrees for
         # r > 0, and a full cross-check must abort with the report
