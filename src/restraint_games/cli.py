@@ -7,18 +7,26 @@ grid), ``sweep`` (region tables over a parameter grid), and ``simulate``
 flags, or both, with flags winning; ``--dump-config`` writes the resolved
 run back out as JSON that reproduces it exactly.
 
+A process imports only what its subcommand runs. Every one loads
+:mod:`.game` and the writers in :mod:`.emit`; ``classify`` adds
+:mod:`.conditions`, and :mod:`.sweep` for its CSV row; ``oracle`` adds
+:mod:`.oracle`; ``sweep`` adds :mod:`.sweep`, and the oracle and numpy
+only when it draws an oracle sample; ``simulate`` adds :mod:`.montecarlo`,
+the oracle's strategy profile and numpy.
+
 Exit codes: 0 success, 1 validation error, 2 oracle discrepancy, 3 size
 guard. Every failure prints one machine-parsable line to stderr
 (``error: <category>: <reason>``); result data goes only to the output
-target (stdout by default), logs to stderr. Set
-``RESTRAINT_GAMES_LOG=error|info|debug`` to control logging.
+target (stdout by default), logs to stderr. ``RESTRAINT_GAMES_LOG=info``
+logs a summary of each run and ``debug`` also a failed cross-check's
+discrepancy report; ``logging`` is imported only then. Nothing in the
+package logs above info, so any other setting prints no log line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from collections import Counter
@@ -26,28 +34,27 @@ from contextlib import nullcontext
 from functools import partial
 from typing import Optional
 
-from .conditions import classify as classify_point
-from .game import Mechanism, MechanismSpec, ModelParams, ParameterError, Variant, boolean, integer, real
-from .montecarlo import DriftMode, SimConfig, pooling_profile, simulate
-from .oracle import (
-    BudgetExceededError,
-    DiscreteGame,
-    DiscrepancyError,
-    StrategyProfile,
-    find_all_pbe,
-)
-from .sweep import (
-    GridSpec,
-    region_row_for_point,
-    run_sweep,
+from .emit import (
     write_certificates_csv,
+    write_certificates_json,
     write_json,
     write_rows_csv,
     write_rows_json,
     write_simulation_csv,
 )
-
-log = logging.getLogger("restraint_games")
+from .game import (
+    BudgetExceededError,
+    DiscrepancyError,
+    DriftMode,
+    Mechanism,
+    MechanismSpec,
+    ModelParams,
+    ParameterError,
+    Variant,
+    boolean,
+    integer,
+    real,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -121,39 +128,54 @@ def _point(run: dict) -> tuple[MechanismSpec, ModelParams]:
 
 
 def _classify(run: dict):
+    from .conditions import classify
+
     spec, params = _point(run)
     m = run["m"]
-    report = classify_point(spec, params, m)
-    log.info("classify: pooling=%s separating=%s", report.pooling_on_restraint.holds, report.separating.holds)
-    return (
-        partial(write_json, report.to_dict()),
-        lambda out: write_rows_csv([region_row_for_point(spec, params, m)], spec, out),
-    )
+    report = classify(spec, params, m)
+
+    def as_csv(out):
+        from .sweep import region_row_for_point  # only the CSV row needs the sweep
+
+        write_rows_csv([region_row_for_point(spec, params, m)], spec, out)
+
+    summary = ("classify: pooling=%s separating=%s", report.pooling_on_restraint.holds, report.separating.holds)
+    return partial(write_json, report.to_dict()), as_csv, summary
 
 
 def _oracle(run: dict):
+    from .oracle import DiscreteGame, find_all_pbe
+
     certs = find_all_pbe(DiscreteGame(*_point(run), run["messages"]))
     counts = dict(Counter(cert.pbe_class.value for cert in certs))
-    log.info("oracle: %d certificate(s) %s", len(certs), counts)
     head = {key: run[key] for key in ("mechanism", "params", "messages")}
-
-    def as_json(out):
-        write_json({**head, "counts": counts, "certificates": [c.to_dict() for c in certs]}, out)
-
-    return as_json, partial(write_certificates_csv, certs)
+    head["counts"] = counts
+    return (
+        partial(write_certificates_json, head, certs),
+        partial(write_certificates_csv, certs),
+        ("oracle: %d certificate(s) %s", len(certs), counts),
+    )
 
 
 def _sweep(run: dict):
+    from .sweep import GridSpec, run_sweep
+
     grid = GridSpec.from_dict(run["grid"])
     # `jobs` stays a run field so existing configs and dumps keep working
     if run["jobs"] < 1:
         raise ParameterError("jobs >= 1", f"got {run['jobs']}")
     rows = run_sweep(grid, oracle_fraction=run["oracle_fraction"], seed=run["seed"])
-    log.info("sweep: %d row(s), %d oracle-checked", len(rows), sum(row.oracle_checked for row in rows))
-    return partial(write_rows_json, rows, grid.mechanism), partial(write_rows_csv, rows, grid.mechanism)
+    return (
+        partial(write_rows_json, rows, grid.mechanism),
+        partial(write_rows_csv, rows, grid.mechanism),
+        ("sweep: %d row(s), %d oracle-checked", len(rows), sum(row.oracle_checked for row in rows)),
+    )
 
 
 def _simulate(run: dict):
+    from .montecarlo import SimConfig, simulate
+    from .oracle import StrategyProfile
+
     spec, params = _point(run)
     config = SimConfig(
         spec=spec,
@@ -168,17 +190,26 @@ def _simulate(run: dict):
     path = run["dump_trials"]
     with open(path, "w", encoding="utf-8", newline="") if path else nullcontext() as trial_log:
         result = simulate(config, trial_log=trial_log)
-    log.info(
-        "simulate: %d trial(s), mean_u_B=%.6g (se %.3g)",
-        config.n_trials,
-        result.mean_u_B,
-        result.standard_error_u_B,
+    return (
+        partial(write_json, result.to_dict()),
+        partial(write_simulation_csv, result),
+        (
+            "simulate: %d trial(s), mean_u_B=%.6g (se %.3g)",
+            config.n_trials,
+            result.mean_u_B,
+            result.standard_error_u_B,
+        ),
     )
-    return partial(write_json, result.to_dict()), partial(write_simulation_csv, result)
 
 
-#: Per subcommand: help text, runner (resolved run -> JSON and CSV writers)
-#: and run fields in --dump-config key order.
+def _pooling_profile(run: dict) -> dict:
+    from .montecarlo import pooling_profile
+
+    return pooling_profile(run["m"]).to_dict()
+
+
+#: Per subcommand: help text, runner (resolved run -> JSON writer, CSV
+#: writer and an info log line) and run fields in --dump-config key order.
 COMMANDS = {
     "classify": ("closed-form verdicts at one point", _classify, (*_POINT, _SIGNAL, *_io("json"))),
     "oracle": ("exhaustive weak-PBE enumeration", _oracle, (
@@ -196,7 +227,7 @@ COMMANDS = {
     "simulate": ("type-drift Monte Carlo", _simulate, (
         *_POINT,
         _SIGNAL,
-        ("profile", None, _object, lambda run: pooling_profile(run["m"]).to_dict()),
+        ("profile", None, _object, _pooling_profile),
         ("drift_mode", "drift_mode", _one_of(*(d.value for d in DriftMode)), DriftMode.LITERAL.value),
         ("n_trials", "trials", integer, 100_000),
         ("seed", "seed", integer, 0),
@@ -314,16 +345,20 @@ def _open_target(path: str):
     return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="")
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("RESTRAINT_GAMES_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
+def _logger():
+    """The package logger when ``RESTRAINT_GAMES_LOG`` is info or debug,
+    else None without importing ``logging``."""
+    level = os.environ.get("RESTRAINT_GAMES_LOG", "").upper()
+    if level not in ("INFO", "DEBUG"):
+        return None
+    import logging
+
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
+    return logging.getLogger("restraint_games")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
+    log = _logger()
     try:
         args = build_parser().parse_args(argv)
         run = _resolve(args)
@@ -331,7 +366,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             path, write = args.dump_config, partial(write_json, run)
         else:
             _, runner, _ = COMMANDS[args.command]
-            as_json, as_csv = runner(run)
+            as_json, as_csv, summary = runner(run)
+            if log:
+                log.info(*summary)
             path, write = run["output"], as_json if run["format"] == "json" else as_csv
         with _open_target(path) as out:
             write(out)
@@ -340,7 +377,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DiscrepancyError as exc:
-        log.debug("discrepancy report: %s", json.dumps(exc.report.to_json_list()))
+        if log:
+            log.debug("discrepancy report: %s", json.dumps(exc.report.to_json_list()))
         print(f"error: discrepancy: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
     except BudgetExceededError as exc:

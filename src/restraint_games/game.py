@@ -34,7 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .oracle import DiscrepancyReport
 
 #: Absolute tolerance of every weak inequality, read only by tie_floor.
 TOL = 1e-9
@@ -59,6 +62,30 @@ class ParameterError(ValueError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+class BudgetExceededError(RuntimeError):
+    """A size guard refused the job: a game with more certificates, or a
+    sweep grid with more points, than the budget. ``n_certificates`` is
+    ``count`` under the name the oracle first gave it."""
+
+    def __init__(self, count: int, budget: int, what: str = "certificate"):
+        self.count = self.n_certificates = count
+        self.budget = budget
+        super().__init__(f"{what} count {count} exceeds budget {budget}")
+
+
+class DiscrepancyError(RuntimeError):
+    """A sweep's oracle cross-check found closed-form/oracle mismatches."""
+
+    def __init__(self, report: DiscrepancyReport):
+        self.report = report
+        first = report.entries[0]
+        super().__init__(
+            f"oracle disagrees with closed forms at {len(report.entries)} point(s); "
+            f"first: params={first.params.to_dict()}, m={first.m}, "
+            f"closed={first.closed_form_verdict}, oracle={first.oracle_verdict}"
+        )
 
 
 class TypeLabel(Enum):
@@ -87,6 +114,14 @@ class Variant(Enum):
 
     BASE = "base"
     RISK = "risk"
+
+
+class DriftMode(Enum):
+    """How :func:`~.montecarlo.simulate` decides each t2 action."""
+
+    LITERAL = "literal"
+    PRIOR_WEIGHTED = "prior-weighted"
+    BEST_RESPONSE = "best-response"
 
 
 class Outcome(Enum):
@@ -185,6 +220,11 @@ class ModelParams:
             p=float(d.get("p", 0.0)),
             prior=float(d.get("prior", 0.5)),
         )
+
+
+#: The symbols that place a point: the :class:`ModelParams` fields, then
+#: the signal m.
+ALL_SYMBOLS = ("c", "V_D", "V_B", "r", "p", "prior", "m")
 
 
 class PayoffPair(NamedTuple):

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import IO, Optional
 
 from .game import (
+    DriftMode,
     MechanismSpec,
     ModelParams,
     Outcome,
@@ -59,12 +59,6 @@ A = TypeLabel.AGGRESSIVE
 
 #: Draw rows per chunk: 1 MiB of float64 pairs.
 _CHUNK = 1 << 16
-
-
-class DriftMode(Enum):
-    LITERAL = "literal"
-    PRIOR_WEIGHTED = "prior-weighted"
-    BEST_RESPONSE = "best-response"
 
 
 def pooling_profile(m: float) -> StrategyProfile:

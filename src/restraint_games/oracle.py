@@ -65,6 +65,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import conditions
 from .game import (
+    BudgetExceededError,
     MechanismSpec,
     ModelParams,
     Outcome,
@@ -81,17 +82,6 @@ from .game import (
 
 #: Number of certificates :func:`find_all_pbe` lists before refusing.
 DEFAULT_CERTIFICATE_BUDGET = 5 * 10**4
-
-
-class BudgetExceededError(RuntimeError):
-    """A size guard refused the job: a game with more certificates, or a
-    sweep grid with more points, than the budget. ``n_certificates`` is
-    ``count`` under the name the oracle first gave it."""
-
-    def __init__(self, count: int, budget: int, what: str = "certificate"):
-        self.count = self.n_certificates = count
-        self.budget = budget
-        super().__init__(f"{what} count {count} exceeds budget {budget}")
 
 
 class PBEClass(Enum):
@@ -572,19 +562,6 @@ class DiscrepancyReport:
 
     def to_json_list(self) -> list[dict]:
         return [e.to_dict() for e in self.entries]
-
-
-class DiscrepancyError(RuntimeError):
-    """A sweep's oracle cross-check found closed-form/oracle mismatches."""
-
-    def __init__(self, report: DiscrepancyReport):
-        self.report = report
-        first = report.entries[0]
-        super().__init__(
-            f"oracle disagrees with closed forms at {len(report.entries)} point(s); "
-            f"first: params={first.params.to_dict()}, m={first.m}, "
-            f"closed={first.closed_form_verdict}, oracle={first.oracle_verdict}"
-        )
 
 
 def verify_against_closed_form(

@@ -10,66 +10,43 @@ report rather than emitting a table the oracle would not sign off on.
 
 A point's row comes straight from :func:`~restraint_games.conditions.slacks`
 and :func:`~restraint_games.conditions.holds`: the parameters are
-validated once and no report objects are built.
-
-Every result table the package writes is formatted here: sweep rows as
-CSV or JSON, oracle certificates and simulation summaries as CSV. A sweep
-row's layout is spelled out once, as :data:`CSV_HEADER` and
-:meth:`RegionRow.cells`. ``csv`` writes the cells: an absent value is an
-empty cell and a number is written as ``str(number)``. JSON rows are
-written by hand in the layout of ``json.dump(..., indent=2)``, each key and
-value encoded as ``json`` encodes it. Both writers format each distinct
-float once per table, since fixed values repeat on every row and an axis
-value on many.
+validated once and no report objects are built. A row's layout is
+:data:`~.emit.CSV_HEADER` and :meth:`RegionRow.cells`; :mod:`.emit`
+writes the rows. The oracle is imported only when a sample is drawn.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import IO, Callable, Optional
+from typing import Optional
 
 from .conditions import holds, slacks
-from .game import MechanismSpec, ModelParams, Outcome, ParameterError, integer, real, validate_signal
-from .montecarlo import SimResult
-from .oracle import BudgetExceededError, DiscrepancyError, PBECertificate, verify_against_closed_form
+from .emit import CSV_HEADER
+from .game import (
+    ALL_SYMBOLS,
+    BudgetExceededError,
+    DiscrepancyError,
+    MechanismSpec,
+    ModelParams,
+    ParameterError,
+    integer,
+    real,
+    validate_signal,
+)
 
 #: Symbols a sweep axis may range over. The prior is fixed-only: no
 #: closed-form condition depends on it.
 SWEEPABLE = ("c", "V_D", "V_B", "r", "p", "m")
-ALL_SYMBOLS = ("c", "V_D", "V_B", "r", "p", "prior", "m")
 
 #: A coordinate map's :class:`ModelParams` fields, in field order.
 _PARAMS_OF = itemgetter("c", "V_D", "V_B", "r", "p", "prior")
 
 #: Most grid points a sweep builds: each row is ~0.5 KB before any output.
 GRID_POINT_BUDGET = 10**6
-
-CSV_HEADER = [
-    "mechanism",
-    "variant",
-    *ALL_SYMBOLS,
-    "classification",
-    "pooling_slack",
-    "separating_slack_1",
-    "separating_slack_2",
-    "typeshift_slack",
-    "oracle_checked",
-]
-
-CERTIFICATE_CSV_HEADER = [
-    "class",
-    "signal_restrained",
-    "signal_aggressive",
-    "fight_after",
-    "t2_actions",
-    "posteriors",
-]
 
 
 class Classification(Enum):
@@ -127,6 +104,8 @@ class GridSpec:
             if axis.symbol in seen:
                 raise ParameterError("axis symbols distinct", f"{axis.symbol!r} repeated")
             seen.add(axis.symbol)
+            if isinstance(axis.steps, bool) or not isinstance(axis.steps, int):
+                raise ParameterError("steps an integer", f"{axis.symbol}: {axis.steps!r}")
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
             if isinstance(axis.min, bool) or isinstance(axis.max, bool):
@@ -280,7 +259,11 @@ def run_sweep(
     valid = [row for row in rows if row.classification is not Classification.INVALID]
     n_checked = int(oracle_fraction * len(valid))
     if n_checked > 0:
-        import numpy as np  # here, so a sweep without an oracle sample skips importing numpy
+        # here, so a sweep without an oracle sample imports neither numpy nor the oracle
+        import numpy as np
+
+        from .oracle import verify_against_closed_form
+
         order = np.random.default_rng(seed).permutation(len(valid))
         chosen = [valid[int(k)] for k in order[:n_checked]]
         points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
@@ -348,126 +331,3 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
                     BoundaryPoint(coords, ax1.symbol, dict(sigs[k]), dict(sigs[k + 1]))
                 )
     return out
-
-
-#: Most float texts a table writer remembers at once; it forgets them all
-#: when full, so a grid of unique slacks costs a bounded memo, not one entry
-#: per row, while repeated values are formatted about once per refill.
-_MEMO_SIZE = 4096
-
-
-def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
-    """``fmt``, remembering its text of each distinct float for one table:
-    fixed values repeat on every row and an axis value on many. Zeros are
-    not remembered, since 0.0 == -0.0 but the two print differently, nor is
-    any value that is not a float, since True == 1.0."""
-    texts: dict[float, str] = {}
-
-    def text(value) -> str:
-        if type(value) is not float or not value:
-            return fmt(value)
-        t = texts.get(value)
-        if t is None:
-            if len(texts) >= _MEMO_SIZE:
-                texts.clear()
-            t = texts[value] = fmt(value)
-        return t
-
-    return text
-
-
-def _csv_text(value) -> str:
-    """A cell as ``csv`` writes it."""
-    return "" if value is None else str(value)
-
-
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _json_text(value) -> str:
-    """A value as ``json`` encodes it, whose float text is the float's repr."""
-    if value is None or type(value) is bool:
-        return _JSON_LITERALS[value]
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
-def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, fixed header."""
-    text = _memo_floats(_csv_text)
-
-    def lines():
-        for row in rows:
-            cells = list(map(text, row.cells(spec)))
-            cells[-1] = "true" if row.oracle_checked else "false"  # csv would write True
-            yield cells
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(lines())
-
-
-def write_json(data, out: IO[str]) -> None:
-    """Two-space indented JSON plus a final newline."""
-    json.dump(data, out, indent=2)
-    out.write("\n")
-
-
-def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """:func:`write_json` of the rows' flat dicts, written row by row in
-    the same layout: ``indent`` would force the pure-Python encoder."""
-    text = _memo_floats(_json_text)
-    fields = ",\n".join(f"    {json.dumps(key)}: %s" for key in CSV_HEADER)
-    row_format = "\n  {\n" + fields + "\n  }"
-    out.write("[")
-    sep = ""
-    for row in rows:
-        out.write(sep + row_format % tuple(map(text, row.cells(spec))))
-        sep = ","
-    out.write("\n]\n" if rows else "]\n")
-
-
-def write_certificates_csv(certs: list[PBECertificate], out: IO[str]) -> None:
-    """One row per certificate; each strategy map is a ';'-joined cell,
-    formatted from the certificate's record."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CERTIFICATE_CSV_HEADER)
-    messages = None
-    for cert in certs:
-        if cert.messages is not messages:
-            # a game's certificates share its messages, so each message's
-            # text is formatted once per game rather than once per row
-            messages = cert.messages
-            fights = [(f"{m}:yield", f"{m}:fight") for m in messages]
-            actions = [
-                (f"{t}@{m}:exploit", f"{t}@{m}:restraint")
-                for t in ("restrained", "aggressive")
-                for m in messages
-            ]
-            belief_at = [f"{m}:" for m in messages]
-        writer.writerow(
-            [
-                cert.pbe_class.value,
-                messages[cert.j_R],
-                messages[cert.j_A],
-                ";".join([texts[f] for texts, f in zip(fights, cert.fight)]),
-                ";".join([texts[r] for texts, r in zip(actions, cert.restraint)]),
-                ";".join([f"{prefix}{q}" for prefix, q in zip(belief_at, cert.posterior)]),
-            ]
-        )
-
-
-def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
-    """Header plus one summary row. Prior-weighted results add State B's
-    mean payoff by initial type, empty where no trial had that type."""
-    header = ["conflict", "exploit", "restraint", "mean_u_A", "mean_u_B", "standard_error_u_B"]
-    values = [result.outcome_counts.get(outcome, 0) for outcome in Outcome]
-    values += [result.mean_u_A, result.mean_u_B, result.standard_error_u_B]
-    by_type = result.mean_u_B_by_initial_type
-    if by_type is not None:
-        header += ["mean_u_B_initial_restrained", "mean_u_B_initial_aggressive"]
-        values += [by_type["restrained"], by_type["aggressive"]]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(values)

@@ -31,8 +31,9 @@ from restraint_games import (
     write_rows_csv,
     write_rows_json,
 )
-from restraint_games import sweep
-from restraint_games.sweep import CSV_HEADER, region_row_for_point, write_json
+from restraint_games import emit
+from restraint_games.emit import write_json
+from restraint_games.sweep import CSV_HEADER, region_row_for_point
 
 from conftest import params_strategy, signal_strategy, spec_strategy
 
@@ -408,7 +409,7 @@ class TestEmitBytes:
     @pytest.mark.parametrize("name", sorted(EMIT_CASES))
     def test_rows_match_plain_writers(self, name, memo_size, monkeypatch):
         if memo_size is not None:  # the float-text memo fills and is cleared many times
-            monkeypatch.setattr(sweep, "_MEMO_SIZE", memo_size)
+            monkeypatch.setattr(emit, "_MEMO_SIZE", memo_size)
         grid, fraction = EMIT_CASES[name]
         rows = run_sweep(grid, oracle_fraction=fraction, seed=3)
         texts = {str(v) for row in rows for v in row.cells(grid.mechanism)}
