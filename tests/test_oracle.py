@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -41,6 +42,7 @@ from restraint_games import (
     verify_against_closed_form,
 )
 from restraint_games import game as game_module
+from restraint_games.emit import write_certificates_json, write_json
 from restraint_games.game import t2_options, unchecked_payoff
 from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable
 
@@ -783,6 +785,16 @@ def test_certificate_views_agree_with_record():
                         "profile": cert.profile.to_dict(),
                         "beliefs": cert.beliefs.to_dict(),
                     }
+
+
+def test_certificate_json_matches_one_json_dump():
+    # written one certificate at a time, in the layout of one write_json
+    head = {"messages": [0.0, 1.0], "counts": {}}
+    for certs in ([], *(find_all_pbe(game)[:3] for game in digest_games().values())):
+        written, dumped = io.StringIO(), io.StringIO()
+        write_certificates_json(head, certs, written)
+        write_json({**head, "certificates": [c.to_dict() for c in certs]}, dumped)
+        assert written.getvalue() == dumped.getvalue()
 
 
 def _exact(game: DiscreteGame) -> DiscreteGame:

@@ -35,34 +35,31 @@ def test_name_is_its_home_modules_object(name):
     assert name in dir(restraint_games)
 
 
-def test_a_name_loads_only_its_home_module():
-    # the names the CLI's error handling and option table read load game alone
-    code = (
-        "import sys, restraint_games as rg\n"
-        "for name in ('DriftMode', 'BudgetExceededError', 'DiscrepancyError', 'write_rows_csv', 'classify'):\n"
-        "    getattr(rg, name)\n"
-        "    print(name, *sorted(m[16:] for m in sys.modules if m.startswith('restraint_games.')))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [
-        "DriftMode game",
-        "BudgetExceededError game",
-        "DiscrepancyError game",
-        "write_rows_csv emit game",
-        "classify conditions emit game",
-    ]
-
-
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         restraint_games.no_such_name  # noqa: B018
     assert not hasattr(restraint_games, "write_json")  # in emit, not exported
 
 
-def test_bare_import_loads_no_module():
-    code = "import sys, restraint_games\nprint(sorted(m for m in sys.modules if m.startswith('restraint_games.')))"
+def test_a_name_loads_only_its_home_module():
+    # a bare import loads no module; the names the CLI's error handling and
+    # option table read load game alone
+    code = (
+        "import sys, restraint_games as rg\n"
+        "for name in ('__version__', 'DriftMode', 'BudgetExceededError', 'DiscrepancyError', 'write_rows_csv',"
+        " 'classify'):\n"
+        "    getattr(rg, name)\n"
+        "    print(name, *sorted(m[16:] for m in sys.modules if m.startswith('restraint_games.')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == [
+        "__version__",
+        "DriftMode game",
+        "BudgetExceededError game",
+        "DiscrepancyError game",
+        "write_rows_csv emit game",
+        "classify conditions emit game",
+    ]
 
 
 def test_star_import_and_from_import():
