@@ -394,9 +394,6 @@ MALFORMED = {
     "classify-infinite-vb": ("classify", POINT, "--vb inf"),
     "classify-infinite-r": ("classify", POINT, "--variant risk --r inf"),
     "oracle-infinite-message": ("oracle", dict(POINT, messages=[0.0, 2.0]), "--messages 0,inf"),
-    "simulate-profile-without-t2-action": (
-        "simulate", dict(POINT, profile={k: v for k, v in PROFILE.items() if k != "t2_action"}), ""
-    ),
     "simulate-infinite-m": (
         "simulate",
         dict(
@@ -551,17 +548,22 @@ def test_undecodable_config_is_one_validation_line(text, tmp_path, capsys):
 @pytest.mark.parametrize("drift_mode", ["literal", "prior-weighted", "best-response"])
 def test_simulate_t2_action_does_not_change_play(drift_mode, tmp_path, capsys):
     # the drift mode decides every t2 action, so a profile's t2 entries
-    # are required but change neither the summary nor the trial log
+    # may be left out, and change neither the summary nor the trial log
+    profiles = {
+        "default": None,  # the default profile's entries, which differ by cell
+        "restraint": dict(PROFILE, t2_action=[[t, m, "restraint"] for t, m, _ in PROFILE["t2_action"]]),
+        "exploit": dict(PROFILE, t2_action=[[t, m, "exploit"] for t, m, _ in PROFILE["t2_action"]]),
+        "absent": {k: v for k, v in PROFILE.items() if k != "t2_action"},
+    }
     outputs = []
-    for action in ("restraint", "exploit"):
-        profile = dict(PROFILE, t2_action=[[t, m, action] for t, m, _ in PROFILE["t2_action"]])
-        path, log = tmp_path / f"{action}.json", tmp_path / f"{action}.csv"
-        path.write_text(json.dumps(dict(POINT, profile=profile)))
+    for name, profile in profiles.items():
+        path, log = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        path.write_text(json.dumps(POINT if profile is None else dict(POINT, profile=profile)))
         argv = f"simulate --config {path} --p 0.3 --trials 500 --seed 4 --drift-mode {drift_mode}"
         code, out, _ = run([*argv.split(), "--dump-trials", str(log)], capsys)
         assert code == 0
         outputs.append((out, log.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs == [outputs[0]] * len(profiles)
 
 
 #: Per CLI process: whether it may import numpy, and the package modules it
@@ -572,12 +574,12 @@ PROCESS_IMPORTS = {
         False,
         "game conditions emit sweep",
     ),
-    "oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,2": (False, "game conditions oracle emit"),
+    "oracle --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --messages 0,2": (False, "game oracle emit"),
     "sweep --config {grid} --oracle-fraction 0": (False, "game conditions sweep emit"),
     "sweep --config {grid} --oracle-fraction 0.5": (True, "game conditions sweep emit oracle"),
     "simulate --mechanism tying-hands --c 0.5 --vd 1 --vb 2 --m 2 --trials 10": (
         True,
-        "game conditions oracle montecarlo emit",
+        "game oracle montecarlo emit",
     ),
 }
 

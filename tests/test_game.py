@@ -189,6 +189,23 @@ class TestValidation:
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.25, p=0.1, prior=0.3)
         assert ModelParams.from_dict(p.to_dict()) == p
 
+    @pytest.mark.parametrize(
+        "c",
+        [True, 10**400, "x", None, [0.5], ...],
+        ids=["bool", "overflows-float", "not-a-number", "null", "list", "missing"],
+    )
+    def test_params_from_dict_refuses_bad_values(self, c):
+        # as MechanismSpec, GridSpec and StrategyProfile.from_dict do: one
+        # named ParameterError, not a bool read as 1.0 or a bare builtin error
+        d = {"V_D": 1.0, "V_B": 2.0} if c is ... else {"c": c, "V_D": 1.0, "V_B": 2.0}
+        with pytest.raises(ParameterError):
+            ModelParams.from_dict(d)
+
+    def test_params_from_dict_reads_numbers_as_floats(self):
+        p = ModelParams.from_dict({"c": 1, "V_D": "2", "V_B": 3.0, "prior": 0.25})
+        assert p == ModelParams(1.0, 2.0, 3.0, 0.0, 0.0, 0.25)
+        assert {type(v) for v in p.to_dict().values()} == {float}
+
 
 class TestTieRule:
     """``game.TOL`` is the one tolerance: patching it alone moves every

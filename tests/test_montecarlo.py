@@ -206,6 +206,15 @@ class TestValidation:
         with pytest.raises(ParameterError):
             simulate(config(profile=prof))
 
+    def test_profile_needs_no_t2_actions(self):
+        # the drift mode decides every t2 action; the profile's are not read
+        default = pooling_profile(2.0)
+        bare = StrategyProfile(default.signal_of, default.fight_after, {})
+        for mode in DriftMode:
+            assert simulate(config(profile=bare, drift_mode=mode, n_trials=500)) == simulate(
+                config(drift_mode=mode, n_trials=500)
+            )
+
     def test_single_trial_has_zero_se(self):
         result = simulate(config(n_trials=1))
         assert result.standard_error_u_B == 0.0

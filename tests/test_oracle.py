@@ -208,6 +208,16 @@ class TestIsWeakPBE:
                 profile((2.0, 2.0), {2.0: False}, {(R, 2.0): Outcome.RESTRAINT}),
             )
 
+    def test_profile_without_t2_actions_reads_empty_and_is_not_a_pbe_profile(self):
+        # simulate reads no t2 action, so a profile may leave them out; the
+        # oracle still needs one per cell
+        prof = StrategyProfile.from_dict(
+            {"signal_of": {"restrained": 2.0, "aggressive": 2.0}, "fight_after": [[0.0, True], [2.0, False]]}
+        )
+        assert prof.t2_action == {}
+        with pytest.raises(ParameterError, match="profile total over message grid"):
+            is_weak_pbe(DiscreteGame(TH_BASE, BASE_PARAMS, (0.0, 2.0)), prof)
+
 
 class TestSupportingBeliefs:
     @pytest.mark.parametrize("u_r", [0.0, -2.0])
@@ -565,11 +575,11 @@ class TestVerifyAgainstClosedForm:
         certs = find_all_pbe(DiscreteGame(TH_BASE, params, (0.0, 1.0)))
         assert any(c.pbe_class is PBEClass.POOLING_ON_RESTRAINT for c in certs)
 
-    def test_validates_twice_per_point(self, validate_calls):
-        # once in the closed-form classify, once when the grid game is built
+    def test_validates_once_per_point(self, validate_calls):
+        # when the grid game is built; the closed forms read the same point
         grid = self.grid() + [(ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=0.3), 2.0)]
         verify_against_closed_form(TH_BASE, grid)
-        assert validate_calls == [params for params, _ in grid for _ in range(2)]
+        assert validate_calls == [params for params, _ in grid]
 
     def test_risk_pooling_divergence_is_reported(self):
         # the closed-form pooling threshold describes the base game; with

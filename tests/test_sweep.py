@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import struct
@@ -33,7 +34,8 @@ from restraint_games import (
 )
 from restraint_games import emit
 from restraint_games.emit import write_json
-from restraint_games.sweep import CSV_HEADER, region_row_for_point
+from restraint_games.game import ALL_SYMBOLS
+from restraint_games.sweep import CSV_HEADER, SWEEPABLE, region_row_for_point
 
 from conftest import params_strategy, signal_strategy, spec_strategy
 
@@ -336,6 +338,79 @@ def test_region_row_for_point_classifies_the_params_given(validate_calls):
     assert len(validate_calls) == 1 and validate_calls[0] is params
 
 
+def test_run_sweep_validates_each_point_once_and_each_checked_point_once_more(validate_calls):
+    # V_B crosses c, so Invalid rows too; the oracle check builds each
+    # sampled point's grid game on the row's own params
+    grid, _ = EMIT_CASES["invalid-strip"]
+    rows = run_sweep(grid, oracle_fraction=0.5, seed=3)
+    checked = [row.params for row in rows if row.oracle_checked]
+    assert checked and any(row.classification is Classification.INVALID for row in rows)
+    assert len(validate_calls) == len(rows) + len(checked)
+    assert all(call is row.params for call, row in zip(validate_calls, rows))
+    assert sorted(map(id, validate_calls[len(rows):])) == sorted(map(id, checked))
+
+
+#: An axis's (lowest min, highest max) per symbol: V_B crosses c and r
+#: goes below 0, so some grids hold Invalid strips.
+_AXIS_SPAN = {
+    "c": (0.1, 3.0), "V_D": (0.1, 3.0), "V_B": (0.1, 3.0), "r": (-0.5, 2.0), "p": (0.0, 1.0), "m": (0.0, 3.0)
+}
+
+
+@st.composite
+def _grids(draw) -> GridSpec:
+    """1 to 3 axes of any spec; fixed values are ints, floats or -0.0."""
+    symbols = draw(st.lists(st.sampled_from(SWEEPABLE), min_size=1, max_size=3, unique=True))
+    axes = []
+    for sym in symbols:
+        lowest, highest = _AXIS_SPAN[sym]
+        lo = draw(st.floats(lowest, highest - 0.1))
+        if sym == "p":  # no drift slack at p = 0
+            lo = draw(st.just(0.0) | st.just(lo))
+        axes.append(Axis(sym, lo, draw(st.floats(lo + 0.05, highest)), draw(st.integers(2, 4))))
+    fixed = {}
+    for sym in ALL_SYMBOLS:
+        if sym == "prior":
+            fixed[sym] = draw(st.floats(0.05, 0.95))
+        elif sym not in symbols:
+            lowest, highest = _AXIS_SPAN[sym]
+            ints = st.integers(math.ceil(lowest), math.floor(highest))
+            extra = st.just(-0.0) if sym == "r" else st.nothing()
+            fixed[sym] = draw(ints | st.floats(lowest, highest) | extra)
+    return GridSpec(draw(spec_strategy), tuple(axes), fixed)
+
+
+def _exact(values) -> list:
+    # floats by type and bits, so 1 != 1.0 and 0.0 != -0.0
+    return [(type(v), struct.pack("d", v) if type(v) is float else v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_grids())
+@example(
+    grid=GridSpec(
+        TH_RISK,
+        (Axis("p", 0.0, 1.0, 3), Axis("V_B", 0.25, 2.0, 4)),
+        {"c": 1, "V_D": 2, "r": -0.0, "prior": 0.5, "m": 3},
+    )
+)
+def test_a_row_is_its_params_and_m(grid):
+    spec = grid.mechanism
+    rows = run_sweep(grid, oracle_fraction=0.0, seed=0)
+    combos = list(itertools.product(*[axis.values() for axis in grid.axes]))
+    assert len(rows) == len(combos)
+    fixed = {sym: float(value) for sym, value in grid.fixed.items()}
+    for row, combo in zip(rows, combos):
+        expected = dict(fixed, **{axis.symbol: v for axis, v in zip(grid.axes, combo)})
+        coords = row.coordinates
+        assert list(coords) == list(ALL_SYMBOLS)
+        assert _exact(coords.values()) == _exact(expected[sym] for sym in ALL_SYMBOLS)
+        flat = row.to_flat_dict(spec)
+        assert _exact(flat[sym] for sym in ALL_SYMBOLS) == _exact(coords.values())
+        again = region_row_for_point(spec, row.params, row.m)
+        assert _exact(again.cells(spec)[:-1]) == _exact(row.cells(spec)[:-1])
+
+
 def _plain_csv(rows, spec) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -384,7 +459,7 @@ EMIT_CASES = {
         ),
         0.5,
     ),
-    # ints fixed from Python, written as csv and json write them
+    # ints fixed from Python are read as floats, as a config's are
     "python-numbers": (
         GridSpec(
             MechanismSpec(Mechanism.SUNK, Variant.RISK),
@@ -417,10 +492,11 @@ class TestEmitBytes:
             "signed-zeros": {"0.0", "-0.0"},
             "overflow": {"-inf"},
             "invalid-strip": {"Invalid", "True"},
-            "python-numbers": {"1"},
+            "python-numbers": {"1.0"},
             "sunk-risk-no-drift": {"None"},
         }[name]
         assert expected <= texts  # the case shows what it is there for
+        assert name != "python-numbers" or "1" not in texts
         for write, plain in ((write_rows_csv, _plain_csv), (write_rows_json, _plain_json)):
             buf = io.StringIO()
             write(rows, grid.mechanism, buf)
