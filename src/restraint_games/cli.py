@@ -10,9 +10,9 @@ run back out as JSON that reproduces it exactly.
 A process imports only what its subcommand runs. Every one loads
 :mod:`.game` and the writers in :mod:`.emit`; ``classify`` adds
 :mod:`.conditions`, and :mod:`.sweep` for its CSV row; ``oracle`` adds
-:mod:`.oracle`; ``sweep`` adds :mod:`.sweep`, and the oracle and numpy
-only when it draws an oracle sample; ``simulate`` adds :mod:`.montecarlo`,
-the oracle's strategy profile and numpy.
+:mod:`.oracle` alone; ``sweep`` adds :mod:`.sweep`, and the oracle and
+numpy only when it draws an oracle sample; ``simulate`` adds
+:mod:`.montecarlo`, the oracle's strategy profile and numpy.
 
 Exit codes: 0 success, 1 validation error, 2 oracle discrepancy, 3 size
 guard. Every failure prints one machine-parsable line to stderr

@@ -212,14 +212,17 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            c=float(d["c"]),
-            V_D=float(d["V_D"]),
-            V_B=float(d["V_B"]),
-            r=float(d.get("r", 0.0)),
-            p=float(d.get("p", 0.0)),
-            prior=float(d.get("prior", 0.5)),
-        )
+        try:
+            return cls(
+                c=real(d["c"]),
+                V_D=real(d["V_D"]),
+                V_B=real(d["V_B"]),
+                r=real(d.get("r", 0.0)),
+                p=real(d.get("p", 0.0)),
+                prior=real(d.get("prior", 0.5)),
+            )
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise ParameterError("params well-formed", f"{type(exc).__name__}: {exc}") from exc
 
 
 #: The symbols that place a point: the :class:`ModelParams` fields, then

@@ -14,8 +14,8 @@ restrained type B did not fight, so a trial is in one of three (initial,
 final) type cells. ``simulate`` plays each cell once into a table of
 signal, outcome and payoffs, and counts the trials that land in each cell.
 
-The drift mode decides each cell's t2 action; the profile's t2 actions
-must cover every (type, message) cell but are never read:
+The drift mode decides each cell's t2 action; the profile's t2 actions,
+if any, are never read:
 
 * ``literal`` -- the final type acts on its label: aggressive (native or
   drifted) exploits, restrained restrains.
@@ -110,9 +110,6 @@ class SimConfig:
                 "profile fight rule total over {0, m}",
                 f"covers={sorted(self.profile.fight_after)}",
             )
-        needed = {(t, msg) for t in TypeLabel for msg in msgs}
-        if set(self.profile.t2_action) != needed:
-            raise ParameterError("profile t2 actions total over {0, m}")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from . import conditions
 from .game import (
     BudgetExceededError,
     MechanismSpec,
@@ -158,7 +157,8 @@ class StrategyProfile:
                 ),
                 fight_after=_unique("fight_after", ((real(m), boolean(f)) for m, f in d["fight_after"])),
                 t2_action=_unique(
-                    "t2_action", (((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d["t2_action"])
+                    "t2_action",
+                    (((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d.get("t2_action", ())),
                 ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -574,15 +574,18 @@ def verify_against_closed_form(
     exists exactly when the closed form holds; separating agreement means
     a Separating certificate with the restrained type at m exists exactly
     when the closed form holds. An empty report is full agreement.
-    Certificates are built only for the points that disagree.
+    Certificates are built only for the points that disagree. Building the
+    grid game validates each point once; the closed forms then read it.
     """
+    from .conditions import holds, slacks  # the oracle's one use of the closed forms
+
     relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
     entries: list[Discrepancy] = []
     for params, m in grid:
-        report = conditions.classify(spec, params, m)
-        closed = {"pooling": report.pooling_on_restraint.holds, "separating": report.separating.holds}
         messages = signal_grid(m)
         table = _GameTable(DiscreteGame(spec, params, messages))
+        pooling, separating, _ = slacks(spec, params, m)
+        closed = {"pooling": holds(pooling), "separating": holds(separating)}
         j_m = len(messages) - 1
         relevant = [
             anchor

@@ -8,8 +8,9 @@ seeded fraction of the valid points is re-derived with the exhaustive
 oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
 
-A point's row comes straight from :func:`~restraint_games.conditions.slacks`
-and :func:`~restraint_games.conditions.holds`: the parameters are
+A point is its :class:`~.game.ModelParams` and signal m, from the grid to
+the oracle check. :func:`region_row_for_point` makes its row straight from
+:func:`~.conditions.slacks` and :func:`~.conditions.holds`: the params are
 validated once and no report objects are built. A row's layout is
 :data:`~.emit.CSV_HEADER` and :meth:`RegionRow.cells`; :mod:`.emit`
 writes the rows. The oracle is imported only when a sample is drawn.
@@ -21,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Optional
 
 from .conditions import holds, slacks
@@ -42,10 +42,7 @@ from .game import (
 #: closed-form condition depends on it.
 SWEEPABLE = ("c", "V_D", "V_B", "r", "p", "m")
 
-#: A coordinate map's :class:`ModelParams` fields, in field order.
-_PARAMS_OF = itemgetter("c", "V_D", "V_B", "r", "p", "prior")
-
-#: Most grid points a sweep builds: each row is ~0.5 KB before any output.
+#: Most grid points a sweep builds: each row is ~0.36 KB before any output.
 GRID_POINT_BUDGET = 10**6
 
 
@@ -150,7 +147,8 @@ class GridSpec:
 
 @dataclass
 class RegionRow:
-    coordinates: dict[str, float]
+    params: ModelParams
+    m: float
     classification: Classification
     pooling_slack: Optional[float]
     separating_slack_1: Optional[float]
@@ -158,14 +156,19 @@ class RegionRow:
     typeshift_slack: Optional[float]
     oracle_checked: bool = False
 
+    @property
+    def coordinates(self) -> dict[str, float]:
+        """Every symbol's value at the row's point, built when read."""
+        return {**self.params.to_dict(), "m": self.m}
+
     def cells(self, spec: MechanismSpec) -> list:
         """The row's values in :data:`CSV_HEADER` order, None where a
         slack does not apply: the one place the row layout is spelled out."""
-        coords = self.coordinates
+        p = self.params
         return [
             spec.mechanism.value,
             spec.variant.value,
-            *[coords[sym] for sym in ALL_SYMBOLS],
+            p.c, p.V_D, p.V_B, p.r, p.p, p.prior, self.m,  # ALL_SYMBOLS
             self.classification.value,
             self.pooling_slack,
             self.separating_slack_1,
@@ -187,18 +190,19 @@ _CLASSIFICATION = {
 }
 
 
-def _evaluate_point(spec: MechanismSpec, params: ModelParams, coords: dict[str, float]) -> RegionRow:
-    """The row of the point ``params`` at ``coords["m"]``; ``coords`` holds
-    every symbol's value."""
-    m = coords["m"]
+def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> RegionRow:
+    """Classify a single parameter point into a sweep-style row: the one
+    row evaluator of the sweep and of ``classify``'s CSV row."""
+    m = float(m)
     try:
         params.validate()
         validate_signal(m)
     except ParameterError:
-        return RegionRow(coords, Classification.INVALID, None, None, None, None)
+        return RegionRow(params, m, Classification.INVALID, None, None, None, None)
     pooling, separating, drift = slacks(spec, params, m)
     return RegionRow(
-        coordinates=coords,
+        params=params,
+        m=m,
         classification=_CLASSIFICATION[holds(pooling), holds(separating)],
         pooling_slack=pooling[0],
         separating_slack_1=separating[0],
@@ -207,27 +211,23 @@ def _evaluate_point(spec: MechanismSpec, params: ModelParams, coords: dict[str, 
     )
 
 
-def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> RegionRow:
-    """Classify a single parameter point into a sweep-style row."""
-    coords = params.to_dict()
-    coords["m"] = float(m)
-    return _evaluate_point(spec, params, coords)
-
-
-def grid_points(grid: GridSpec) -> list[dict[str, float]]:
-    """All coordinate maps in row-major axis order. More than
+def grid_points(grid: GridSpec) -> list[tuple[ModelParams, float]]:
+    """Every point's params and m in row-major axis order. More than
     :data:`GRID_POINT_BUDGET` points raises :class:`BudgetExceededError`
     before any is built."""
     grid.validate()
     n_points = math.prod(axis.steps for axis in grid.axes)
     if n_points > GRID_POINT_BUDGET:
         raise BudgetExceededError(n_points, GRID_POINT_BUDGET, "grid point")
-    axis_values = [axis.values() for axis in grid.axes]
+    # one working dict in ALL_SYMBOLS order, the ModelParams fields then m;
+    # float() because a grid built in Python may fix an int
+    coords = {sym: float(grid.fixed.get(sym, 0.0)) for sym in ALL_SYMBOLS}
+    symbols = [axis.symbol for axis in grid.axes]
     points = []
-    for combo in itertools.product(*axis_values):
-        coords = dict(grid.fixed)
-        coords.update({axis.symbol: v for axis, v in zip(grid.axes, combo)})
-        points.append(coords)
+    for combo in itertools.product(*[axis.values() for axis in grid.axes]):
+        coords.update(zip(symbols, combo))
+        *fields, m = coords.values()
+        points.append((ModelParams(*fields), m))
     return points
 
 
@@ -250,11 +250,7 @@ def run_sweep(
     if seed < 0:
         raise ParameterError("seed >= 0", f"got {seed}")
     spec = grid.mechanism
-    # float() as in ModelParams.from_dict: a grid built in Python may fix an int
-    rows = [
-        _evaluate_point(spec, ModelParams(*map(float, _PARAMS_OF(coords))), coords)
-        for coords in grid_points(grid)
-    ]
+    rows = [region_row_for_point(spec, params, m) for params, m in grid_points(grid)]
 
     valid = [row for row in rows if row.classification is not Classification.INVALID]
     n_checked = int(oracle_fraction * len(valid))
@@ -266,8 +262,7 @@ def run_sweep(
 
         order = np.random.default_rng(seed).permutation(len(valid))
         chosen = [valid[int(k)] for k in order[:n_checked]]
-        points = [(ModelParams.from_dict(row.coordinates), row.coordinates["m"]) for row in chosen]
-        report = verify_against_closed_form(grid.mechanism, points)
+        report = verify_against_closed_form(spec, [(row.params, row.m) for row in chosen])
         if not report.empty:
             raise DiscrepancyError(report)
         for row in chosen:
@@ -319,13 +314,13 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
         for j in range(n1):
             k = i * n1 + j
             if i + 1 < n0 and sigs[k] != sigs[k + n1]:
-                coords = dict(rows[k].coordinates)
+                coords = rows[k].coordinates
                 coords[ax0.symbol] = 0.5 * (v0[i] + v0[i + 1])
                 out.append(
                     BoundaryPoint(coords, ax0.symbol, dict(sigs[k]), dict(sigs[k + n1]))
                 )
             if j + 1 < n1 and sigs[k] != sigs[k + 1]:
-                coords = dict(rows[k].coordinates)
+                coords = rows[k].coordinates
                 coords[ax1.symbol] = 0.5 * (v1[j] + v1[j + 1])
                 out.append(
                     BoundaryPoint(coords, ax1.symbol, dict(sigs[k]), dict(sigs[k + 1]))
