@@ -548,22 +548,34 @@ def test_undecodable_config_is_one_validation_line(text, tmp_path, capsys):
 @pytest.mark.parametrize("drift_mode", ["literal", "prior-weighted", "best-response"])
 def test_simulate_t2_action_does_not_change_play(drift_mode, tmp_path, capsys):
     # the drift mode decides every t2 action, so a profile's t2 entries
-    # may be left out, and change neither the summary nor the trial log
+    # change neither the summary nor the trial log
     profiles = {
         "default": None,  # the default profile's entries, which differ by cell
         "restraint": dict(PROFILE, t2_action=[[t, m, "restraint"] for t, m, _ in PROFILE["t2_action"]]),
         "exploit": dict(PROFILE, t2_action=[[t, m, "exploit"] for t, m, _ in PROFILE["t2_action"]]),
-        "absent": {k: v for k, v in PROFILE.items() if k != "t2_action"},
     }
-    outputs = []
-    for name, profile in profiles.items():
-        path, log = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
-        path.write_text(json.dumps(POINT if profile is None else dict(POINT, profile=profile)))
-        argv = f"simulate --config {path} --p 0.3 --trials 500 --seed 4 --drift-mode {drift_mode}"
-        code, out, _ = run([*argv.split(), "--dump-trials", str(log)], capsys)
-        assert code == 0
-        outputs.append((out, log.read_bytes()))
+    outputs = [
+        _simulate_bytes(profile, name, drift_mode, tmp_path, capsys) for name, profile in profiles.items()
+    ]
     assert outputs == [outputs[0]] * len(profiles)
+
+
+def test_simulate_profile_without_t2_action_prints_the_same_bytes(tmp_path, capsys):
+    # simulate never reads t2_action, so a profile may leave it out
+    absent = {k: v for k, v in PROFILE.items() if k != "t2_action"}
+    for drift_mode in ("literal", "prior-weighted", "best-response"):
+        default = _simulate_bytes(None, "default", drift_mode, tmp_path, capsys)
+        assert _simulate_bytes(absent, "absent", drift_mode, tmp_path, capsys) == default
+
+
+def _simulate_bytes(profile, name, drift_mode, tmp_path, capsys):
+    """The summary and trial log of one seeded simulate run; None keeps the default profile."""
+    path, log = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    path.write_text(json.dumps(POINT if profile is None else dict(POINT, profile=profile)))
+    argv = f"simulate --config {path} --p 0.3 --trials 500 --seed 4 --drift-mode {drift_mode}"
+    code, out, _ = run([*argv.split(), "--dump-trials", str(log)], capsys)
+    assert code == 0
+    return out, log.read_bytes()
 
 
 #: Per CLI process: whether it may import numpy, and the package modules it
