@@ -179,6 +179,16 @@ class TestValidation:
         assert exc.value.constraint == constraint
         assert constraint in str(exc.value)
 
+    @pytest.mark.parametrize("field", ["c", "V_D", "V_B", "r", "p", "prior"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_python_bool_params_refused(self, field, flag):
+        # True > 0 and True <= 1, so a bool from Python would pass the range
+        # checks as 1 or 0 and print as True in a sweep row
+        base = dict(c=0.5, V_D=1.0, V_B=2.0, r=0.5, p=0.5, prior=0.5)
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**{**base, field: flag}).validate(allow_degenerate_prior=True)
+        assert exc.value.constraint == "parameters not booleans"
+
     def test_degenerate_prior_allowed_only_on_request(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, prior=1.0)
         with pytest.raises(ParameterError):

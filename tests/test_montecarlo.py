@@ -201,6 +201,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             simulate(config(n_trials=0))
 
+    @pytest.mark.parametrize(
+        "field,value", [("seed", 1.5), ("seed", True), ("n_trials", True), ("n_trials", 2.5), ("n_trials", "x")]
+    )
+    def test_python_numbers_take_the_config_rule(self, field, value):
+        # game.integer, as the CLI reads --trials and --seed: seed 1.5 or
+        # True would run as seed 1, and n_trials True as one trial
+        with pytest.raises(ParameterError):
+            simulate(config(**{field: value}))
+
+    def test_integral_numbers_run_as_their_ints(self):
+        assert simulate(config(n_trials=500.0, seed=11.0)) == simulate(config(n_trials=500, seed=11))
+
     def test_profile_must_cover_grid(self):
         prof = pooling_profile(1.0)  # wrong message set for m=2
         with pytest.raises(ParameterError):

@@ -327,9 +327,12 @@ class TestFindAllPBE:
         assert exc.value.n_certificates == len(find_all_pbe(small)) == 54
 
     def test_grid_validation(self):
-        for bad in [(), (1.0, 2.0), (0.0, -1.0), (0.0, 2.0, 2.0), (2.0, 0.0)]:
+        # a bool or an int past float range from Python: game.real, as the CLI reads --messages
+        for bad in [(), (1.0, 2.0), (0.0, -1.0), (0.0, 2.0, 2.0), (2.0, 0.0), (0, True), (0, 10**400), (0, "x")]:
             with pytest.raises(ParameterError):
                 DiscreteGame(TH_BASE, BASE_PARAMS, bad)
+        with pytest.raises(ParameterError):
+            DiscreteGame(TH_BASE, ModelParams(True, 1.0, 2.0), (0.0, 2.0))
 
     @pytest.mark.parametrize(
         "mech,variant",

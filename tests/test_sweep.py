@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
+import random
 import struct
 
 import numpy as np
@@ -163,6 +165,18 @@ class TestRunSweep:
         # ints from Python keep working
         rows = run_sweep(tying_grid(fixed={"p": 1}, axes=(Axis("V_D", 0, 2, 3), m_axis)), 0.0, 0)
         assert len(rows) == 12 and rows[-1].coordinates["p"] == 1
+
+    def test_python_numbers_take_the_config_rule(self):
+        # game.real, as GridSpec.from_dict reads a config: an int past float
+        # range or a non-number is a named constraint, not a builtin error
+        m_axis = Axis("m", 0.5, 2.0, 4)
+        for bad in (10**400, "x", None):
+            for grid in (tying_grid(fixed={"c": bad}), tying_grid(axes=(Axis("V_D", 0.5, bad, 4), m_axis))):
+                with pytest.raises(ParameterError):
+                    run_sweep(grid, oracle_fraction=0.0, seed=0)
+        # numeric text reads as its float, as in a config
+        flat = lambda grid: [row.to_flat_dict(TH_BASE) for row in run_sweep(grid, 0.0, 0)]
+        assert flat(tying_grid(fixed={"c": "0.5"})) == flat(tying_grid())
 
     def test_axis_steps_must_be_an_int(self):
         # a count built in Python that range() cannot take is a named
@@ -338,6 +352,14 @@ def test_region_row_for_point_classifies_the_params_given(validate_calls):
     assert len(validate_calls) == 1 and validate_calls[0] is params
 
 
+def test_python_bool_params_make_an_invalid_row():
+    # True would read as c = 1, classify as PoolingOnly and print as True
+    params = ModelParams(True, 1.0, 2.0)
+    assert region_row_for_point(TH_BASE, params, 2.0).classification is Classification.INVALID
+    with pytest.raises(ParameterError):
+        classify(TH_BASE, params, 2.0)
+
+
 def test_run_sweep_validates_each_point_once_and_each_checked_point_once_more(validate_calls):
     # V_B crosses c, so Invalid rows too; the oracle check builds each
     # sampled point's grid game on the row's own params
@@ -409,6 +431,63 @@ def test_a_row_is_its_params_and_m(grid):
         assert _exact(flat[sym] for sym in ALL_SYMBOLS) == _exact(coords.values())
         again = region_row_for_point(spec, row.params, row.m)
         assert _exact(again.cells(spec)[:-1]) == _exact(row.cells(spec)[:-1])
+
+
+#: A fixed value's (low, high) per symbol, around a point where every
+#: constraint holds, so only the axes cross into Invalid strips.
+_FIXED_SPAN = {
+    "c": (0.2, 1.0), "V_D": (0.5, 2.0), "V_B": (1.5, 3.0), "r": (0.0, 1.5),
+    "p": (0.05, 0.95), "prior": (0.05, 0.95), "m": (0.0, 3.0),
+}
+
+
+def _boundary_grids(spec: MechanismSpec) -> list[GridSpec]:
+    """Seeded random 2-axis grids of one spec, each in both axis orders:
+    four with p = 0 and four that may drift (p fixed above 0 or an axis)."""
+    rng = random.Random(f"{spec.mechanism.value}-{spec.variant.value}")
+    grids = []
+    for drift in (False, True):
+        for _ in range(4):
+            symbols = rng.sample([s for s in SWEEPABLE if drift or s != "p"], 2)
+            axes = []
+            for sym in symbols:
+                lowest, highest = _AXIS_SPAN[sym]
+                lo = rng.uniform(lowest, highest - 0.1)
+                axes.append(Axis(sym, lo, rng.uniform(lo + 0.05, highest), rng.randint(4, 8)))
+            fixed = {s: rng.uniform(*_FIXED_SPAN[s]) for s in ALL_SYMBOLS if s not in symbols}
+            if not drift:
+                fixed["p"] = 0.0
+            grids += [GridSpec(spec, tuple(axes), fixed), GridSpec(spec, tuple(reversed(axes)), fixed)]
+    return grids
+
+
+#: sha256 of ``json.dumps`` of each grid's ``[bp.to_dict() for bp in
+#: boundary_trace(grid)]`` over :func:`_boundary_grids`, per spec.
+BOUNDARY_DIGESTS = {
+    "tying-hands-base": "8b0dbe606c607dbe49e42b1a2b666e42a287148f494a1a36f64db8be9e97461f",
+    "tying-hands-risk": "fe207de55d6b2ade1a3c5d241c04554abf6e4ed2a5572270ecef397ee0fba899",
+    "sunk-base": "caf275a6efca8957d70f5fa9eb968bf7c85573daeb86882e84a44e7f54fa6f14",
+    "sunk-risk": "39d8f12c59e6e9371f8896a413c54f1a13c66756ebfe00272465a205d6d7d8e0",
+    "installment-base": "1530b52995ce24d4eb2e2973bdecb71921ae2d69a6ce9eb19e2592fcea747b91",
+    "installment-risk": "4f262b98f3596c9f8a9fab614aabef792535fae4564dd615ee93c47b15f9ad4c",
+    "reducible-base": "d62a3d9b56aaf640094cdad21712e79538197f0c950ebfcf1f63418d9bb7d7bf",
+    "reducible-risk": "b071f87070ae5c6ba8f37121f7ef3a76470508aa414b2d788d328943f2679043",
+}
+
+
+def test_boundary_trace_unchanged():
+    digests, sides = {}, []
+    for spec in (MechanismSpec(mech, variant) for mech in Mechanism for variant in Variant):
+        traces = [[bp.to_dict() for bp in boundary_trace(grid)] for grid in _boundary_grids(spec)]
+        digests[f"{spec.mechanism.value}-{spec.variant.value}"] = hashlib.sha256(
+            json.dumps(traces).encode()
+        ).hexdigest()
+        sides += [(bp["left"], bp["right"]) for trace in traces for bp in trace]
+    # the pins cross Invalid strips, region edges and drift-tolerance edges
+    assert any(left["classification"] == "Invalid" for left, _ in sides)
+    assert any(left["classification"] not in ("Invalid", right["classification"]) for left, right in sides)
+    assert any({left["type_shift_refrain"], right["type_shift_refrain"]} == {True, False} for left, right in sides)
+    assert digests == BOUNDARY_DIGESTS
 
 
 def _plain_csv(rows, spec) -> str:
