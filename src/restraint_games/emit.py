@@ -6,9 +6,10 @@ This module imports only the standard library and :mod:`.game`, so a
 process pays for the writers without loading the modules that compute.
 
 A sweep row's layout is spelled out once, as :data:`CSV_HEADER` and
-:meth:`~.sweep.RegionRow.cells`. ``csv`` writes the cells: an absent
-value is an empty cell and a number is written as ``str(number)``. JSON
-rows and certificates are written one at a time in the layout of
+:meth:`~.sweep.RegionRow.cells`; each writer maps every cell through its
+text rule. In CSV an absent value is an empty cell, a boolean is ``true``
+or ``false`` as in JSON, and a number is ``str(number)``. JSON rows and
+certificates are written one at a time in the layout of
 ``json.dump(..., indent=2)``, each key and value encoded as ``json``
 encodes it, so no list of every row's or certificate's dict is held. The
 row writers format each distinct float once per table, since fixed values
@@ -76,12 +77,14 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
     return text
 
 
-def _csv_text(value) -> str:
-    """A cell as ``csv`` writes it."""
-    return "" if value is None else str(value)
-
-
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _csv_text(value) -> str:
+    """A cell as ``csv`` writes it, but a boolean as JSON spells it."""
+    if type(value) is bool:
+        return _JSON_LITERALS[value]
+    return "" if value is None else str(value)
 
 
 def _json_text(value) -> str:
@@ -102,24 +105,17 @@ def write_json(data, out: IO[str]) -> None:
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
     """UTF-8, LF line endings, '.' decimal separator, fixed header."""
     text = _memo_floats(_csv_text)
-
-    def lines():
-        for row in rows:
-            cells = list(map(text, row.cells(spec)))
-            cells[-1] = "true" if row.oracle_checked else "false"  # csv would write True
-            yield cells
-
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(lines())
+    writer.writerows(map(text, row.cells(spec)) for row in rows)
 
 
 def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
     """:func:`write_json` of the rows' flat dicts, written row by row in
     the same layout: ``indent`` would force the pure-Python encoder."""
     text = _memo_floats(_json_text)
-    fields = ",\n".join(f"    {json.dumps(key)}: %s" for key in CSV_HEADER)
-    row_format = "\n  {\n" + fields + "\n  }"
+    # the layout of one row in the list, "[" and "\n]" cut off
+    row_format = json.dumps([dict.fromkeys(CSV_HEADER, "%s")], indent=2)[1:-2].replace('"%s"', "%s")
     out.write("[")
     sep = ""
     for row in rows:

@@ -178,6 +178,10 @@ class ModelParams:
 
     def validate(self, allow_degenerate_prior: bool = False) -> None:
         """Raise :class:`ParameterError` naming the first violated constraint."""
+        # True > 0: a bool built in Python would pass every check as 1 or 0
+        if (type(self.c) is bool or type(self.V_D) is bool or type(self.V_B) is bool
+                or type(self.r) is bool or type(self.p) is bool or type(self.prior) is bool):
+            raise ParameterError("parameters not booleans", str(self.to_dict()))
         if not self.c > 0:
             raise ParameterError("c > 0", f"c={self.c}")
         if not self.V_D > 0:

@@ -47,6 +47,7 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
+    integer,
     signal_grid,
     t2_options,
     unchecked_payoff,
@@ -93,10 +94,14 @@ class SimConfig:
     def validate(self) -> None:
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
         validate_signal(self.m)
-        if self.n_trials < 1:
-            raise ParameterError("n_trials >= 1", f"n_trials={self.n_trials}")
-        if not 0 <= self.seed < 2**128:  # Philox takes a 128-bit key
-            raise ParameterError("0 <= seed < 2**128", f"seed={self.seed}")
+        try:  # as the CLI reads --trials and --seed
+            n_trials, seed = integer(self.n_trials), integer(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError("n_trials and seed integers", str(exc)) from exc
+        if n_trials < 1:
+            raise ParameterError("n_trials >= 1", f"n_trials={n_trials}")
+        if not 0 <= seed < 2**128:  # Philox takes a 128-bit key
+            raise ParameterError("0 <= seed < 2**128", f"seed={seed}")
         msgs = set(self.messages())
         if not set(self.profile.signal_of) == {R, A}:
             raise ParameterError("profile signals both types")
@@ -145,7 +150,7 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
 
     config.validate()
     p, spec, prof = config.params, config.spec, config.profile
-    n = config.n_trials
+    n = int(config.n_trials)  # validated integral: 500.0 and "500" run as 500
 
     table = []  # per reachable (initial type, final type) cell, in index order
     for initial, final in ((A, A), (R, R), (R, A)):
@@ -171,7 +176,7 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         raise ParameterError("payoffs finite", f"u_A={list(u_A)}, u_B={list(u_B)}")
 
     drifts = not prof.fight_after[prof.signal_of[R]]
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
     counts = np.zeros(3, dtype=np.int64)
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")

@@ -103,7 +103,10 @@ class DiscreteGame:
     messages: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(float(m) for m in self.messages))
+        try:  # as the CLI reads --messages
+            object.__setattr__(self, "messages", tuple(real(m) for m in self.messages))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError("messages real numbers", str(exc)) from exc
         self.params.validate()
         if not self.messages:
             raise ParameterError("messages nonempty")

@@ -105,20 +105,25 @@ class GridSpec:
                 raise ParameterError("steps an integer", f"{axis.symbol}: {axis.steps!r}")
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
-            if isinstance(axis.min, bool) or isinstance(axis.max, bool):
-                raise ParameterError("axis bounds not booleans", f"{axis.symbol}: [{axis.min}, {axis.max}]")
+            bounds = f"{axis.symbol}: [{axis.min!r}, {axis.max!r}]"
+            try:  # as a config's bounds are read
+                lo, hi = real(axis.min), real(axis.max)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError("axis bounds real numbers, not booleans", bounds) from exc
             # a finite span also rules out infinite bounds
-            if not (axis.min < axis.max and math.isfinite(axis.max - axis.min)):
-                raise ParameterError(
-                    "min < max, finite max - min", f"{axis.symbol}: [{axis.min}, {axis.max}]"
-                )
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ParameterError("min < max, finite max - min", bounds)
         for sym, value in self.fixed.items():
             if sym not in ALL_SYMBOLS:
                 raise ParameterError(f"fixed symbol in {ALL_SYMBOLS}", f"got {sym!r}")
             if sym in seen:
                 raise ParameterError("fixed and axes disjoint", f"{sym!r} in both")
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ParameterError("fixed values finite, not booleans", f"{sym}={value}")
+            try:  # as a config's values are read
+                finite = math.isfinite(real(value))
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ParameterError("fixed values finite, not booleans", f"{sym}={value!r}")
         missing = [s for s in ALL_SYMBOLS if s not in seen and s not in self.fixed]
         if missing:
             raise ParameterError(
@@ -288,9 +293,9 @@ class BoundaryPoint:
         }
 
 
-def _signature(row: RegionRow) -> dict:
+def _signature(row: RegionRow) -> tuple:
     type_shift = None if row.typeshift_slack is None else holds((row.typeshift_slack,))
-    return {"classification": row.classification.value, "type_shift_refrain": type_shift}
+    return row.classification, type_shift
 
 
 def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
@@ -299,30 +304,22 @@ def boundary_trace(grid: GridSpec) -> list[BoundaryPoint]:
     Requires exactly two axes. The signature compared across an edge is
     the classification plus, when drift is in play (p > 0), the type-shift
     refrain flag, so a (p, V_B) sweep traces the drift-tolerance boundary
-    even though pooling/separating do not move.
+    even though pooling/separating do not move. Rows are row-major: a
+    point's next neighbour along the first axis is one line of rows on,
+    along the second the next row unless the point ends its line.
     """
     if len(grid.axes) != 2:
         raise ParameterError("boundary_trace needs exactly 2 axes", f"got {len(grid.axes)}")
     rows = run_sweep(grid, oracle_fraction=0.0, seed=0)
-    ax0, ax1 = grid.axes
-    v0, v1 = ax0.values(), ax1.values()
-    n0, n1 = len(v0), len(v1)
+    line = grid.axes[1].steps
     sigs = [_signature(row) for row in rows]
 
     out: list[BoundaryPoint] = []
-    for i in range(n0):
-        for j in range(n1):
-            k = i * n1 + j
-            if i + 1 < n0 and sigs[k] != sigs[k + n1]:
+    for k, sig in enumerate(sigs):
+        for axis, nxt in zip(grid.axes, (k + line, k + 1 if (k + 1) % line else len(rows))):
+            if nxt < len(rows) and sigs[nxt] != sig:
                 coords = rows[k].coordinates
-                coords[ax0.symbol] = 0.5 * (v0[i] + v0[i + 1])
-                out.append(
-                    BoundaryPoint(coords, ax0.symbol, dict(sigs[k]), dict(sigs[k + n1]))
-                )
-            if j + 1 < n1 and sigs[k] != sigs[k + 1]:
-                coords = rows[k].coordinates
-                coords[ax1.symbol] = 0.5 * (v1[j] + v1[j + 1])
-                out.append(
-                    BoundaryPoint(coords, ax1.symbol, dict(sigs[k]), dict(sigs[k + 1]))
-                )
+                coords[axis.symbol] = 0.5 * (coords[axis.symbol] + rows[nxt].coordinates[axis.symbol])
+                left, right = ({"classification": c.value, "type_shift_refrain": t} for c, t in (sig, sigs[nxt]))
+                out.append(BoundaryPoint(coords, axis.symbol, left, right))
     return out
