@@ -13,7 +13,9 @@ the oracle check. :func:`region_row_for_point` makes its row straight from
 :func:`~.conditions.slacks` and :func:`~.conditions.holds`: the params are
 validated once and no report objects are built. A row's layout is
 :data:`~.emit.CSV_HEADER` and :meth:`RegionRow.cells`; :mod:`.emit`
-writes the rows. The oracle is imported only when a sample is drawn.
+writes the rows and :func:`boundary_trace` compares each with its next
+rows, both as they are. A grid's numbers are read by :func:`~.game.real`,
+as a config's are. The oracle is imported only when a sample is drawn.
 """
 
 from __future__ import annotations
