@@ -636,13 +636,13 @@ class TestProcessContract:
     @pytest.mark.parametrize("argv, loads_numpy", [(argv, numpy) for argv, (numpy, _) in PROCESS_IMPORTS.items()])
     def test_numpy_only_where_draws_are_made(self, argv, loads_numpy, tmp_path):
         # `python -m restraint_games.cli ARGV`, reporting on stderr at exit
-        # whether numpy and logging were ever imported, and which package
-        # modules were
+        # whether numpy, logging and inspect were ever imported, and which
+        # package modules were; inspect comes only with numpy
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(GRID_CONFIG))
         code = (
             "import atexit, runpy, sys\n"
-            "atexit.register(lambda: print('numpy' in sys.modules, 'logging' in sys.modules,"
+            "atexit.register(lambda: print('numpy' in sys.modules, 'logging' in sys.modules, 'inspect' in sys.modules,"
             " *sorted(m for m in sys.modules if m.startswith('restraint_games.')), file=sys.stderr))\n"
             "runpy.run_module('restraint_games.cli', run_name='__main__', alter_sys=True)"
         )
@@ -651,7 +651,7 @@ class TestProcessContract:
             [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True, env=env
         )
         modules = [f"restraint_games.{name}" for name in sorted(PROCESS_IMPORTS[argv][1].split())]
-        assert (proc.returncode, proc.stderr.split()) == (0, [str(loads_numpy), "False", *modules])
+        assert (proc.returncode, proc.stderr.split()) == (0, [str(loads_numpy), "False", str(loads_numpy), *modules])
 
     def test_debug_log_reports_the_discrepancy_before_the_error_line(self, tmp_path):
         config = tmp_path / "grid.json"

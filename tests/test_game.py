@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from restraint_games import (
 )
 from restraint_games import game as game_module
 from restraint_games.conditions import holds
-from restraint_games.game import t2_options
+from restraint_games.game import t2_options, validate_signal
 
 from conftest import params_strategy, signal_strategy, spec_strategy
 
@@ -188,6 +189,41 @@ class TestValidation:
         with pytest.raises(ParameterError) as exc:
             ModelParams(**{**base, field: flag}).validate(allow_degenerate_prior=True)
         assert exc.value.constraint == "parameters not booleans"
+
+    @pytest.mark.parametrize("field", ["c", "V_D", "V_B", "r", "p", "prior"])
+    @pytest.mark.parametrize("value", ["1", None, [1.0]], ids=["text", "none", "list"])
+    def test_python_non_numbers_refused(self, field, value):
+        # "1" > 0 raises a bare TypeError: one named ParameterError instead
+        base = dict(c=0.5, V_D=1.0, V_B=2.0, r=0.5, p=0.5, prior=0.5)
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**{**base, field: value}).validate()
+        assert exc.value.constraint == "parameters real numbers"
+
+    @pytest.mark.parametrize("field", ["V_D", "V_B", "r"])
+    def test_python_ints_past_float_range_refused(self, field):
+        # 10**400 < math.inf, so it would classify and print 401 digits
+        base = dict(c=0.5, V_D=1.0, V_B=2.0)
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**{**base, field: 10**400}).validate()
+        assert exc.value.constraint == "V_D, V_B, r finite"
+
+    def test_largest_float_bounds_python_ints(self):
+        largest = int(sys.float_info.max)
+        ModelParams(0.5, largest, largest, largest).validate()
+        with pytest.raises(ParameterError):
+            ModelParams(0.5, 1.0, largest + 1).validate()
+
+    @pytest.mark.parametrize(
+        "m, constraint",
+        [(True, "m not a boolean"), (False, "m not a boolean"), (10**400, "m finite"), ("2", "m a real number")],
+        ids=["true", "false", "past-float-range", "text"],
+    )
+    def test_python_signal_refused(self, m, constraint):
+        # True >= 0: a bool would pass as m = 1.0
+        with pytest.raises(ParameterError) as exc:
+            validate_signal(m)
+        assert exc.value.constraint == constraint
+        validate_signal(int(sys.float_info.max))
 
     def test_degenerate_prior_allowed_only_on_request(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, prior=1.0)

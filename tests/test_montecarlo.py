@@ -210,6 +210,12 @@ class TestValidation:
         with pytest.raises(ParameterError):
             simulate(config(**{field: value}))
 
+    def test_python_bool_signal_refused(self):
+        # True >= 0: m = True would run ten trials as m = 1.0
+        with pytest.raises(ParameterError) as exc:
+            simulate(config(m=True, n_trials=10))
+        assert exc.value.constraint == "m not a boolean"
+
     def test_integral_numbers_run_as_their_ints(self):
         assert simulate(config(n_trials=500.0, seed=11.0)) == simulate(config(n_trials=500, seed=11))
 

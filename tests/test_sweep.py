@@ -360,6 +360,23 @@ def test_python_bool_params_make_an_invalid_row():
         classify(TH_BASE, params, 2.0)
 
 
+@pytest.mark.parametrize("m", [True, False, 10**400], ids=["true", "false", "past-float-range"])
+def test_python_bool_or_huge_signal_makes_an_invalid_row(m):
+    # True would read as m = 1.0 and classify; 10**400 raised OverflowError
+    params = ModelParams(0.5, 1.0, 2.0)
+    assert region_row_for_point(TH_BASE, params, m).classification is Classification.INVALID
+    with pytest.raises(ParameterError):
+        classify(TH_BASE, params, m)
+
+
+def test_python_params_past_float_range_make_an_invalid_row():
+    # V_B = 10**400 would classify as PoolingOnly and print 401 digits
+    params = ModelParams(0.5, 1.0, 10**400)
+    assert region_row_for_point(TH_BASE, params, 2.0).classification is Classification.INVALID
+    with pytest.raises(ParameterError):
+        classify(TH_BASE, params, 2.0)
+
+
 def test_run_sweep_validates_each_point_once_and_each_checked_point_once_more(validate_calls):
     # V_B crosses c, so Invalid rows too; the oracle check builds each
     # sampled point's grid game on the row's own params
