@@ -39,8 +39,7 @@ cross-checker reports that divergence rather than hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .game import (
     Mechanism,
@@ -52,8 +51,7 @@ from .game import (
 )
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One weak inequality with its signed slack."""
 
     name: str
@@ -61,16 +59,15 @@ class Clause:
     slack: float
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "expression": self.expression, "slack": self.slack}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Verdict on one equilibrium condition, clause by clause."""
 
     holds: bool
     clauses: tuple[Clause, ...]
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
 
     def to_dict(self) -> dict:
         d = {"holds": self.holds, "clauses": [c.to_dict() for c in self.clauses]}
@@ -96,8 +93,8 @@ def _report(
 _CONTINGENT = (Mechanism.TYING_HANDS, Mechanism.REDUCIBLE)
 
 
-def _drift_slack(params: ModelParams) -> float:
-    return params.c / params.V_B - params.p
+def _drift_slack(c: float, V_B: float, p: float) -> float:
+    return c / V_B - p
 
 
 def slacks(
@@ -105,13 +102,14 @@ def slacks(
 ) -> tuple[tuple[float, ...], tuple[float, ...], Optional[float]]:
     """The pooling and separating clauses' slacks, and the drift-tolerance
     slack when drift is possible (p > 0), at a point already validated."""
+    c, V_D, V_B, _, p, _ = params
     if spec.mechanism in _CONTINGENT:
-        pooling = (m - params.V_D,)
-        separating = ((m - params.c) - params.V_D, spec.effective_r(params) - params.c)
+        pooling = (m - V_D,)
+        separating = ((m - c) - V_D, spec.effective_r(params) - c)
     else:
         # Non-contingent cost: m cancels out of the t2 comparison.
-        pooling = separating = (-params.V_D,)
-    return pooling, separating, _drift_slack(params) if params.p > 0 else None
+        pooling = separating = (-V_D,)
+    return pooling, separating, _drift_slack(c, V_B, p) if p > 0 else None
 
 
 def pooling_exists(spec: MechanismSpec, params: ModelParams, m: float) -> ConditionReport:
@@ -133,7 +131,7 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
     payoff from standing down against a drifting signaler.
     """
     params.validate()
-    return _type_shift(params, _drift_slack(params))
+    return _type_shift(params, _drift_slack(params.c, params.V_B, params.p))
 
 
 def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
@@ -141,8 +139,7 @@ def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
     return _report([("drift_tolerated", "p <= c/V_B")], (slack,), metrics)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Bundle of the equilibrium verdicts at one parameter point."""
 
     mechanism: MechanismSpec

@@ -31,8 +31,7 @@ the type or on r (only the signal-cost terms vary by mechanism).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -41,6 +40,9 @@ if TYPE_CHECKING:
 
 #: Absolute tolerance of every weak inequality, read only by tie_floor.
 TOL = 1e-9
+
+#: The bound of every finite parameter and signal; exact against an int too.
+_LARGEST = sys.float_info.max
 
 
 def tie_floor(x: float) -> float:
@@ -132,8 +134,7 @@ class Outcome(Enum):
     RESTRAINT = "restraint"
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
+class MechanismSpec(NamedTuple):
     """A mechanism together with its variant flag."""
 
     mechanism: Mechanism
@@ -156,8 +157,7 @@ class MechanismSpec:
             raise ParameterError("known mechanism and variant", str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Scalar parameters shared by every game in the family.
 
     c      -- cost of preventive conflict to each side (strictly positive)
@@ -178,41 +178,36 @@ class ModelParams:
 
     def validate(self, allow_degenerate_prior: bool = False) -> None:
         """Raise :class:`ParameterError` naming the first violated constraint."""
+        c, V_D, V_B, r, p, prior = self
         # True > 0: a bool built in Python would pass every check as 1 or 0
-        if (type(self.c) is bool or type(self.V_D) is bool or type(self.V_B) is bool
-                or type(self.r) is bool or type(self.p) is bool or type(self.prior) is bool):
+        if (type(c) is bool or type(V_D) is bool or type(V_B) is bool
+                or type(r) is bool or type(p) is bool or type(prior) is bool):
             raise ParameterError("parameters not booleans", str(self.to_dict()))
-        if not self.c > 0:
-            raise ParameterError("c > 0", f"c={self.c}")
-        if not self.V_D > 0:
-            raise ParameterError("V_D > 0", f"V_D={self.V_D}")
-        if not self.V_B > self.c:
-            raise ParameterError("V_B > c", f"V_B={self.V_B}, c={self.c}")
-        if not self.r >= 0:
-            raise ParameterError("r >= 0", f"r={self.r}")
-        # c < V_B, and p and prior are checked below, so this makes every
-        # parameter finite
-        if not (self.V_B < math.inf and self.V_D < math.inf and self.r < math.inf):
-            raise ParameterError(
-                "V_D, V_B, r finite", f"V_D={self.V_D}, V_B={self.V_B}, r={self.r}"
-            )
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError("0 <= p <= 1", f"p={self.p}")
-        if allow_degenerate_prior:
-            if not 0.0 <= self.prior <= 1.0:
-                raise ParameterError("0 <= prior <= 1", f"prior={self.prior}")
-        elif not 0.0 < self.prior < 1.0:
-            raise ParameterError("0 < prior < 1", f"prior={self.prior}")
+        try:  # "1" > 0 raises TypeError
+            if not c > 0:
+                raise ParameterError("c > 0", f"c={c}")
+            if not V_D > 0:
+                raise ParameterError("V_D > 0", f"V_D={V_D}")
+            if not V_B > c:
+                raise ParameterError("V_B > c", f"V_B={V_B}, c={c}")
+            if not r >= 0:
+                raise ParameterError("r >= 0", f"r={r}")
+            # c < V_B, and p and prior are checked below, so this makes every
+            # parameter a finite float or an int in float range
+            if not (V_B <= _LARGEST and V_D <= _LARGEST and r <= _LARGEST):
+                raise ParameterError("V_D, V_B, r finite", f"V_D={V_D}, V_B={V_B}, r={r}")
+            if not 0.0 <= p <= 1.0:
+                raise ParameterError("0 <= p <= 1", f"p={p}")
+            if allow_degenerate_prior:
+                if not 0.0 <= prior <= 1.0:
+                    raise ParameterError("0 <= prior <= 1", f"prior={prior}")
+            elif not 0.0 < prior < 1.0:
+                raise ParameterError("0 < prior < 1", f"prior={prior}")
+        except TypeError as exc:
+            raise ParameterError("parameters real numbers", str(self.to_dict())) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "V_D": self.V_D,
-            "V_B": self.V_B,
-            "r": self.r,
-            "p": self.p,
-            "prior": self.prior,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
@@ -242,10 +237,15 @@ class PayoffPair(NamedTuple):
 
 
 def validate_signal(m: float) -> None:
-    if not m >= 0:
-        raise ParameterError("m >= 0", f"m={m}")
-    if not m < math.inf:
-        raise ParameterError("m finite", f"m={m}")
+    if type(m) is bool:  # True >= 0
+        raise ParameterError("m not a boolean", f"m={m}")
+    try:
+        if not m >= 0:
+            raise ParameterError("m >= 0", f"m={m}")
+        if not m <= _LARGEST:
+            raise ParameterError("m finite", f"m={m}")
+    except TypeError as exc:
+        raise ParameterError("m a real number", f"m={m!r}") from exc
 
 
 def real(value) -> float:

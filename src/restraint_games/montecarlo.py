@@ -37,7 +37,7 @@ are exact sums over the three cell counts, each rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field  # only simulate loads this module, and numpy imports inspect anyway
 from typing import IO, Optional
 
 from .game import (

@@ -36,7 +36,7 @@ exactly before building any.
 A certificate is one compact record: the game's message tuple (shared by
 all its certificates), both signal indices, the class, the t2 restraint
 bits, the fight bits and the supporting beliefs. Its ``profile`` and
-``beliefs`` build the public dataclasses when read; ``to_dict()`` and the
+``beliefs`` build the public value types when read; ``to_dict()`` and the
 CSV writer format straight from the record. On a sunk game of 10 messages
 with 40 581 certificates, listing them takes about 0.19 s and retains
 about 530 bytes per certificate (2-vCPU x86-64 guest, CPython 3.11).
@@ -59,7 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -90,34 +89,36 @@ class PBEClass(Enum):
     HYBRID = "Hybrid"
 
 
-@dataclass(frozen=True)
-class DiscreteGame:
+class _GameFields(NamedTuple):
+    spec: MechanismSpec
+    params: ModelParams
+    messages: tuple[float, ...]
+
+
+class DiscreteGame(_GameFields):
     """A restraint-signaling game restricted to a finite signal grid.
 
     ``messages`` must be strictly ascending, nonnegative, and contain 0
     (the null signal every non-existence argument deviates to).
     """
 
-    spec: MechanismSpec
-    params: ModelParams
-    messages: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, spec: MechanismSpec, params: ModelParams, messages: Iterable[float]):
         try:  # as the CLI reads --messages
-            object.__setattr__(self, "messages", tuple(real(m) for m in self.messages))
+            messages = tuple(real(m) for m in messages)
         except (TypeError, ValueError) as exc:
             raise ParameterError("messages real numbers", str(exc)) from exc
-        self.params.validate()
-        if not self.messages:
+        params.validate()
+        if not messages:
             raise ParameterError("messages nonempty")
-        for m in self.messages:
+        for m in messages:
             validate_signal(m)
-        if any(a >= b for a, b in zip(self.messages, self.messages[1:])):
-            raise ParameterError(
-                "messages strictly ascending", f"messages={self.messages}"
-            )
-        if 0.0 not in self.messages:
-            raise ParameterError("messages contain 0", f"messages={self.messages}")
+        if any(a >= b for a, b in zip(messages, messages[1:])):
+            raise ParameterError("messages strictly ascending", f"messages={messages}")
+        if 0.0 not in messages:
+            raise ParameterError("messages contain 0", f"messages={messages}")
+        return super().__new__(cls, spec, params, messages)
 
 
 def _unique(field: str, entries: Iterable[tuple]) -> dict:
@@ -131,8 +132,7 @@ def _unique(field: str, entries: Iterable[tuple]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(NamedTuple):
     """Pure strategies for both players at every decision point."""
 
     signal_of: dict[TypeLabel, float]
@@ -171,8 +171,7 @@ class StrategyProfile:
             ) from exc
 
 
-@dataclass(frozen=True)
-class BeliefAssignment:
+class BeliefAssignment(NamedTuple):
     """Posterior probability that State A is restrained, per message."""
 
     posterior: dict[float, float]
@@ -197,7 +196,7 @@ class PBECertificate:
     ``pbe_class``, the t2 ``restraint`` bits (restrained cells, then
     aggressive cells, each in message order), the ``fight`` bits and the
     supporting ``posterior`` beliefs, both by message index.
-    :attr:`profile` and :attr:`beliefs` build the public dataclasses when
+    :attr:`profile` and :attr:`beliefs` build the public value types when
     read; :meth:`to_dict` formats straight from the record.
     """
 
@@ -534,8 +533,7 @@ def find_all_pbe(
     return _certificates(table, anchors)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """One grid point where the closed forms and the oracle disagree."""
 
     params: ModelParams
@@ -554,8 +552,7 @@ class Discrepancy:
         }
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     spec: MechanismSpec
     entries: tuple[Discrepancy, ...] = ()
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conditions import holds, slacks
 from .emit import CSV_HEADER
@@ -56,8 +55,7 @@ class Classification(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     symbol: str
     min: float
     max: float
@@ -78,15 +76,14 @@ class Axis:
         return points
 
     def to_dict(self) -> dict:
-        return {"symbol": self.symbol, "min": self.min, "max": self.max, "steps": self.steps}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Axis":
         return cls(str(d["symbol"]), real(d["min"]), real(d["max"]), integer(d["steps"]))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     mechanism: MechanismSpec
     axes: tuple[Axis, ...]
     fixed: dict[str, float]
@@ -152,16 +149,36 @@ class GridSpec:
         return cls(mechanism=mechanism, axes=axes, fixed=fixed)
 
 
-@dataclass
 class RegionRow:
-    params: ModelParams
-    m: float
-    classification: Classification
-    pooling_slack: Optional[float]
-    separating_slack_1: Optional[float]
-    separating_slack_2: Optional[float]
-    typeshift_slack: Optional[float]
-    oracle_checked: bool = False
+    """One grid point's row, None where a slack does not apply. Mutable, as
+    :func:`run_sweep` marks the rows it oracle-checks, and compared by value."""
+
+    __slots__ = ("params", "m", "classification", "pooling_slack", "separating_slack_1",
+                 "separating_slack_2", "typeshift_slack", "oracle_checked")
+    __hash__ = None
+
+    def __init__(self, params: ModelParams, m: float, classification: Classification,
+                 pooling_slack: Optional[float], separating_slack_1: Optional[float],
+                 separating_slack_2: Optional[float], typeshift_slack: Optional[float], oracle_checked: bool = False):
+        self.params = params
+        self.m = m
+        self.classification = classification
+        self.pooling_slack = pooling_slack
+        self.separating_slack_1 = separating_slack_1
+        self.separating_slack_2 = separating_slack_2
+        self.typeshift_slack = typeshift_slack
+        self.oracle_checked = oracle_checked
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"RegionRow({', '.join(f'{f}={v!r}' for f, v in zip(self.__slots__, self._values()))})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     @property
     def coordinates(self) -> dict[str, float]:
@@ -171,11 +188,10 @@ class RegionRow:
     def cells(self, spec: MechanismSpec) -> list:
         """The row's values in :data:`CSV_HEADER` order, None where a
         slack does not apply: the one place the row layout is spelled out."""
-        p = self.params
         return [
             spec.mechanism.value,
             spec.variant.value,
-            p.c, p.V_D, p.V_B, p.r, p.p, p.prior, self.m,  # ALL_SYMBOLS
+            *self.params, self.m,  # ALL_SYMBOLS
             self.classification.value,
             self.pooling_slack,
             self.separating_slack_1,
@@ -200,12 +216,12 @@ _CLASSIFICATION = {
 def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> RegionRow:
     """Classify a single parameter point into a sweep-style row: the one
     row evaluator of the sweep and of ``classify``'s CSV row."""
-    m = float(m)
     try:
         params.validate()
-        validate_signal(m)
+        validate_signal(m)  # before float(), which reads a bool as 1 or 0
     except ParameterError:
         return RegionRow(params, m, Classification.INVALID, None, None, None, None)
+    m = float(m)
     pooling, separating, drift = slacks(spec, params, m)
     return RegionRow(
         params=params,
@@ -277,8 +293,7 @@ def run_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Grid-edge midpoint where the region signature flips."""
 
     coordinates: dict[str, float]

@@ -813,12 +813,9 @@ def test_certificate_json_matches_one_json_dump():
 def _exact(game: DiscreteGame) -> DiscreteGame:
     """The game over ``Fraction`` parameters and messages. ``DiscreteGame``
     coerces messages to float at its input boundary, so both are swapped in
-    after it is built."""
-    exact = DiscreteGame(game.spec, game.params, game.messages)
+    by ``_replace``, which builds the tuple without passing that boundary."""
     fields = {k: Fraction(v) for k, v in game.params.to_dict().items()}
-    object.__setattr__(exact, "params", ModelParams(**fields))
-    object.__setattr__(exact, "messages", tuple(map(Fraction, game.messages)))
-    return exact
+    return game._replace(params=ModelParams(**fields), messages=tuple(map(Fraction, game.messages)))
 
 
 def certificate_shapes(game: DiscreteGame) -> set:
