@@ -150,8 +150,9 @@ class GridSpec(NamedTuple):
 
 
 class RegionRow:
-    """One grid point's row, None where a slack does not apply. Mutable, as
-    :func:`run_sweep` marks the rows it oracle-checks, and compared by value."""
+    """One grid point's row, None where a slack does not apply: a mutable
+    record compared by value. :func:`run_sweep` sets ``oracle_checked`` on
+    the rows it samples, and the benchmark's checks edit copied rows."""
 
     __slots__ = ("params", "m", "classification", "pooling_slack", "separating_slack_1",
                  "separating_slack_2", "typeshift_slack", "oracle_checked")

@@ -65,7 +65,7 @@ _discrepancy = _with(
 
 #: Per type: a maker of one instance from keyword overrides, the override
 #: that changes one field, its repr, and whether it hashes (a dict field
-#: makes the instance unhashable).
+#: makes the instance unhashable, and a RegionRow is mutable).
 CASES = {
     "MechanismSpec": (
         _with(MechanismSpec, mechanism=Mechanism.TYING_HANDS, variant=Variant.RISK),
@@ -143,7 +143,7 @@ CASES = {
         f"RegionRow(params={PARAMS}, m=2.0, classification=<Classification.POOLING_ONLY: 'PoolingOnly'>,"
         " pooling_slack=1.0, separating_slack_1=0.5, separating_slack_2=-0.5, typeshift_slack=None,"
         " oracle_checked=False)",
-        None,  # a mutable row: not hashed
+        False,
     ),
     "BoundaryPoint": (
         _with(
@@ -161,7 +161,7 @@ CASES = {
     ),
 }
 
-#: The types whose fields refuse assignment.
+#: The types whose fields refuse assignment: all but the mutable row.
 FROZEN = [name for name in CASES if name != "RegionRow"]
 
 #: ``to_dict()`` of the types without a ``from_dict``.
@@ -199,7 +199,7 @@ def test_equal_by_value(name):
     assert changed != a and not changed == a
     if hashable:
         assert hash(a) == hash(b)
-    elif hashable is False:
+    else:
         with pytest.raises(TypeError):
             hash(a)
 
