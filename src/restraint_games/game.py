@@ -31,6 +31,7 @@ the type or on r (only the signal-cost terms vary by mechanism).
 
 from __future__ import annotations
 
+import math
 import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -177,49 +178,38 @@ class ModelParams(NamedTuple):
     prior: float = 0.5
 
     def validate(self, allow_degenerate_prior: bool = False) -> None:
-        """Raise :class:`ParameterError` naming the first violated constraint."""
+        """Raise :class:`ParameterError` naming the first violated constraint, :func:`is_real` first."""
         c, V_D, V_B, r, p, prior = self
-        # True > 0: a bool built in Python would pass every check as 1 or 0
-        if (type(c) is bool or type(V_D) is bool or type(V_B) is bool
-                or type(r) is bool or type(p) is bool or type(prior) is bool):
-            raise ParameterError("parameters not booleans", str(self.to_dict()))
-        try:  # "1" > 0 raises TypeError
-            if not c > 0:
-                raise ParameterError("c > 0", f"c={c}")
-            if not V_D > 0:
-                raise ParameterError("V_D > 0", f"V_D={V_D}")
-            if not V_B > c:
-                raise ParameterError("V_B > c", f"V_B={V_B}, c={c}")
-            if not r >= 0:
-                raise ParameterError("r >= 0", f"r={r}")
-            # c < V_B, and p and prior are checked below, so this makes every
-            # parameter a finite float or an int in float range
-            if not (V_B <= _LARGEST and V_D <= _LARGEST and r <= _LARGEST):
-                raise ParameterError("V_D, V_B, r finite", f"V_D={V_D}, V_B={V_B}, r={r}")
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError("0 <= p <= 1", f"p={p}")
-            if allow_degenerate_prior:
-                if not 0.0 <= prior <= 1.0:
-                    raise ParameterError("0 <= prior <= 1", f"prior={prior}")
-            elif not 0.0 < prior < 1.0:
-                raise ParameterError("0 < prior < 1", f"prior={prior}")
-        except TypeError as exc:
-            raise ParameterError("parameters real numbers", str(self.to_dict())) from exc
+        if not (is_real(c) and is_real(V_D) and is_real(V_B) and is_real(r) and is_real(p) and is_real(prior)):
+            name = "parameters not booleans" if any(isinstance(x, bool) for x in self) else "parameters real numbers"
+            raise ParameterError(name, str(self.to_dict()))
+        if not c > 0:
+            raise ParameterError("c > 0", f"c={c}")
+        if not V_D > 0:
+            raise ParameterError("V_D > 0", f"V_D={V_D}")
+        if not V_B > c:
+            raise ParameterError("V_B > c", f"V_B={V_B}, c={c}")
+        if not r >= 0:
+            raise ParameterError("r >= 0", f"r={r}")
+        # c < V_B, and p and prior are checked below, so this makes every
+        # parameter a real number in float range
+        if not (V_B <= _LARGEST and V_D <= _LARGEST and r <= _LARGEST):
+            raise ParameterError("V_D, V_B, r finite", f"V_D={V_D}, V_B={V_B}, r={r}")
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError("0 <= p <= 1", f"p={p}")
+        if allow_degenerate_prior:
+            if not 0.0 <= prior <= 1.0:
+                raise ParameterError("0 <= prior <= 1", f"prior={prior}")
+        elif not 0.0 < prior < 1.0:
+            raise ParameterError("0 < prior < 1", f"prior={prior}")
 
     def to_dict(self) -> dict:
         return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        try:
-            return cls(
-                c=real(d["c"]),
-                V_D=real(d["V_D"]),
-                V_B=real(d["V_B"]),
-                r=real(d.get("r", 0.0)),
-                p=real(d.get("p", 0.0)),
-                prior=real(d.get("prior", 0.5)),
-            )
+        try:  # a field left out takes its default; c, V_D and V_B have none
+            return cls(**{f: real(d[f]) for f in cls._fields if f in d or f not in cls._field_defaults})
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ParameterError("params well-formed", f"{type(exc).__name__}: {exc}") from exc
 
@@ -236,23 +226,29 @@ class PayoffPair(NamedTuple):
     u_B: float
 
 
+def is_real(x) -> bool:
+    """The one number rule: a ``numbers.Real`` but not a bool, so not
+    ``numpy.bool_``, ``Decimal``, complex, text or None (``Fraction`` is)."""
+    if type(x) is float or type(x) is int:
+        return True
+    import numbers  # here, so a process given only floats and ints never loads it
+
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate_signal(m: float) -> None:
-    if type(m) is bool:  # True >= 0
-        raise ParameterError("m not a boolean", f"m={m}")
-    try:
-        if not m >= 0:
-            raise ParameterError("m >= 0", f"m={m}")
-        if not m <= _LARGEST:
-            raise ParameterError("m finite", f"m={m}")
-    except TypeError as exc:
-        raise ParameterError("m a real number", f"m={m!r}") from exc
+    if not is_real(m):  # True >= 0, and "1" >= 0 raises TypeError
+        raise ParameterError("m not a boolean" if isinstance(m, bool) else "m a real number", f"m={m!r}")
+    if not m >= 0:
+        raise ParameterError("m >= 0", f"m={m}")
+    if not m <= _LARGEST:
+        raise ParameterError("m finite", f"m={m}")
 
 
 def real(value) -> float:
-    """A number or numeric text as a float; raise ValueError on a boolean,
-    which ``float()`` reads as 0 or 1, or on an integer past float range."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
+    """Numeric text or an :func:`is_real` number as a float; else, or past float range, raise ValueError."""
+    if not (isinstance(value, str) or is_real(value)):
+        raise ValueError(f"{value!r} is not a real number")
     try:
         return float(value)
     except OverflowError as exc:
@@ -260,8 +256,8 @@ def real(value) -> float:
 
 
 def integer(value) -> int:
-    """An integral number (3, 3.0, 1e6) or int text as an int; else raise."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """Int text or an integral :func:`is_real` number (3, 3.0, ``Fraction(6, 2)``) as an int; else raise."""
+    if not (isinstance(value, str) or is_real(value) and -math.inf < value < math.inf and int(value) == value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -96,7 +96,7 @@ class SimConfig:
         validate_signal(self.m)
         try:  # as the CLI reads --trials and --seed
             n_trials, seed = integer(self.n_trials), integer(self.seed)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParameterError("n_trials and seed integers", str(exc)) from exc
         if n_trials < 1:
             raise ParameterError("n_trials >= 1", f"n_trials={n_trials}")

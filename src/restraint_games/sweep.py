@@ -100,14 +100,14 @@ class GridSpec(NamedTuple):
             if axis.symbol in seen:
                 raise ParameterError("axis symbols distinct", f"{axis.symbol!r} repeated")
             seen.add(axis.symbol)
-            if isinstance(axis.steps, bool) or not isinstance(axis.steps, int):
+            if type(axis.steps) is not int:  # range() takes no float, and True is 1
                 raise ParameterError("steps an integer", f"{axis.symbol}: {axis.steps!r}")
             if axis.steps < 2:
                 raise ParameterError("steps >= 2", f"{axis.symbol}: {axis.steps}")
             bounds = f"{axis.symbol}: [{axis.min!r}, {axis.max!r}]"
             try:  # as a config's bounds are read
                 lo, hi = real(axis.min), real(axis.max)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParameterError("axis bounds real numbers, not booleans", bounds) from exc
             # a finite span also rules out infinite bounds
             if not (lo < hi and math.isfinite(hi - lo)):
@@ -119,7 +119,7 @@ class GridSpec(NamedTuple):
                 raise ParameterError("fixed and axes disjoint", f"{sym!r} in both")
             try:  # as a config's values are read
                 finite = math.isfinite(real(value))
-            except (TypeError, ValueError):
+            except ValueError:
                 finite = False
             if not finite:
                 raise ParameterError("fixed values finite, not booleans", f"{sym}={value!r}")
@@ -269,10 +269,12 @@ def run_sweep(
     closed-form/oracle mismatch raises :class:`DiscrepancyError` with its
     report.
     """
-    if not 0.0 <= oracle_fraction <= 1.0:
-        raise ParameterError("0 <= oracle_fraction <= 1", f"got {oracle_fraction}")
-    if seed < 0:
-        raise ParameterError("seed >= 0", f"got {seed}")
+    try:  # as the CLI reads --oracle-fraction and --seed
+        oracle_fraction, seed = real(oracle_fraction), integer(seed)
+    except ValueError as exc:
+        raise ParameterError("oracle_fraction and seed numbers", str(exc)) from exc
+    if not (0.0 <= oracle_fraction <= 1.0 and seed >= 0):
+        raise ParameterError("0 <= oracle_fraction <= 1, seed >= 0", f"got {oracle_fraction}, {seed}")
     spec = grid.mechanism
     rows = [region_row_for_point(spec, params, m) for params, m in grid_points(grid)]
 

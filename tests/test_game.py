@@ -4,27 +4,40 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from restraint_games import (
+    Axis,
+    Classification,
     DiscreteGame,
+    DriftMode,
+    GridSpec,
     Mechanism,
     MechanismSpec,
     ModelParams,
     Outcome,
     ParameterError,
+    SimConfig,
     TypeLabel,
     Variant,
+    classify,
     find_all_pbe,
     is_weak_pbe,
     payoff,
+    pooling_profile,
+    run_sweep,
+    simulate,
     supporting_belief_interval,
 )
 from restraint_games import game as game_module
 from restraint_games.conditions import holds
-from restraint_games.game import t2_options, validate_signal
+from restraint_games.game import ALL_SYMBOLS, t2_options, validate_signal
+from restraint_games.sweep import region_row_for_point
 
 from conftest import params_strategy, signal_strategy, spec_strategy
 
@@ -289,3 +302,107 @@ class TestTieRule:
         # (d) in is_weak_pbe: under TOL = 0 it rejects exactly the extra ones
         kept = [c for c in wide["certificates"] if is_weak_pbe(self.GAME, c.profile) is not None]
         assert shape(kept) == shape(exact["certificates"])
+
+
+SPEC = MechanismSpec(Mechanism.SUNK, Variant.RISK)
+#: A valid point of dyadic floats, so float and Fraction arithmetic agree.
+POINT = dict(c=0.5, V_D=1.0, V_B=2.0, r=0.25, p=0.25, prior=0.5, m=1.5)
+#: kind: (the value built from a symbol's float x, the float it stands for,
+#: or None where it is refused). The int kinds round x up, so the point
+#: moves and the int and its float must still agree there.
+KINDS = {
+    "float": (lambda x: x, lambda x: x),
+    "int": (math.ceil, lambda x: float(math.ceil(x))),
+    "negative-zero": (lambda x: -0.0, lambda x: -0.0),
+    "nan": (lambda x: math.nan, lambda x: math.nan),
+    "inf": (lambda x: math.inf, lambda x: math.inf),
+    "minus-inf": (lambda x: -math.inf, lambda x: -math.inf),
+    "past-float-range": (lambda x: 10**400, lambda x: math.inf),
+    "bool": (lambda x: True, None),
+    "numpy-bool": (lambda x: np.bool_(True), None),
+    "numpy-float64": (np.float64, lambda x: x),
+    "numpy-int64": (lambda x: np.int64(math.ceil(x)), lambda x: float(math.ceil(x))),
+    "fraction": (Fraction, lambda x: x),
+    "decimal": (Decimal, None),
+    "complex": (lambda x: complex(x, 0.0), None),
+    "text": (str, None),
+    "none": (lambda x: None, None),
+}
+
+
+def _parts(point):
+    *fields, m = (point[sym] for sym in ALL_SYMBOLS)
+    return ModelParams(*fields), m
+
+
+def _verdict(row):
+    return (row.classification, row.pooling_slack, row.separating_slack_1,
+            row.separating_slack_2, row.typeshift_slack)
+
+
+def _sweep(point, symbol):
+    axis = "c" if symbol == "m" else "m"
+    fixed = {sym: value for sym, value in point.items() if sym != axis}
+    grid = GridSpec(SPEC, (Axis(axis, 0.25, 1.75, 3),), fixed)
+    return [_verdict(row) for row in run_sweep(grid, 0.0, 0)]
+
+
+def _game(point):
+    params, m = _parts(point)
+    return DiscreteGame(SPEC, params, [0, m])
+
+
+def _is_weak_pbe(point, symbol):
+    game = _game(point)
+    cert = is_weak_pbe(game, pooling_profile(game.messages[-1]))
+    return cert and cert.to_dict()
+
+
+def _simulate(point, symbol):
+    params, m = _parts(point)
+    try:
+        profile = pooling_profile(m)
+    except (TypeError, OverflowError):  # float(None), float(10**400): simulate refuses the m first
+        profile = pooling_profile(1.0)
+    return simulate(SimConfig(SPEC, params, m, profile, 10, 0, DriftMode.BEST_RESPONSE))
+
+
+#: Each public entry point, as a function of the point and the symbol under test.
+CALLS = {
+    "classify": lambda point, symbol: classify(SPEC, *_parts(point)),
+    "region_row_for_point": lambda point, symbol: _verdict(region_row_for_point(SPEC, *_parts(point))),
+    "run_sweep": _sweep,
+    "find_all_pbe": lambda point, symbol: [cert.to_dict() for cert in find_all_pbe(_game(point))],
+    "is_weak_pbe": _is_weak_pbe,
+    "simulate": _simulate,
+}
+#: The symbols each call reads as a config does, where text is a number:
+#: grid values and messages.
+READS_TEXT = {"run_sweep": ALL_SYMBOLS, "find_all_pbe": ("m",), "is_weak_pbe": ("m",)}
+
+
+def _outcome(call, point, symbol):
+    """The call's result, or ParameterError; any other exception fails."""
+    try:
+        return call(point, symbol)
+    except ParameterError:
+        return ParameterError
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("symbol", ALL_SYMBOLS)
+def test_every_entry_point_takes_the_one_number_rule(symbol, kind):
+    # each kind of value in turn as each symbol: an admitted value gives
+    # what its float gives; any other raises one ParameterError, or gives
+    # an Invalid row
+    make, as_float = KINDS[kind]
+    x = POINT[symbol]
+    point = {**POINT, symbol: make(x)}
+    for name, call in CALLS.items():
+        got = _outcome(call, point, symbol)
+        reads = float if kind == "text" and symbol in READS_TEXT.get(name, ()) else as_float
+        if reads is None:
+            if got is not ParameterError:
+                assert name == "region_row_for_point" and got[0] is Classification.INVALID, (name, got)
+            continue
+        assert got == _outcome(call, {**POINT, symbol: reads(x)}, symbol), name

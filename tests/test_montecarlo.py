@@ -8,6 +8,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -202,7 +203,19 @@ class TestValidation:
             simulate(config(n_trials=0))
 
     @pytest.mark.parametrize(
-        "field,value", [("seed", 1.5), ("seed", True), ("n_trials", True), ("n_trials", 2.5), ("n_trials", "x")]
+        "field,value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("n_trials", True),
+            ("n_trials", 2.5),
+            ("n_trials", "x"),
+            # int() reads these as 1000 trials and seed 1
+            ("n_trials", Fraction(2001, 2)),
+            ("n_trials", Decimal("1000.5")),
+            ("seed", np.bool_(True)),
+            ("seed", Fraction(3, 2)),
+        ],
     )
     def test_python_numbers_take_the_config_rule(self, field, value):
         # game.integer, as the CLI reads --trials and --seed: seed 1.5 or

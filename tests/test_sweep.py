@@ -211,6 +211,12 @@ class TestRunSweep:
             GridSpec(TH_BASE, (Axis("V_D", 0.5, 2.0, 4),), {"c": 0.5, "V_B": 2.0, "r": 0.0, "p": 0.0, "prior": 0.5}).validate()
         with pytest.raises(ParameterError):
             run_sweep(tying_grid(), oracle_fraction=1.5, seed=0)
+        # the CLI's rule for --oracle-fraction and --seed: seed 1.5 or True
+        # would reach SeedSequence or run as 1, and "x" a bare TypeError
+        for fraction, seed in (("x", 0), (True, 0), (1.0, "x"), (1.0, 1.5), (1.0, True), (1.0, -1)):
+            with pytest.raises(ParameterError):
+                run_sweep(tying_grid(), oracle_fraction=fraction, seed=seed)
+        assert run_sweep(tying_grid(), "0.5", "3") == run_sweep(tying_grid(), 0.5, 3)
 
     def test_size_guard_counts_points_before_building_any(self, monkeypatch):
         class Built(Exception):
