@@ -161,9 +161,6 @@ def _sweep(run: dict):
     from .sweep import GridSpec, run_sweep
 
     grid = GridSpec.from_dict(run["grid"])
-    # `jobs` stays a run field so existing configs and dumps keep working
-    if run["jobs"] < 1:
-        raise ParameterError("jobs >= 1", f"got {run['jobs']}")
     rows = run_sweep(grid, oracle_fraction=run["oracle_fraction"], seed=run["seed"])
     return (
         partial(write_rows_json, rows, grid.mechanism),
@@ -221,7 +218,6 @@ COMMANDS = {
         ("grid", None, _object, _REQUIRED),
         ("oracle_fraction", "oracle_fraction", real, 0.05),
         ("seed", "seed", integer, 0),
-        ("jobs", "jobs", integer, 1),
         *_io("csv"),
     )),
     "simulate": ("type-drift Monte Carlo", _simulate, (
@@ -243,7 +239,6 @@ _FLAG_HELP = {
     "p": "type-drift probability",
     "m": "signal level",
     "messages": "comma-separated signal grid, e.g. 0,2",
-    "jobs": "accepted for compatibility; has no effect",
     "allow_degenerate_prior": "permit prior 0 or 1 (testing aid)",
     "dump_trials": "write one CSV row per trial",
     "output": "result target (default: stdout)",

@@ -11,9 +11,11 @@ text rule. In CSV an absent value is an empty cell, a boolean is ``true``
 or ``false`` as in JSON, and a number is ``str(number)``. JSON rows and
 certificates are written one at a time in the layout of
 ``json.dump(..., indent=2)``, each key and value encoded as ``json``
-encodes it, so no list of every row's or certificate's dict is held. The
-row writers format each distinct float once per table, since fixed values
-repeat on every row and an axis value on many.
+encodes it, so no list of every row's or certificate's dict is held. Each
+fills a ``%s`` layout, built once per table or per game, with its texts:
+``indent`` would force the pure-Python encoder. The row writers format
+each distinct float once per table, since fixed values repeat on every
+row and an axis value on many.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+#: A t2 action's JSON text by its restraint bit.
+_ACTION_TEXTS = (json.dumps(Outcome.EXPLOIT.value), json.dumps(Outcome.RESTRAINT.value))
 
 
 def _csv_text(value) -> str:
@@ -156,18 +160,38 @@ def write_certificates_csv(certs: Iterable[PBECertificate], out: IO[str]) -> Non
 
 def write_certificates_json(head: dict, certs: Iterable[PBECertificate], out: IO[str]) -> None:
     """:func:`write_json` of the nonempty ``head`` plus a last key
-    ``"certificates"``, the certificates' ``to_dict()``. Each certificate is
-    encoded on its own and indented into place, so their dicts are never
-    all held at once."""
-    encode = json.JSONEncoder(indent=2).encode
-    indent = "\n    "
-    out.write(encode(head)[:-2] + ',\n  "certificates": [')
-    sep = indent
+    ``"certificates"``, the certificates' ``to_dict()``. A game's
+    certificates share its messages, so its certificate layout, messages
+    written in, is built once per game; each certificate fills it in."""
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "certificates": [')
+    sep = ""
+    messages = None
     for cert in certs:
-        out.write(sep + encode(cert.to_dict()).replace("\n", indent))
-        sep = "," + indent
-    # sep is still the first one when there was no certificate
-    out.write("]\n}\n" if sep == indent else "\n  ]\n}\n")
+        if cert.messages is not messages:
+            messages = cert.messages
+            m_texts = [_json_text(m) for m in messages]
+            layout = {
+                "class": "%s",
+                "profile": {
+                    "signal_of": {"restrained": "%s", "aggressive": "%s"},
+                    "fight_after": [[m, "%s"] for m in messages],
+                    "t2_action": [[t, m, "%s"] for t in ("restrained", "aggressive") for m in messages],
+                },
+                "beliefs": {"posterior": [[m, "%s"] for m in messages]},
+            }
+            # one certificate at its depth in the document, "[\n  [" and "\n  ]\n]" cut off
+            cert_format = json.dumps([[layout]], indent=2)[5:-6].replace('"%s"', "%s")
+        values = (
+            f'"{cert.pbe_class.value}"',  # a class name needs no escape
+            m_texts[cert.j_R],
+            m_texts[cert.j_A],
+            *map(_JSON_LITERALS.__getitem__, cert.fight),
+            *map(_ACTION_TEXTS.__getitem__, cert.restraint),
+            *map(_json_text, cert.posterior),
+        )
+        out.write(sep + cert_format % values)
+        sep = ","
+    out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def write_simulation_csv(result: SimResult, out: IO[str]) -> None:

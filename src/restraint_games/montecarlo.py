@@ -65,6 +65,7 @@ _CHUNK = 1 << 16
 def pooling_profile(m: float) -> StrategyProfile:
     """Both types signal m, B stands down after m and fights the null
     signal, both types restrain on path. The default simulation profile."""
+    validate_signal(m)
     messages = signal_grid(m)
     return StrategyProfile(
         signal_of={R: float(m), A: float(m)},

@@ -33,13 +33,14 @@ exists costs O(n^3) for n messages; listing them costs O(n^3 +
 certificates). The size guard of :func:`find_all_pbe` counts certificates
 exactly before building any.
 
-A certificate is one compact record: the game's message tuple (shared by
-all its certificates), both signal indices, the class, the t2 restraint
-bits, the fight bits and the supporting beliefs. Its ``profile`` and
-``beliefs`` build the public value types when read; ``to_dict()`` and the
-CSV writer format straight from the record. On a sunk game of 10 messages
-with 40 581 certificates, listing them takes about 0.19 s and retains
-about 530 bytes per certificate (2-vCPU x86-64 guest, CPython 3.11).
+A certificate is one ``NamedTuple`` whose fields run in the canonical
+order: both signal indices, the t2 restraint bits, the fight bits, the
+class, the supporting beliefs and the game's shared message tuple. Its
+``profile`` and ``beliefs`` build the public value types when read, and
+``to_dict()`` is made of theirs; the writers format straight from the
+record. On a sunk game of 10 messages with 40 581 certificates, listing
+them takes about 0.2 s and retains about 550 bytes per certificate
+(2-vCPU x86-64 guest, CPython 3.11).
 
 Certified profiles are classed by shape. Pooling profiles (both types at
 one message) are ``PoolingOnRestraint`` when nobody fights or exploits on
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -132,6 +132,10 @@ def _unique(field: str, entries: Iterable[tuple]) -> dict:
     return out
 
 
+#: A type's name in a profile's dict, one string per type.
+_TYPE_NAMES = {t: t.name.lower() for t in TypeLabel}
+
+
 class StrategyProfile(NamedTuple):
     """Pure strategies for both players at every decision point."""
 
@@ -141,10 +145,10 @@ class StrategyProfile(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "signal_of": {t.name.lower(): m for t, m in self.signal_of.items()},
+            "signal_of": {_TYPE_NAMES[t]: m for t, m in self.signal_of.items()},
             "fight_after": [[m, bool(f)] for m, f in sorted(self.fight_after.items())],
             "t2_action": [
-                [t.name.lower(), m, a.value]
+                [_TYPE_NAMES[t], m, a.value]
                 for (t, m), a in sorted(
                     self.t2_action.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
                 )
@@ -188,39 +192,24 @@ _R, _A = 0, 1
 _ACTIONS = (Outcome.EXPLOIT, Outcome.RESTRAINT)
 
 
-class PBECertificate:
-    """One certified profile as a compact record.
-
-    It holds the game's ``messages`` (shared by every certificate of the
-    game, not copied), the signal indices ``j_R`` and ``j_A``, the
-    ``pbe_class``, the t2 ``restraint`` bits (restrained cells, then
-    aggressive cells, each in message order), the ``fight`` bits and the
-    supporting ``posterior`` beliefs, both by message index.
+class PBECertificate(NamedTuple):
+    """One certified profile as a compact record, its fields in the
+    canonical order: the signal indices ``j_R`` and ``j_A``, the t2
+    ``restraint`` bits (restrained cells, then aggressive cells, each in
+    message order), the ``fight`` bits, the ``pbe_class``, the supporting
+    ``posterior`` beliefs by message index, and the game's ``messages``
+    (shared by every certificate of the game, not copied).
     :attr:`profile` and :attr:`beliefs` build the public value types when
-    read; :meth:`to_dict` formats straight from the record.
+    read.
     """
 
-    __slots__ = ("messages", "j_R", "j_A", "pbe_class", "restraint", "fight", "posterior")
-
-    def __init__(self, messages, j_R, j_A, pbe_class, restraint, fight, posterior):
-        self.messages = messages
-        self.j_R = j_R
-        self.j_A = j_A
-        self.pbe_class = pbe_class
-        self.restraint = restraint
-        self.fight = fight
-        self.posterior = posterior
-
-    def __eq__(self, other):
-        if not isinstance(other, PBECertificate):
-            return NotImplemented
-        return all(getattr(self, field) == getattr(other, field) for field in self.__slots__)
-
-    def __repr__(self) -> str:
-        return (
-            f"PBECertificate(profile={self.profile!r}, beliefs={self.beliefs!r}, "
-            f"pbe_class={self.pbe_class!r})"
-        )
+    j_R: int
+    j_A: int
+    restraint: tuple[bool, ...]
+    fight: tuple[bool, ...]
+    pbe_class: PBEClass
+    posterior: tuple[float, ...]
+    messages: tuple[float, ...]
 
     @property
     def profile(self) -> StrategyProfile:
@@ -240,22 +229,10 @@ class PBECertificate:
         return BeliefAssignment(posterior=dict(zip(self.messages, self.posterior)))
 
     def to_dict(self) -> dict:
-        """``{"class", "profile", "beliefs"}`` with the layout of
-        :meth:`StrategyProfile.to_dict` and :meth:`BeliefAssignment.to_dict`."""
-        messages, restraint = self.messages, self.restraint
-        n = len(messages)
         return {
             "class": self.pbe_class.value,
-            "profile": {
-                "signal_of": {"restrained": messages[self.j_R], "aggressive": messages[self.j_A]},
-                "fight_after": [[m, f] for m, f in zip(messages, self.fight)],
-                "t2_action": [
-                    [name, m, _ACTIONS[bit].value]
-                    for name, bits in (("restrained", restraint[:n]), ("aggressive", restraint[n:]))
-                    for m, bit in zip(messages, bits)
-                ],
-            },
-            "beliefs": {"posterior": [[m, q] for m, q in zip(messages, self.posterior)]},
+            "profile": self.profile.to_dict(),
+            "beliefs": self.beliefs.to_dict(),
         }
 
 
@@ -414,7 +391,7 @@ def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECer
         return None
     n = table.n
     pbe_class = _classify(j_R == j_A, fight[j_R], fight[j_A], restraint[j_R], restraint[n + j_A])
-    return PBECertificate(messages, j_R, j_A, pbe_class, restraint, fight, beliefs)
+    return PBECertificate(j_R, j_A, restraint, fight, pbe_class, beliefs, messages)
 
 
 class _Option(NamedTuple):
@@ -496,9 +473,6 @@ def _anchors(table: _GameTable) -> Iterator[_Anchor]:
                     yield j_R, j_A, pbe_class, options
 
 
-_CANONICAL = operator.attrgetter("j_R", "j_A", "restraint", "fight")
-
-
 def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECertificate]:
     """One record per element of the anchors' products, in the canonical
     order: signal indices, then t2 actions (restraint bits, restrained
@@ -509,8 +483,10 @@ def _certificates(table: _GameTable, anchors: Iterable[_Anchor]) -> list[PBECert
         for combo in itertools.product(*options):
             restrains_R, restrains_A, fight, belief, _, _ = zip(*combo)
             restraint = restrains_R + restrains_A
-            found.append(PBECertificate(messages, j_R, j_A, pbe_class, restraint, fight, belief))
-    found.sort(key=_CANONICAL)
+            found.append(PBECertificate(j_R, j_A, restraint, fight, pbe_class, belief, messages))
+    # certificates of one game differ in j_R, j_A, restraint or fight, so
+    # comparing the tuples never reaches the class
+    found.sort()
     return found
 
 

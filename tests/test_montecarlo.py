@@ -215,6 +215,12 @@ class TestValidation:
             ("n_trials", Decimal("1000.5")),
             ("seed", np.bool_(True)),
             ("seed", Fraction(3, 2)),
+            # config() builds its default profile by pooling_profile(m), which
+            # takes the signal rule too
+            ("m", None),
+            pytest.param("m", 10**400, id="m-10**400"),
+            ("m", "x"),
+            ("m", True),
         ],
     )
     def test_python_numbers_take_the_config_rule(self, field, value):

@@ -803,7 +803,10 @@ def test_certificate_views_agree_with_record():
 def test_certificate_json_matches_one_json_dump():
     # written one certificate at a time, in the layout of one write_json
     head = {"messages": [0.0, 1.0], "counts": {}}
-    for certs in ([], *(find_all_pbe(game)[:3] for game in digest_games().values())):
+    games = digest_games()
+    # two games' certificates in one list, so the per-game layout is rebuilt
+    two_games = find_all_pbe(games["sunk-base-n3"])[:3] + find_all_pbe(games["tying-hands-risk-n5"])[:3]
+    for certs in ([], *(find_all_pbe(game)[:3] for game in games.values()), two_games):
         written, dumped = io.StringIO(), io.StringIO()
         write_certificates_json(head, certs, written)
         write_json({**head, "certificates": [c.to_dict() for c in certs]}, dumped)

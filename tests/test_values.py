@@ -28,6 +28,8 @@ from restraint_games import (
     ModelParams,
     Outcome,
     ParameterError,
+    PBECertificate,
+    PBEClass,
     RegionRow,
     StrategyProfile,
     TypeLabel,
@@ -159,6 +161,23 @@ CASES = {
         " right={'classification': 'PoolingOnly', 'type_shift_refrain': None})",
         False,
     ),
+    "PBECertificate": (
+        _with(
+            PBECertificate,
+            j_R=1,
+            j_A=1,
+            restraint=(True, True, False, True),
+            fight=(True, False),
+            pbe_class=PBEClass.POOLING_ON_RESTRAINT,
+            posterior=(0.5, 0.5),
+            messages=(0.0, 2.0),
+        ),
+        {"fight": (False, False)},
+        "PBECertificate(j_R=1, j_A=1, restraint=(True, True, False, True), fight=(True, False),"
+        " pbe_class=<PBEClass.POOLING_ON_RESTRAINT: 'PoolingOnRestraint'>, posterior=(0.5, 0.5),"
+        " messages=(0.0, 2.0))",
+        True,
+    ),
 }
 
 #: The types whose fields refuse assignment: all but the mutable row.
@@ -181,6 +200,20 @@ TO_DICT = {
         "axis": "m",
         "left": {"classification": "Neither", "type_shift_refrain": None},
         "right": {"classification": "PoolingOnly", "type_shift_refrain": None},
+    },
+    "PBECertificate": {
+        "class": "PoolingOnRestraint",
+        "profile": {
+            "signal_of": {"restrained": 2.0, "aggressive": 2.0},
+            "fight_after": [[0.0, True], [2.0, False]],
+            "t2_action": [
+                ["restrained", 0.0, "restraint"],
+                ["restrained", 2.0, "restraint"],
+                ["aggressive", 0.0, "exploit"],
+                ["aggressive", 2.0, "restraint"],
+            ],
+        },
+        "beliefs": {"posterior": [[0.0, 0.5], [2.0, 0.5]]},
     },
 }
 
