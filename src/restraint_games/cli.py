@@ -15,9 +15,11 @@ numpy only when it draws an oracle sample; ``simulate`` adds
 :mod:`.montecarlo`, the oracle's strategy profile and numpy.
 
 Exit codes: 0 success, 1 validation error, 2 oracle discrepancy, 3 size
-guard. Every failure prints one machine-parsable line to stderr
-(``error: <category>: <reason>``); result data goes only to the output
-target (stdout by default), logs to stderr. ``RESTRAINT_GAMES_LOG=info``
+guard, and 141 (128 + SIGPIPE, as a shell reports a filter that SIGPIPE
+killed) when the reader closes the output pipe early. Every other failure
+prints one machine-parsable line to stderr (``error: <category>:
+<reason>``); result data goes only to the output target (stdout by
+default), logs to stderr. ``RESTRAINT_GAMES_LOG=info``
 logs a summary of each run and ``debug`` also a failed cross-check's
 discrepancy report; ``logging`` is imported only then. Nothing in the
 package logs above info, so any other setting prints no log line.
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DISCREPANCY = 2
 EXIT_SIZE_GUARD = 3
+EXIT_CLOSED_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,16 +108,16 @@ _REQUIRED = object()
 
 # Run fields are (config key, flag dest, type, default). Every field with a
 # dest is also a flag. A dotted key nests one level; a callable default is
-# computed from the fields resolved before it.
+# computed from the fields resolved before it. A point's defaults are its
+# value types' own; its flags are the field names in lower case without "_".
 _POINT = (
     ("mechanism.mechanism", "mechanism", _one_of(*(m.value for m in Mechanism)), _REQUIRED),
-    ("mechanism.variant", "variant", _one_of(*(v.value for v in Variant)), "base"),
-    ("params.c", "c", real, _REQUIRED),
-    ("params.V_D", "vd", real, _REQUIRED),
-    ("params.V_B", "vb", real, _REQUIRED),
-    ("params.r", "r", real, 0.0),
-    ("params.p", "p", real, 0.0),
-    ("params.prior", "prior", real, 0.5),
+    ("mechanism.variant", "variant", _one_of(*(v.value for v in Variant)),
+     MechanismSpec._field_defaults["variant"].value),
+    *(
+        (f"params.{name}", name.lower().replace("_", ""), real, ModelParams._field_defaults.get(name, _REQUIRED))
+        for name in ModelParams._fields
+    ),
 )
 _SIGNAL = ("m", "m", real, _REQUIRED)
 
@@ -305,6 +308,24 @@ def _layer(cfg: dict, section: str) -> dict:
     return layer
 
 
+def _refuse_unknown_keys(cfg: dict, fields: tuple) -> None:
+    """One error naming every config key, at the top level or in a section,
+    that no run field declares; a misspelled key would else run silently
+    with the default."""
+    known: dict[str, set] = {"": set()}
+    for key, *_ in fields:
+        section, _, name = key.rpartition(".")
+        known[""].add(section or name)
+        known.setdefault(section, set()).add(name)
+    unknown = []
+    for section, names in known.items():
+        layer, where = (cfg.get(section), f"in {section}") if section else (cfg, "at top level")
+        if isinstance(layer, dict):  # _layer refuses a section that is not an object
+            unknown += [f"{key!r} {where}" for key in layer if key not in names]
+    if unknown:
+        raise ParameterError("config keys are run fields", "unknown " + ", ".join(unknown))
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Each run field from its flag, else the config file, else its default,
     coerced to the field's type. Flags are written into the loaded config
@@ -312,6 +333,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     defaulted keys."""
     cfg = _load_config(args.config, args.command)
     _, _, fields = COMMANDS[args.command]
+    _refuse_unknown_keys(cfg, fields)
     for key, dest, _, _ in fields:
         section, _, name = key.rpartition(".")
         value = getattr(args, dest) if dest else None
@@ -367,7 +389,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             path, write = run["output"], as_json if run["format"] == "json" else as_csv
         with _open_target(path) as out:
             write(out)
+            out.flush()  # so a closed pipe shows here, not in the flush at exit
         return EXIT_OK
+    except BrokenPipeError:
+        # nothing is wrong with the run; stdout goes to devnull so the flush
+        # at exit neither fails nor prints "Exception ignored"
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (ParameterError, OSError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

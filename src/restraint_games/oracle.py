@@ -7,11 +7,10 @@ Bayesian equilibrium, i.e. where
 
 (a) posteriors at on-path messages follow Bayes' rule from the prior,
 (b) State B's t1 choice at every message is optimal under its posterior
-    there -- because B's expected payoff is affine in the belief, the
-    supporting beliefs form a closed interval, computed exactly by
-    :func:`supporting_belief_interval`; an on-path posterior passes when
-    it lies in the interval, and off path, where posteriors are free, the
-    interval's midpoint is reported,
+    there -- on path B's expected payoff at the Bayes posterior passes the
+    tie rule below; off path, where posteriors are free, the midpoint of
+    the supporting beliefs, a closed interval since that payoff is affine
+    in the belief (:func:`supporting_belief_interval`), is reported,
 (c) each type's t2 action is optimal at its cell, for every cell on or
     off the path, by :func:`~.game.t2_options`, and
 (d) no type can improve its continuation value by sending a different
@@ -246,8 +245,9 @@ def supporting_belief_interval(
 
     B's payoff from standing down is affine in q:
     ``f(q) = q * u_b_restrained_action + (1 - q) * u_b_aggressive_action``,
-    so the supporting set within [0, 1] is a closed interval, returned
-    exactly (or None when empty).
+    so the supporting set within [0, 1] is a closed interval (or None
+    when empty). Its endpoint is rounded; the oracle only reports off-path
+    beliefs from it and tests an on-path posterior by ``f`` itself.
     """
     slope = u_b_restrained_action - u_b_aggressive_action
     intercept = u_b_aggressive_action
@@ -279,8 +279,11 @@ class _GameTable:
         self.n = len(game.messages)
         self.index = {m: j for j, m in enumerate(game.messages)}
         p = game.params
-        self.prior = p.prior
+        # an anchor's beliefs at a message: off path (free), pooled, at R's and A's signal; the prior's type
+        self.beliefs = (None, p.prior, 1 + 0 * p.prior, 0 * p.prior)
         self.u_b_fight = -p.c
+        # (b): B may stand down at payoff f when f >= stand_floor, fight when -f >= fight_floor
+        self.stand_floor, self.fight_floor = tie_floor(-p.c), tie_floor(p.c)
         # B's payoff from A's t2 action, by restraint bit; 0 * V_B keeps V_B's number type
         self.u_b_action = (-p.V_B, 0 * p.V_B)
 
@@ -305,16 +308,16 @@ class _GameTable:
         return self.uA_t2[t][restrains][j]
 
 
-def _supporting_belief(interval: Optional[tuple[float, float]], q: Optional[float]) -> Optional[float]:
-    """Check (b) at one message: ``q``, the Bayes posterior on path, if it
-    lies in the supporting ``interval``; off path (``q`` None) the
-    interval's midpoint; else None."""
-    if interval is None:
-        return None
-    lo, hi = interval
+def _supporting_belief(table: _GameTable, u_r: float, u_a: float, fight: bool, q: Optional[float]) -> Optional[float]:
+    """Check (b) at one message, where B gets ``u_r`` and ``u_a`` from the
+    two types' t2 actions: the Bayes posterior ``q`` if B's payoff there,
+    ``f(q) = q * u_r + (1 - q) * u_a``, passes the tie rule for ``fight``;
+    off path (``q`` None) the supporting interval's midpoint; else None."""
     if q is None:
-        return 0.5 * (lo + hi)
-    return q if lo <= q <= hi else None
+        interval = supporting_belief_interval(u_r, u_a, table.u_b_fight, fight)
+        return None if interval is None else 0.5 * (interval[0] + interval[1])
+    f = u_a + q * (u_r - u_a)  # exactly u_a where B's payoff does not depend on q
+    return q if (-f >= table.fight_floor if fight else f >= table.stand_floor) else None
 
 
 def _check_profile(
@@ -328,19 +331,19 @@ def _check_profile(
     or None. ``restraint`` holds the restrained type's t2 bits, then the
     aggressive type's."""
     n = table.n
-    u_b, u_fight = table.u_b_action, table.u_b_fight
+    u_b = table.u_b_action
+    _, pooled, at_R, at_A = table.beliefs
     beliefs = []
     for j in range(n):
         if j == j_R and j == j_A:
-            q: Optional[float] = table.prior
+            q = pooled
         elif j == j_R:
-            q = 1.0
+            q = at_R
         elif j == j_A:
-            q = 0.0
+            q = at_A
         else:
             q = None  # off path: belief free
-        interval = supporting_belief_interval(u_b[restraint[j]], u_b[restraint[n + j]], u_fight, fight[j])
-        belief = _supporting_belief(interval, q)
+        belief = _supporting_belief(table, u_b[restraint[j]], u_b[restraint[n + j]], fight[j], q)
         if belief is None:
             return None
         beliefs.append(belief)
@@ -408,21 +411,18 @@ class _Option(NamedTuple):
 
 def _local_options(table: _GameTable, j: int) -> tuple[list[_Option], ...]:
     """Cell-optimal t2 actions and fight bits at message j that pass (b),
-    once for each belief an anchor can put there: off path, pooled at the
-    prior, at the restrained type's signal (1.0) and at the aggressive
-    type's (0.0)."""
-    u_b, u_fight = table.u_b_action, table.u_b_fight
-    beliefs = (None, table.prior, 1.0, 0.0)
+    once for each of ``table.beliefs``: off path, pooled at the prior, at
+    the restrained type's signal and at the aggressive type's."""
+    u_b = table.u_b_action
+    beliefs = table.beliefs
     options: tuple[list[_Option], ...] = tuple([] for _ in beliefs)
     for restrains_R in table.t2_options[_R][j]:
         for restrains_A in table.t2_options[_A][j]:
+            u_r, u_a = u_b[restrains_R], u_b[restrains_A]
             for fight in (False, True):
-                interval = supporting_belief_interval(u_b[restrains_R], u_b[restrains_A], u_fight, fight)
-                if interval is None:
-                    continue
                 values = (table.value(_R, j, restrains_R, fight), table.value(_A, j, restrains_A, fight))
                 for found, q in zip(options, beliefs):
-                    belief = _supporting_belief(interval, q)
+                    belief = _supporting_belief(table, u_r, u_a, fight, q)
                     if belief is not None:
                         found.append(_Option(restrains_R, restrains_A, fight, belief, *values))
     return options

@@ -378,6 +378,14 @@ MALFORMED = {
         "--oracle-fraction 0",
     ),
     "config-messages-as-string": ("oracle", dict(POINT, messages="0,2"), ""),
+    # a key that no run field declares would run silently with the default
+    "config-unknown-top-level-key": ("simulate", dict(POINT, n_trails=5), ""),
+    "config-unknown-mechanism-key": (
+        "simulate", dict(POINT, mechanism=dict(POINT["mechanism"], varaint="risk")), "--trials 10"
+    ),
+    "config-unknown-params-key": (
+        "simulate", dict(POINT, params=dict(POINT["params"], priro=0.9)), "--trials 10"
+    ),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "simulate-seed-past-philox-key": ("simulate", POINT, f"--trials 10 --seed {2**128}"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
@@ -615,6 +623,17 @@ class TestProcessContract:
         assert proc.returncode == 0
         json.loads(proc.stdout)  # stdout carries only the result
         assert "classify" in proc.stderr  # the info log went to stderr
+
+    def test_closed_pipe_exits_141_without_a_stderr_line(self, tmp_path):
+        # the reader closes after the first line, as `| head -1` does; the
+        # 100x100 grid's rows fill more than a pipe holds
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(dict(GRID_CONFIG, axes=[dict(a, steps=100) for a in GRID_CONFIG["axes"]])))
+        argv = [sys.executable, "-m", "restraint_games.cli", "sweep", "--config", str(grid), "--oracle-fraction", "0"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"mechanism,")
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
     def test_import_leaves_out_process_pools(self):
         # every CLI process pays for what `restraint_games.cli` imports

@@ -127,6 +127,9 @@ class TestIsWeakPBE:
         cert = is_weak_pbe(game, prof)
         assert cert is not None and cert.pbe_class is PBEClass.POOLING_ON_RESTRAINT
         recheck_certificate(game, cert)
+        # conflict ends the game at t1, so it is no t2 action
+        conflict = {**prof.t2_action, (A, 0.0): Outcome.PREVENTIVE_CONFLICT}
+        assert is_weak_pbe(game, prof._replace(t2_action=conflict)) is None
 
     @pytest.mark.parametrize("a_after_high", [Outcome.EXPLOIT, Outcome.RESTRAINT])
     def test_base_separating_attempt_fails(self, a_after_high):
@@ -272,6 +275,8 @@ class TestSupportingBeliefs:
         assert (lo, hi) == pytest.approx((0.0, 0.75), abs=1e-8)
         lo, hi = supporting_belief_interval(0.0, -2.0, -0.5, fight=False)
         assert (lo, hi) == pytest.approx((0.75, 1.0), abs=1e-8)
+        # the cut falls past q = 1: standing down pays at most 0 < 0.5
+        assert supporting_belief_interval(0.0, -1.0, 0.5, fight=False) is None
 
 
 class TestFindAllPBE:
@@ -906,16 +911,16 @@ def test_exact_run_never_touches_a_float_payoff(monkeypatch):
 
 
 def test_rounding_gap_is_visible_to_the_referee(monkeypatch):
-    # the rounded (b) cut admits a prior a hair outside the band: float
-    # certifies 81 profiles where exact arithmetic certifies 63. Not fixed
-    # yet; exempt, since the float result moves within 4 ulp of TOL
+    # the prior lies a hair outside B's tie band at one message. Check (b)
+    # on path tests B's payoff there by the tie rule, not against a rounded
+    # belief cut, so float and exact arithmetic certify the same 63 profiles
     game = DiscreteGame(
         MechanismSpec(Mechanism.SUNK),
         ModelParams(c=1, V_D=0.25, V_B=2, r=0.5, prior=0.5000000005),
         (0, 0.25, 1.75, 2.000000001),
     )
-    assert len(find_all_pbe(game)) == 81
+    assert len(find_all_pbe(game)) == 63
     with monkeypatch.context() as patch:
         patch.setattr(game_module, "TOL", Fraction(TOL))
         assert len(find_all_pbe(_exact(game))) == 63
-    assert referee(monkeypatch, certificate_shapes, game) == "exempt"
+    assert referee(monkeypatch, certificate_shapes, game) == "agree"

@@ -209,6 +209,12 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             # m supplied on neither an axis nor fixed
             GridSpec(TH_BASE, (Axis("V_D", 0.5, 2.0, 4),), {"c": 0.5, "V_B": 2.0, "r": 0.0, "p": 0.0, "prior": 0.5}).validate()
+        with pytest.raises(ParameterError, match="axis symbols distinct"):
+            tying_grid(axes=(Axis("m", 0.5, 2.0, 4), Axis("m", 0.5, 2.0, 4)), fixed={"V_D": 1.0}).validate()
+        with pytest.raises(ParameterError, match="fixed symbol in"):
+            tying_grid(fixed={"V_X": 1.0}).validate()
+        with pytest.raises(ParameterError, match="fixed and axes disjoint"):
+            tying_grid(fixed={"m": 1.0}).validate()
         with pytest.raises(ParameterError):
             run_sweep(tying_grid(), oracle_fraction=1.5, seed=0)
         # the CLI's rule for --oracle-fraction and --seed: seed 1.5 or True
