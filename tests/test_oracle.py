@@ -30,6 +30,7 @@ from restraint_games import (
     ModelParams,
     Outcome,
     ParameterError,
+    PBECertificate,
     PBEClass,
     StrategyProfile,
     TypeLabel,
@@ -669,6 +670,23 @@ def test_random_games_match_ordered_brute_force():
         assert [c_.to_dict() for c_ in find_all_pbe(game)] == expected
 
 
+@pytest.mark.parametrize(
+    "variant,params,messages",
+    [
+        (Variant.BASE, ModelParams(c=0.5, V_D=0.5, V_B=2.0, r=0.5, p=0.2, prior=0.5), (0.0, 1.5, 2.0)),
+        (Variant.RISK, ModelParams(c=0.25, V_D=0.5, V_B=1.0, r=0.5, p=0.2, prior=0.75), (0.0, 0.75, 2.0)),
+        (Variant.BASE, ModelParams(c=1.0, V_D=0.5, V_B=2.0, r=1.0, p=0.2, prior=0.75), (0.0, 1.0, 1.5, 2.0)),
+    ],
+)
+def test_tie_prone_installment_games_match_ordered_brute_force(variant, params, messages):
+    # the restrained type ties at every t2 cell, and two anchors of one
+    # (j_R, j_A) block list certificates that interleave in the canonical
+    # order, so only the final sort puts them in place
+    game = DiscreteGame(MechanismSpec(Mechanism.INSTALLMENT, variant), params, messages)
+    expected = [c_.to_dict() for c_ in brute_force_find_all(game)]
+    assert [c_.to_dict() for c_ in find_all_pbe(game)] == expected
+
+
 #: Grid for the pinned games: 1.0 is V_D (the aggressive type ties at t2
 #: under tying hands and reducible), and prior 0.75 leaves B indifferent
 #: when pooling with one type exploiting (0.25 * V_B == c).
@@ -759,6 +777,72 @@ FIND_ALL_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(FIND_ALL_DIGESTS))
 def test_find_all_pbe_bytes_unchanged(case):
     assert certificates_digest(digest_games()[case]) == FIND_ALL_DIGESTS[case]
+
+
+def tie_heavy_games() -> dict[str, DiscreteGame]:
+    """24 games shaped like the oracle-ties benchmark's: every spec at 4, 5
+    and 6 messages, drawn from one seeded stream. In the sunk and
+    installment games the restrained type ties at every t2 cell, so their
+    certificates run to the thousands."""
+    shapes = random.Random(2425)
+    games = {}
+    for mech in Mechanism:
+        for variant in Variant:
+            for n in (4, 5, 6):
+                c = shapes.uniform(0.2, 1.0)
+                params = ModelParams(
+                    c=c,
+                    V_D=shapes.uniform(0.3, 2.0),
+                    V_B=c + shapes.uniform(0.5, 2.0),
+                    r=shapes.uniform(0.0, 1.5),
+                    prior=shapes.uniform(0.2, 0.8),
+                )
+                signals = sorted(shapes.sample(range(10, 400), n - 1))
+                games[f"{mech.value}-{variant.value}-n{n}"] = DiscreteGame(
+                    MechanismSpec(mech, variant), params, (0.0, *(k / 100 for k in signals))
+                )
+    return games
+
+
+#: sha256 of ``json.dumps([c.to_dict() for c in find_all_pbe(game)])`` per
+#: tie-heavy game, recorded while each certificate was built in Python one
+#: at a time
+TIE_HEAVY_DIGESTS = {
+    "tying-hands-base-n4": "28d7ea8811b3d9b3780deae1a25614275b825ff51a4cd41ab548405f7ad04016",
+    "tying-hands-base-n5": "6f197ff683d14f6c58bd4c9f46472869e6ced868bdc781a43a2d57e6e26a4330",
+    "tying-hands-base-n6": "a556dc9006016e689b0764bce7f0b0f47b9a2942831df7d477722287402283b2",
+    "tying-hands-risk-n4": "dd00e9819b95bd617b7fe102ed3a03743dfdebeddf399a3e57812666f0a4c92e",
+    "tying-hands-risk-n5": "d22fbd95c08d857cb334ffcdb40d07fe294b1a516c4b8e797fe14f755e09598e",
+    "tying-hands-risk-n6": "5f3c99f8336bbae2e84489fb81a76b8d0ac2b01fe325c3e93c9a3dbe4d14cb74",
+    "sunk-base-n4": "65a589eb3e3a4cb83d4cbbe2259db3d2f72be7585355fed444dca6647d6e8de4",
+    "sunk-base-n5": "9f0247ca3506bcb9e3a1f282c9770cfced06005ee19ad22f002bfd9a60fb671e",
+    "sunk-base-n6": "e8b08791c481afe7b4afb72eec2822c7665a6e6e0c2902fc6ccb71877ca918b1",
+    "sunk-risk-n4": "5b4085dba1f761c668ea941df2639216662d465c54c9933948879c85cf7dc954",
+    "sunk-risk-n5": "e301e59816aff6bf5a0a1784f73d19de85bd5763a02a31fb653506bcd2fd414d",
+    "sunk-risk-n6": "602bc3f7d3f4219cfb78b96e5bbf4e5eba19c6fcf0bebf110770ceeca0b1833b",
+    "installment-base-n4": "fb11d71a020b3bd07d095d54d467354a39c29a0e161e3f156272b5d8c45ff675",
+    "installment-base-n5": "8afa4cf41012128c3625e67910684752ebd5e66e794208f58834c80911113aed",
+    "installment-base-n6": "528fce8f133bf0fb2aa805fb1b696786abf602d140b45512bef1c9eef891dd04",
+    "installment-risk-n4": "42932a743fc1978c77ee78f05a1547f8f079a9726b6b5fc88f28f7ea2fcb3508",
+    "installment-risk-n5": "c629d2049ef682bf84a76d963a57d7f1321b64ad13007f83e7cf9516eade6619",
+    "installment-risk-n6": "0093561618316cc59cb142cabd72bd4bb5493013ba60df81ab34344fb0d6aefe",
+    "reducible-base-n4": "b0079ef4aa84c9f4a65d19686f6524a83811ddefb92b99631c6d2f0706a801ba",
+    "reducible-base-n5": "025efd09eafe043eea664b596626a1ad6cf23410d0e4dd24367b2d2b521c56b7",
+    "reducible-base-n6": "dcec6062f09f1164271ea23028f6de40e1f05b2ee3d1c8fa872e0b25ee3c13ea",
+    "reducible-risk-n4": "ef54eaa5ea2b721b7f73840ef9e133269c95629e76388c54027817bbca24dad6",
+    "reducible-risk-n5": "f72fb0f2c1f0d7695ff7a11c398dda9c55150f2760991f58689c8211d7be0912",
+    "reducible-risk-n6": "5af1e1ccb9f901413a0344d14ce76010023a832a2584fe098acdbafa256372a9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_HEAVY_DIGESTS))
+def test_tie_heavy_certificates_bytes_unchanged(case):
+    certs = find_all_pbe(tie_heavy_games()[case])
+    for cert in certs:
+        assert type(cert) is PBECertificate
+        assert {type(cert.restraint), type(cert.fight), type(cert.posterior), type(cert.messages)} == {tuple}
+    payload = json.dumps([c.to_dict() for c in certs])
+    assert hashlib.sha256(payload.encode()).hexdigest() == TIE_HEAVY_DIGESTS[case]
 
 
 def test_find_all_pbe_memory_per_certificate():
