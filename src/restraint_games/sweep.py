@@ -146,6 +146,12 @@ class GridSpec(NamedTuple):
             raise ParameterError("grid and axis keys present", f"missing {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParameterError("grid values well-formed", str(exc)) from exc
+        # a key that no field reads would be dropped, and the grid run without it
+        layers = (("grid", d, cls), ("mechanism", d.get("mechanism", {}), MechanismSpec),
+                  *((f"axes[{i}]", a, Axis) for i, a in enumerate(d["axes"])))
+        unknown = [f"{key!r} in {where}" for where, layer, kind in layers for key in layer if key not in kind._fields]
+        if unknown:
+            raise ParameterError("grid keys are grid fields", "unknown " + ", ".join(unknown))
         return cls(mechanism=mechanism, axes=axes, fixed=fixed)
 
 

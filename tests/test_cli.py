@@ -386,6 +386,16 @@ MALFORMED = {
     "config-unknown-params-key": (
         "simulate", dict(POINT, params=dict(POINT["params"], priro=0.9)), "--trials 10"
     ),
+    # a bare grid's run keys, and misspelled grid keys, would be dropped
+    "grid-unknown-key": ("sweep", dict(GRID_CONFIG, oracle_fraction=1.0, seed=5), ""),
+    "grid-unknown-axis-key": (
+        "sweep",
+        dict(GRID_CONFIG, axes=[GRID_CONFIG["axes"][0], dict(GRID_CONFIG["axes"][1], stpes=9)]),
+        "--oracle-fraction 0",
+    ),
+    "grid-unknown-mechanism-key": (
+        "sweep", dict(GRID_CONFIG, mechanism=dict(GRID_CONFIG["mechanism"], varaint="risk")), "--oracle-fraction 0"
+    ),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "simulate-seed-past-philox-key": ("simulate", POINT, f"--trials 10 --seed {2**128}"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),

@@ -255,6 +255,15 @@ class TestRunSweep:
         grid = tying_grid()
         assert GridSpec.from_dict(grid.to_dict()) == grid
 
+    def test_unknown_keys_are_named_in_one_error(self):
+        d = tying_grid().to_dict()
+        d["oracle_fraction"] = 1.0
+        d["mechanism"]["varaint"] = "risk"
+        d["axes"][1]["stpes"] = 9
+        with pytest.raises(ParameterError, match="grid keys are grid fields") as exc:
+            GridSpec.from_dict(d)
+        assert "'oracle_fraction' in grid, 'varaint' in mechanism, 'stpes' in axes[1]" in str(exc.value)
+
 
 _BOUND = st.floats(allow_nan=False, allow_infinity=False)
 _SPAN = st.one_of(
