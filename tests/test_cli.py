@@ -394,7 +394,9 @@ MALFORMED = {
         "--oracle-fraction 0",
     ),
     "grid-unknown-mechanism-key": (
-        "sweep", dict(GRID_CONFIG, mechanism=dict(GRID_CONFIG["mechanism"], varaint="risk")), "--oracle-fraction 0"
+        "sweep",
+        dict(GRID_CONFIG, mechanism=dict(GRID_CONFIG["mechanism"], varaint="risk")),
+        "--oracle-fraction 0",
     ),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "simulate-seed-past-philox-key": ("simulate", POINT, f"--trials 10 --seed {2**128}"),
