@@ -272,8 +272,10 @@ def boolean(value) -> bool:
 def t2_options(u_exploit: float, u_restraint: float) -> tuple[bool, ...]:
     """Restraint bits of A's weakly optimal t2 actions, exploit first; a
     tie by :func:`tie_floor` admits both."""
-    options = ((False, u_exploit >= tie_floor(u_restraint)), (True, u_restraint >= tie_floor(u_exploit)))
-    return tuple(bit for bit, ok in options if ok)
+    restraint = u_restraint >= tie_floor(u_exploit)
+    if u_exploit >= tie_floor(u_restraint):
+        return (False, True) if restraint else (False,)
+    return (True,) if restraint else ()
 
 
 def signal_grid(m: float) -> tuple[float, ...]:
@@ -315,20 +317,22 @@ def unchecked_payoff(
 ) -> PayoffPair:
     """:func:`payoff` without validating its inputs, for callers that
     validated the parameters and signals once at their boundary."""
+    base, pays_m, u_B = payoff_terms(spec, params, theta, outcome)
+    return PayoffPair(base - m if pays_m else base, u_B)
+
+
+def payoff_terms(spec: MechanismSpec, params: ModelParams, theta: TypeLabel, outcome: Outcome) -> tuple[float, bool, float]:
+    """:func:`payoff`'s cell for every m at once: ``(base, pays_m, u_B)``,
+    where u_A is ``base - m`` if pays_m, else ``base``."""
     t = theta.theta
-    re = spec.effective_r(params)
     mech = spec.mechanism
 
     if outcome is Outcome.PREVENTIVE_CONFLICT:
-        if mech in (Mechanism.SUNK, Mechanism.REDUCIBLE):
-            return PayoffPair(-params.c - m, -params.c)
-        return PayoffPair(-params.c, -params.c)
+        return -params.c, mech in (Mechanism.SUNK, Mechanism.REDUCIBLE), -params.c
 
     if outcome is Outcome.EXPLOIT:
-        return PayoffPair(t * params.V_D - m, -params.V_B)
+        return t * params.V_D, True, -params.V_B
 
     # Restraint: the peace dividend is the zero point; only the signal-cost
     # term and the aggressive type's risk term can pull u_A below it.
-    if mech in (Mechanism.SUNK, Mechanism.INSTALLMENT):
-        return PayoffPair(-t * re - m, 0.0)
-    return PayoffPair(-t * re, 0.0)
+    return -t * spec.effective_r(params), mech in (Mechanism.SUNK, Mechanism.INSTALLMENT), 0.0

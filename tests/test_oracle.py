@@ -45,7 +45,8 @@ from restraint_games import (
 from restraint_games import game as game_module
 from restraint_games.emit import write_certificates_json, write_json
 from restraint_games.game import t2_options, unchecked_payoff
-from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable
+from restraint_games import oracle as oracle_module
+from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable, _local_options
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -203,6 +204,35 @@ class TestIsWeakPBE:
         cert = is_weak_pbe(game2, prof2)
         assert cert is not None and cert.pbe_class is PBEClass.POOLING_OTHER
         recheck_certificate(game2, cert)
+
+    def test_fight_bits_and_t2_actions_read_by_the_from_dict_rule(self):
+        game = DiscreteGame(TH_BASE, BASE_PARAMS, (0.0, 1.0))
+        prof = profile(
+            (1.0, 1.0),
+            {0.0: True, 1.0: False},
+            {
+                (R, 0.0): Outcome.RESTRAINT,
+                (R, 1.0): Outcome.RESTRAINT,
+                (A, 0.0): Outcome.EXPLOIT,
+                (A, 1.0): Outcome.RESTRAINT,
+            },
+        )
+        cert = is_weak_pbe(game, prof)
+        assert cert is not None and cert.pbe_class is PBEClass.POOLING_ON_RESTRAINT
+        text_actions = {cell: action.value for cell, action in prof.t2_action.items()}
+        # a t2 action as its text is that action, as StrategyProfile.from_dict reads it
+        assert is_weak_pbe(game, prof._replace(t2_action=text_actions)) == cert
+        # bool("false") is True, so text fight bits were read as fights; they
+        # and an unknown action are refused, as from_dict refuses them
+        text_fights = {0.0: "true", 1.0: "false"}
+        for bad in (
+            prof._replace(fight_after=text_fights),
+            prof._replace(fight_after=text_fights, t2_action=text_actions),
+            prof._replace(fight_after={0.0: 1, 1.0: 0}),
+            prof._replace(t2_action={**prof.t2_action, (A, 0.0): "fight"}),
+        ):
+            with pytest.raises(ParameterError, match="profile well-formed"):
+                is_weak_pbe(game, bad)
 
     def test_partial_profile_rejected(self):
         game = DiscreteGame(TH_BASE, BASE_PARAMS, (0.0, 2.0))
@@ -864,6 +894,31 @@ def test_find_all_pbe_memory_per_certificate():
     assert retained / len(certs) <= 800, f"{retained / len(certs):.0f} bytes per certificate"
 
 
+@pytest.mark.parametrize("case", [f"{mech.value}-{variant.value}-n6" for mech in Mechanism for variant in Variant])
+def test_find_all_pbe_pays_its_fixed_cost_once(monkeypatch, case):
+    # check (b) depends only on an option's restraint bits and fight bit and
+    # on the kind of belief (off path, pooled, at either signal): at most
+    # 8 x 4 verdicts a game. A message's admitted off-path options depend
+    # only on the on-path values (v_R, v_A).
+    verdicts, admissions = [], []
+    supporting_belief, admit = oracle_module._supporting_belief, oracle_module._admit
+
+    def counted_belief(*args):
+        verdicts.append(args)
+        return supporting_belief(*args)
+
+    def recorded_admit(options, v_R, v_A):
+        admissions.append((options, v_R, v_A))  # keeps options alive, so its id names one message
+        return admit(options, v_R, v_A)
+
+    monkeypatch.setattr(oracle_module, "_supporting_belief", counted_belief)
+    monkeypatch.setattr(oracle_module, "_admit", recorded_admit)
+    assert find_all_pbe(tie_heavy_games()[case])
+    assert 0 < len(verdicts) <= 32
+    keys = [(id(options), v_R, v_A) for options, v_R, v_A in admissions]
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_certificate_views_agree_with_record():
     rng = np.random.default_rng(2718)
     for mech in Mechanism:
@@ -983,11 +1038,22 @@ def test_exact_run_never_touches_a_float_payoff(monkeypatch):
     monkeypatch.setattr(game_module, "TOL", Fraction(TOL))
     for game in map(_exact, tie_prone_games(random.Random(16), 8)):
         table = _GameTable(game)
+        options = [o for j in range(table.n) for found in _local_options(table, j) for o in found]
         payoffs = [
             table.u_b_fight,
             *table.u_b_action,
             *itertools.chain.from_iterable(table.uA_conflict),
             *itertools.chain.from_iterable(itertools.chain.from_iterable(table.uA_t2)),
+            # values and tie floors per (t2 bit, fight), and as each option carries them
+            *itertools.chain.from_iterable(
+                itertools.chain(values, floors)
+                for rows in table.option_values
+                for by_fight in rows
+                for values, floors in by_fight
+            ),
+            *(x for o in options for x in (o.value_R, o.value_A, o.floor_R, o.floor_A)),
+            # check (b) at the on-path beliefs; an off-path belief is a reported midpoint
+            *(q for beliefs in table.verdicts.values() for q in beliefs[1:] if q is not None),
         ]
         report = classify(game.spec, game.params, game.messages[-1])
         slacks = [c.slack for r in (report.pooling_on_restraint, report.separating) for c in r.clauses]
