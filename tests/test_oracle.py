@@ -43,9 +43,9 @@ from restraint_games import (
     verify_against_closed_form,
 )
 from restraint_games import game as game_module
+from restraint_games import oracle as oracle_module
 from restraint_games.emit import write_certificates_json, write_json
 from restraint_games.game import t2_options, unchecked_payoff
-from restraint_games import oracle as oracle_module
 from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable, _local_options
 
 R = TypeLabel.RESTRAINED
