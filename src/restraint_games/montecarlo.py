@@ -28,15 +28,25 @@ if any, are never read:
   it restrains whenever restraint is weakly optimal, so ties restrain.
 
 Trial randomness is one Philox stream keyed by the seed, drawn in chunks
-of rows: trial i always consumes row i, whatever the chunk size, so results
-are bit-for-bit reproducible, and a run holds one chunk at a time. Every
-trial in a cell has the same payoffs, so the means and the standard error
-are exact sums over the three cell counts, each rounded once.
+of rows: trial i always consumes row i. Philox is counter-based, so a
+generator started at counter c reads the stream from row 2c on (a block is
+four 64-bit words, a row two). Without a trial log, a run cuts its rows
+into counter-offset segments, at most one per usable CPU and never more
+than it has whole chunks, each starting on an even row, draws each segment
+on its own thread and adds up their cell counts. The segments share one
+chunk of rows between them, so a run holds one chunk at a time however many
+threads it starts, and results are bit-for-bit the same whatever the chunk
+size or the CPU count. A run that writes a trial log is one segment,
+because its lines must come out in trial order. Every trial in a cell has
+the same payoffs, so the means and the standard error are exact sums over
+the three cell counts, each rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field  # only simulate loads this module, and numpy imports inspect anyway
 from typing import IO, Optional
 
@@ -47,6 +57,7 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
+    boolean,
     integer,
     signal_grid,
     t2_options,
@@ -62,13 +73,22 @@ A = TypeLabel.AGGRESSIVE
 _CHUNK = 1 << 16
 
 
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
 def pooling_profile(m: float) -> StrategyProfile:
     """Both types signal m, B stands down after m and fights the null
     signal, both types restrain on path. The default simulation profile."""
     validate_signal(m)
+    m = float(m)  # so numpy's m gives Python bools, not numpy.bool_
     messages = signal_grid(m)
     return StrategyProfile(
-        signal_of={R: float(m), A: float(m)},
+        signal_of={R: m, A: m},
         fight_after={msg: msg != m for msg in messages},
         t2_action={
             (t, msg): Outcome.RESTRAINT if msg == m or t is R else Outcome.EXPLOIT
@@ -92,7 +112,9 @@ class SimConfig:
     def messages(self) -> tuple[float, ...]:
         return signal_grid(self.m)
 
-    def validate(self) -> None:
+    def validate(self) -> dict[float, bool]:
+        """Raise ParameterError unless the config can run; return the
+        profile's fight bit per message."""
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
         validate_signal(self.m)
         try:  # as the CLI reads --trials and --seed
@@ -116,6 +138,12 @@ class SimConfig:
                 "profile fight rule total over {0, m}",
                 f"covers={sorted(self.profile.fight_after)}",
             )
+        try:  # as StrategyProfile.from_dict reads them: bool("false") is True
+            return {msg: boolean(fight) for msg, fight in self.profile.fight_after.items()}
+        except TypeError as exc:
+            raise ParameterError(
+                "profile well-formed (signal_of, fight_after, t2_action)", f"TypeError: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -145,18 +173,22 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     u0 < prior, and a restrained type B did not fight drifts when u1 < p.
     Its cell is 0 if it starts aggressive, else 1, plus 1 if it drifts.
     Only the three cell counts outlive each chunk of ``_CHUNK`` rows.
+
+    Without a trial log the rows are drawn in counter-offset segments, one
+    thread each (see the module docstring); the counts, and so every result
+    bit, do not depend on how many there are. If a segment raises, the run
+    raises that exception once every segment has ended.
     """
     from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
-    import numpy as np  # here, so CLI runs that never draw skip importing numpy
 
-    config.validate()
+    fight_after = config.validate()
     p, spec, prof = config.params, config.spec, config.profile
     n = int(config.n_trials)  # validated integral: 500.0 and "500" run as 500
 
     table = []  # per reachable (initial type, final type) cell, in index order
     for initial, final in ((A, A), (R, R), (R, A)):
         signal = float(prof.signal_of[initial])
-        fought = bool(prof.fight_after[signal])
+        fought = fight_after[signal]
         if fought:
             outcome = Outcome.PREVENTIVE_CONFLICT
         elif config.drift_mode is DriftMode.BEST_RESPONSE:
@@ -176,23 +208,34 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     if not all(map(math.isfinite, u_A + u_B)):  # e.g. -c - m past the float range
         raise ParameterError("payoffs finite", f"u_A={list(u_A)}, u_B={list(u_B)}")
 
-    drifts = not prof.fight_after[prof.signal_of[R]]
-    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
-    counts = np.zeros(3, dtype=np.int64)
+    drift_p = None if fight_after[prof.signal_of[R]] else p.p
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
-    # consecutive draws continue one Philox stream, so row i is trial i
-    # whatever the chunk size
-    for lo in range(0, n, _CHUNK):
-        draws = rng.random((min(_CHUNK, n - lo), 2))
-        restrained0 = draws[:, 0] < p.prior
-        cell = restrained0.astype(np.uint8)
-        if drifts:
-            cell += restrained0 & (draws[:, 1] < p.p)
-        counts += np.bincount(cell, minlength=3)
-        if trial_log is not None:
-            trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(cell.tolist(), lo))
-    counts = counts.tolist()
+        segments = 1  # its lines come out in trial order
+    else:
+        segments = max(1, min(_workers(), n // _CHUNK))
+    bounds = [n * k // segments // 2 * 2 for k in range(segments)] + [n]
+    chunk = max(1, _CHUNK // segments)  # one chunk of rows in total
+    found: list = [None] * segments
+
+    def play(k: int) -> None:
+        try:
+            found[k] = _cell_counts(
+                int(config.seed), bounds[k], bounds[k + 1], chunk, p.prior, drift_p, rows, trial_log
+            )
+        except BaseException as exc:  # raised below, once every segment has ended
+            found[k] = exc
+
+    threads = [threading.Thread(target=play, args=(k,)) for k in range(1, segments)]
+    for thread in threads:
+        thread.start()
+    play(0)
+    for thread in threads:
+        thread.join()
+    for got in found:
+        if isinstance(got, BaseException):
+            raise got
+    counts = [sum(column) for column in zip(*found)]
     outcome_counts = {o: sum(k for k, c in zip(counts, outcomes) if c is o) for o in Outcome}
 
     def mean(values, cells=(0, 1, 2)) -> Fraction:
@@ -215,3 +258,27 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
         standard_error_u_B=math.ldexp(math.sqrt(variance / Fraction(4) ** k), k) / math.sqrt(n),
         mean_u_B_by_initial_type=by_initial,
     )
+
+
+def _cell_counts(
+    seed: int, lo: int, hi: int, chunk: int, prior: float, drift_p: Optional[float], rows, trial_log
+) -> list[int]:
+    """The three cell counts of trials [lo, hi), drawn ``chunk`` rows at a
+    time from the seed's Philox stream; ``lo`` is even, and no trial drifts
+    when ``drift_p`` is None. Writes each trial's line to ``trial_log``."""
+    import numpy as np  # here, so CLI runs that never draw skip importing numpy
+
+    # row lo opens Philox block lo / 2, and consecutive draws continue the
+    # stream, so row i is trial i whatever the chunk size
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=lo // 2))
+    counts = np.zeros(3, dtype=np.int64)
+    for start in range(lo, hi, chunk):
+        draws = rng.random((min(chunk, hi - start), 2))
+        restrained0 = draws[:, 0] < prior
+        cell = restrained0.astype(np.uint8)
+        if drift_p is not None:
+            cell += restrained0 & (draws[:, 1] < drift_p)
+        counts += np.bincount(cell, minlength=3)
+        if trial_log is not None:
+            trial_log.writelines(f"{i},{rows[k]}" for i, k in enumerate(cell.tolist(), start))
+    return counts.tolist()

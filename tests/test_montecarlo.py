@@ -6,8 +6,11 @@ import hashlib
 import io
 import json
 import math
+import threading
+import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -242,6 +245,26 @@ class TestValidation:
         prof = pooling_profile(1.0)  # wrong message set for m=2
         with pytest.raises(ParameterError):
             simulate(config(profile=prof))
+
+    @pytest.mark.parametrize(
+        "fight_after",
+        [
+            {0.0: "true", 2.0: "false"},
+            {0.0: 1, 2.0: 0},
+            {0.0: True, 2.0: None},
+            {0.0: np.bool_(True), 2.0: np.bool_(False)},
+        ],
+        ids=["text", "int", "none", "numpy-bool"],
+    )
+    def test_fight_bits_are_true_or_false(self, fight_after):
+        # bool("false") is True: these bits would play B fighting after m
+        # (1 000 conflicts) or standing down after it, without a word
+        cfg = config(params=all_restrained(p=0.3, prior=0.5), n_trials=1_000, seed=1)
+        assert simulate(cfg).outcome_counts[Outcome.PREVENTIVE_CONFLICT] == 0
+        prof = StrategyProfile(cfg.profile.signal_of, fight_after, cfg.profile.t2_action)
+        with pytest.raises(ParameterError) as exc:
+            simulate(config(params=cfg.params, profile=prof, n_trials=1_000, seed=1))
+        assert exc.value.constraint == "profile well-formed (signal_of, fight_after, t2_action)"
 
     def test_profile_needs_no_t2_actions(self):
         # the drift mode decides every t2 action; the profile's are not read
@@ -533,3 +556,94 @@ def test_chunking_is_invisible(chunk, monkeypatch):
         "tying-hands-base-literal-p-1",
     ):
         assert simulation_digest(configs[case]) == SIMULATE_DIGESTS[case], case
+
+
+@pytest.mark.parametrize("counter", [0, 1, 2, 7, 1_000])
+def test_philox_counter_continues_the_stream(counter):
+    # simulate starts a segment at row lo from counter lo // 2: a Philox
+    # block is four 64-bit words, and a row of two doubles reads two
+    key = 0x5EED_1234_5678_9ABC_DEF0_1122_3344_5566
+    stream = np.random.Philox(key=key).random_raw(4 * counter + 9)
+    assert np.array_equal(np.random.Philox(key=key, counter=counter).random_raw(9), stream[4 * counter:])
+
+
+def one_stream(cfg: SimConfig) -> dict:
+    """The result of the one-stream path that a trial log forces."""
+    return simulate(cfg, trial_log=io.StringIO()).to_dict()
+
+
+def segment_cases() -> dict[str, SimConfig]:
+    cases = digest_configs()
+    shape = cases["sunk-base-prior-weighted-pooling"]
+    for n in (2, 3, 5, 6, 13, 64):  # odd n, and n below twice the segment count
+        cases[f"sunk-base-prior-weighted-n-{n}"] = replace(shape, n_trials=n, seed=100 + n)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def one_stream_results() -> dict[str, dict]:
+    return {name: one_stream(cfg) for name, cfg in segment_cases().items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_segments_are_invisible(workers, chunk, one_stream_results, monkeypatch):
+    # without a trial log the rows are cut into counter-offset segments, one
+    # thread each; every result must equal the one-stream run's
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    played = []
+    count_cells = montecarlo._cell_counts
+
+    def recorded(seed, lo, hi, rows_per_chunk, *args):
+        played.append((lo, hi, rows_per_chunk))
+        return count_cells(seed, lo, hi, rows_per_chunk, *args)
+
+    monkeypatch.setattr(montecarlo, "_cell_counts", recorded)
+    for name, cfg in segment_cases().items():
+        if chunk < 64 and cfg.n_trials > 20_000:  # 10^5 one-row chunks take seconds
+            cfg = replace(cfg, n_trials=20_001)
+            expected = one_stream(cfg)
+        else:
+            expected = one_stream_results[name]
+        played.clear()
+        assert simulate(cfg).to_dict() == expected, name
+        n = cfg.n_trials
+        played.sort()  # the threads finish in any order
+        segments = len(played)
+        assert segments == max(1, min(workers, n // chunk)), name
+        assert [lo for lo, _, _ in played[1:]] == [hi for _, hi, _ in played[:-1]], name
+        assert (played[0][0], played[-1][1]) == (0, n), name
+        assert all(lo % 2 == 0 and size == max(1, chunk // segments) for lo, _, size in played), name
+
+
+def test_failing_segment_fails_the_run_once(monkeypatch):
+    # the second of three segments raises while the third still draws: the
+    # caller re-raises that exception once all are joined, and no thread
+    # reports it
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    failure = MemoryError("segment 2")
+    last_done = threading.Event()
+    count_cells = montecarlo._cell_counts
+
+    def second_fails(seed, lo, hi, *args):
+        if 0 < lo and hi < 10_000:
+            raise failure
+        if lo > 0:
+            time.sleep(0.2)
+        counts = count_cells(seed, lo, hi, *args)
+        if lo > 0:
+            last_done.set()
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_cell_counts", second_fails)
+    before = threading.active_count()
+    with pytest.raises(MemoryError) as exc:
+        simulate(config(n_trials=10_000))
+    assert exc.value is failure
+    assert last_done.is_set()
+    assert threading.active_count() == before
+    assert hooked == []
