@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -259,7 +260,7 @@ class TestValidation:
     def test_fight_bits_are_true_or_false(self, fight_after):
         # bool("false") is True: these bits would play B fighting after m
         # (1 000 conflicts) or standing down after it, without a word
-        cfg = config(params=all_restrained(p=0.3, prior=0.5), n_trials=1_000, seed=1)
+        cfg = config(params=ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=0.3, prior=0.5), n_trials=1_000, seed=1)
         assert simulate(cfg).outcome_counts[Outcome.PREVENTIVE_CONFLICT] == 0
         prof = StrategyProfile(cfg.profile.signal_of, fight_after, cfg.profile.t2_action)
         with pytest.raises(ParameterError) as exc:
@@ -600,24 +601,28 @@ def test_segments_are_invisible(workers, chunk, one_stream_results, monkeypatch)
         return count_cells(seed, lo, hi, rows_per_chunk, *args)
 
     monkeypatch.setattr(montecarlo, "_cell_counts", recorded)
-    for name, cfg in segment_cases().items():
-        if chunk < 64 and cfg.n_trials > 20_000:  # 10^5 one-row chunks take seconds
-            cfg = replace(cfg, n_trials=20_001)
-            expected = one_stream(cfg)
-        else:
-            expected = one_stream_results[name]
-        played.clear()
-        assert simulate(cfg).to_dict() == expected, name
-        n = cfg.n_trials
-        played.sort()  # the threads finish in any order
-        segments = len(played)
-        assert segments == max(1, min(workers, n // chunk)), name
-        assert [lo for lo, _, _ in played[1:]] == [hi for _, hi, _ in played[:-1]], name
-        assert (played[0][0], played[-1][1]) == (0, n), name
-        assert all(lo % 2 == 0 and size == max(1, chunk // segments) for lo, _, size in played), name
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # threads switch often, so a lost count would show
+    try:
+        for name, cfg in segment_cases().items():
+            if chunk < 64:  # a one-row chunk costs a pass of the Python loop
+                cfg = replace(cfg, n_trials=min(cfg.n_trials, 301))
+                expected = one_stream(cfg)
+            else:
+                expected = one_stream_results[name]
+            played.clear()
+            assert simulate(cfg).to_dict() == expected, name
+            n, segments = cfg.n_trials, len(played)
+            played.sort()  # the threads finish in any order
+            assert segments == max(1, min(workers, n // chunk)), name
+            assert [lo for lo, _, _ in played[1:]] == [hi for _, hi, _ in played[:-1]], name
+            assert (played[0][0], played[-1][1]) == (0, n), name
+            assert all(lo % 2 == 0 and size == max(1, chunk // segments) for lo, _, size in played), name
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_failing_segment_fails_the_run_once(monkeypatch):
+def test_failing_segment_fails_the_run_once(monkeypatch, capfd):
     # the second of three segments raises while the third still draws: the
     # caller re-raises that exception once all are joined, and no thread
     # reports it
@@ -646,4 +651,4 @@ def test_failing_segment_fails_the_run_once(monkeypatch):
     assert exc.value is failure
     assert last_done.is_set()
     assert threading.active_count() == before
-    assert hooked == []
+    assert hooked == [] and capfd.readouterr().err == ""
