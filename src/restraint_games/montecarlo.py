@@ -14,8 +14,10 @@ restrained type B did not fight, so a trial is in one of three (initial,
 final) type cells. ``simulate`` plays each cell once into a table of
 signal, outcome and payoffs, and counts the trials that land in each cell.
 
-The drift mode decides each cell's t2 action; the profile's t2 actions,
-if any, are never read:
+The profile is read by :func:`~.oracle.read_profile`, the rule of
+:func:`~.oracle.is_weak_pbe`: one ``ParameterError`` refuses it unless it
+is well-formed and total on {0, m}. Its t2 actions, if any, are checked
+but not played; the drift mode decides each cell's t2 action:
 
 * ``literal`` -- the final type acts on its label: aggressive (native or
   drifted) exploits, restrained restrains.
@@ -57,14 +59,13 @@ from .game import (
     Outcome,
     ParameterError,
     TypeLabel,
-    boolean,
     integer,
     signal_grid,
     t2_options,
     unchecked_payoff,
     validate_signal,
 )
-from .oracle import StrategyProfile
+from .oracle import StrategyProfile, read_profile
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -109,12 +110,9 @@ class SimConfig:
     drift_mode: DriftMode = DriftMode.LITERAL
     allow_degenerate_prior: bool = False
 
-    def messages(self) -> tuple[float, ...]:
-        return signal_grid(self.m)
-
-    def validate(self) -> dict[float, bool]:
-        """Raise ParameterError unless the config can run; return the
-        profile's fight bit per message."""
+    def validate(self) -> dict[TypeLabel, tuple[float, bool]]:
+        """Raise ParameterError unless the config can run; return each
+        type's signal and whether B fights it, by the profile's reader."""
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
         validate_signal(self.m)
         try:  # as the CLI reads --trials and --seed
@@ -125,25 +123,9 @@ class SimConfig:
             raise ParameterError("n_trials >= 1", f"n_trials={n_trials}")
         if not 0 <= seed < 2**128:  # Philox takes a 128-bit key
             raise ParameterError("0 <= seed < 2**128", f"seed={seed}")
-        msgs = set(self.messages())
-        if not set(self.profile.signal_of) == {R, A}:
-            raise ParameterError("profile signals both types")
-        if not set(self.profile.signal_of.values()) <= msgs:
-            raise ParameterError(
-                "profile signals within {0, m}",
-                f"signals={sorted(self.profile.signal_of.values())}",
-            )
-        if set(self.profile.fight_after) != msgs:
-            raise ParameterError(
-                "profile fight rule total over {0, m}",
-                f"covers={sorted(self.profile.fight_after)}",
-            )
-        try:  # as StrategyProfile.from_dict reads them: bool("false") is True
-            return {msg: boolean(fight) for msg, fight in self.profile.fight_after.items()}
-        except TypeError as exc:
-            raise ParameterError(
-                "profile well-formed (signal_of, fight_after, t2_action)", f"TypeError: {exc}"
-            ) from exc
+        messages = signal_grid(self.m)
+        j_R, j_A, fight, _ = read_profile(self.profile, messages)
+        return {R: (messages[j_R], fight[j_R]), A: (messages[j_A], fight[j_A])}
 
 
 @dataclass(frozen=True)
@@ -181,14 +163,13 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     """
     from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
 
-    fight_after = config.validate()
-    p, spec, prof = config.params, config.spec, config.profile
+    plays = config.validate()
+    p, spec = config.params, config.spec
     n = int(config.n_trials)  # validated integral: 500.0 and "500" run as 500
 
     table = []  # per reachable (initial type, final type) cell, in index order
     for initial, final in ((A, A), (R, R), (R, A)):
-        signal = float(prof.signal_of[initial])
-        fought = fight_after[signal]
+        signal, fought = plays[initial]
         if fought:
             outcome = Outcome.PREVENTIVE_CONFLICT
         elif config.drift_mode is DriftMode.BEST_RESPONSE:
@@ -208,7 +189,7 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     if not all(map(math.isfinite, u_A + u_B)):  # e.g. -c - m past the float range
         raise ParameterError("payoffs finite", f"u_A={list(u_A)}, u_B={list(u_B)}")
 
-    drift_p = None if fight_after[prof.signal_of[R]] else p.p
+    drift_p = None if plays[R][1] else p.p
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
         segments = 1  # its lines come out in trial order

@@ -81,6 +81,7 @@ from .game import (
     ParameterError,
     TypeLabel,
     boolean,
+    is_real,
     payoff_terms,
     real,
     signal_grid,
@@ -225,14 +226,10 @@ class PBECertificate(NamedTuple):
     @property
     def profile(self) -> StrategyProfile:
         messages = self.messages
-        cells = [(t, m) for t in _TYPES for m in messages]
         return StrategyProfile(
-            signal_of={
-                TypeLabel.RESTRAINED: messages[self.j_R],
-                TypeLabel.AGGRESSIVE: messages[self.j_A],
-            },
+            signal_of=dict(zip(_TYPES, (messages[self.j_R], messages[self.j_A]))),
             fight_after=dict(zip(messages, self.fight)),
-            t2_action={cell: _ACTIONS[bit] for cell, bit in zip(cells, self.restraint)},
+            t2_action={cell: _ACTIONS[bit] for cell, bit in zip(product(_TYPES, messages), self.restraint)},
         )
 
     @property
@@ -281,16 +278,12 @@ def supporting_belief_interval(
         slope, intercept, u_b_fight = -slope, -intercept, -u_b_fight
     # standing down needs f(q) >= tie_floor(u_b_fight)
     threshold = tie_floor(u_b_fight)
+    zero = abs(slope) * 0  # in the payoffs' number type; 0 * slope is -0.0 for a negative float
     if slope == 0.0:
-        return (0.0, 1.0) if intercept >= threshold else None
+        return (zero, zero + 1) if intercept >= threshold else None
     q_cut = (threshold - intercept) / slope
-    if slope > 0:
-        lo, hi = max(0.0, q_cut), 1.0
-    else:
-        lo, hi = 0.0, min(1.0, q_cut)
-    if lo > hi:
-        return None
-    return (lo, hi)
+    lo, hi = (max(zero, q_cut), zero + 1) if slope > 0 else (zero, min(zero + 1, q_cut))
+    return None if lo > hi else (lo, hi)
 
 
 class _GameTable:
@@ -301,7 +294,6 @@ class _GameTable:
     def __init__(self, game: DiscreteGame):
         self.messages = game.messages
         self.n = len(game.messages)
-        self.index = {m: j for j, m in enumerate(game.messages)}
         p = game.params
         # an anchor's beliefs at a message: off path (free), pooled, at R's and A's signal; the prior's type
         self.beliefs = (None, p.prior, 1 + 0 * p.prior, 0 * p.prior)
@@ -352,7 +344,7 @@ def _supporting_belief(table: _GameTable, u_r: float, u_a: float, fight: bool, q
     off path (``q`` None) the supporting interval's midpoint; else None."""
     if q is None:
         interval = supporting_belief_interval(u_r, u_a, table.u_b_fight, fight)
-        return None if interval is None else 0.5 * (interval[0] + interval[1])
+        return None if interval is None else (interval[0] + interval[1]) / 2
     f = u_a + q * (u_r - u_a)  # exactly u_a where B's payoff does not depend on q
     return q if (-f >= table.fight_floor if fight else f >= table.stand_floor) else None
 
@@ -410,32 +402,59 @@ def _classify(
     return PBEClass.SEPARATING if informative else PBEClass.HYBRID
 
 
-def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECertificate]:
-    """Certify one profile, or return None when no supporting beliefs exist."""
-    table = _GameTable(game)
-    messages = game.messages
-    try:  # fight bits and t2 actions by the rule of StrategyProfile.from_dict
-        j_R = table.index[profile.signal_of[TypeLabel.RESTRAINED]]
-        j_A = table.index[profile.signal_of[TypeLabel.AGGRESSIVE]]
-        fight = tuple(boolean(profile.fight_after[m]) for m in messages)
-        actions = [Outcome(profile.t2_action[(t, m)]) for t in _TYPES for m in messages]
+def read_profile(profile: StrategyProfile, messages: tuple[float, ...]) -> tuple:
+    """``(j_R, j_A, fight bits, t2 actions by cell or None where the profile
+    gives none)``, by the one rule of :func:`is_weak_pbe` and ``simulate``.
+    A signal or message key that fails :func:`~.game.is_real`, a fight bit
+    :func:`~.game.boolean` or a t2 action ``Outcome`` is not well-formed; a
+    type, message or cell missing, extra or off the grid is not total, as
+    weak PBE is over total profiles (Fudenberg & Tirole, JET 1991)."""
+    index, n = {m: j for j, m in enumerate(messages)}, len(messages)
+
+    def at(m) -> int:  # KeyError off the grid
+        if not is_real(m):  # True == 1.0
+            raise TypeError(f"{m!r} is not a real number")
+        return index[m]
+
+    def cell(t: TypeLabel, m) -> int:
+        return _TYPES.index(t) * n + at(m)
+
+    def column(field: str, key, read, size: int) -> tuple:
+        found = {key(k): read(value) for k, value in getattr(profile, field).items()}
+        if len(found) != size:
+            raise KeyError(field)
+        return tuple(found[j] for j in range(size))
+
+    try:
+        j_R, j_A = column("signal_of", _TYPES.index, at, 2)
+        fight = column("fight_after", at, boolean, n)
+        cells = column("t2_action", lambda key: cell(*key), Outcome, 2 * n) if profile.t2_action else None
     except KeyError as exc:
-        raise ParameterError(
-            "profile total over message grid", f"missing entry {exc}"
-        ) from exc
-    except (TypeError, ValueError) as exc:
+        raise ParameterError("profile total over message grid", f"missing, extra or off {messages}: {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ParameterError(
             "profile well-formed (signal_of, fight_after, t2_action)", f"{type(exc).__name__}: {exc}"
         ) from exc
+    return j_R, j_A, fight, cells
+
+
+def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECertificate]:
+    """Certify one profile, or return None when no supporting beliefs exist
+    or a t2 action is conflict. Raises :func:`read_profile`'s refusals, and
+    "profile total over message grid" for a profile without t2 actions."""
+    j_R, j_A, fight, actions = read_profile(profile, game.messages)
+    if actions is None:
+        raise ParameterError("profile total over message grid", "no t2_action")
     if any(action not in _ACTIONS for action in actions):
         return None  # conflict is not a t2 action
+    table = _GameTable(game)
     restraint = tuple(action is Outcome.RESTRAINT for action in actions)
     beliefs = _check_profile(table, j_R, j_A, restraint, fight)
     if beliefs is None:
         return None
     n = table.n
     pbe_class = _classify(j_R == j_A, fight[j_R], fight[j_A], restraint[j_R], restraint[n + j_A])
-    return PBECertificate(j_R, j_A, restraint, fight, pbe_class, beliefs, messages)
+    return PBECertificate(j_R, j_A, restraint, fight, pbe_class, beliefs, game.messages)
 
 
 class _Option(NamedTuple):

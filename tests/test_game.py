@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from decimal import Decimal
@@ -23,6 +24,7 @@ from restraint_games import (
     Outcome,
     ParameterError,
     SimConfig,
+    StrategyProfile,
     TypeLabel,
     Variant,
     classify,
@@ -406,3 +408,122 @@ def test_every_entry_point_takes_the_one_number_rule(symbol, kind):
                 assert name == "region_row_for_point" and got[0] is Classification.INVALID, (name, got)
             continue
         assert got == _outcome(call, {**POINT, symbol: reads(x)}, symbol), name
+
+
+#: The profile table's game: tying hands at the knife edge m = V_D, where
+#: the default pooling profile certifies.
+PROFILE_SPEC = MechanismSpec(Mechanism.TYING_HANDS)
+PROFILE_PARAMS = ModelParams(c=0.5, V_D=1.0, V_B=2.0, p=0.3, prior=0.5)
+CANONICAL = pooling_profile(1.0)
+#: The only two refusals of a profile.
+PROFILE_CONSTRAINTS = ("profile well-formed (signal_of, fight_after, t2_action)", "profile total over message grid")
+#: kind: the number 1 as a signal or message key.
+ONE = {"float": 1.0, "int": 1, "fraction": Fraction(1), "text": "1", "bool": True}
+#: kind: B's fight bit after the null signal.
+FIGHTS = {
+    "true": True,
+    "false": False,
+    "int-0": 0,
+    "int-1": 1,
+    "float-1": 1.0,
+    "text-true": "true",
+    "text-false": "false",
+    "none": None,
+    "numpy-bool": np.bool_(True),
+}
+#: kind: (the aggressive type's t2 action after the null signal, the
+#: Outcome it stands for or None where it is refused).
+ACTIONS = {
+    "outcome": (Outcome.EXPLOIT, Outcome.EXPLOIT),
+    "text": ("exploit", Outcome.EXPLOIT),
+    "conflict": ("conflict", Outcome.PREVENTIVE_CONFLICT),
+    "fight": ("fight", None),
+    "none": (None, None),
+}
+
+
+def _with(field, entries, drop=None):
+    """CANONICAL with ``drop`` taken out of ``field`` and ``entries`` put in."""
+    kept = {key: value for key, value in getattr(CANONICAL, field).items() if key != drop}
+    return CANONICAL._replace(**{field: {**kept, **entries}})
+
+
+def _profile_rows() -> dict:
+    """name: (profile, the canonical profile it stands for or None where it
+    is refused, the same when read from JSON, where a number may be text)."""
+    rows = {}
+    for kind, one in ONE.items():
+        admitted = CANONICAL if kind in ("float", "int", "fraction") else None
+        from_json = CANONICAL if kind == "text" else admitted
+        rows[f"signal-{kind}"] = (_with("signal_of", {R: one}), admitted, from_json)
+        rows[f"fight-key-{kind}"] = (_with("fight_after", {one: False}, drop=1.0), admitted, from_json)
+        cell = _with("t2_action", {(R, one): Outcome.RESTRAINT}, drop=(R, 1.0))
+        rows[f"t2-key-{kind}"] = (cell, admitted, from_json)
+    for kind, bit in FIGHTS.items():
+        profile = _with("fight_after", {0.0: bit})
+        admitted = profile if isinstance(bit, bool) else None
+        rows[f"fight-{kind}"] = (profile, admitted, admitted)
+    for kind, (action, outcome) in ACTIONS.items():
+        admitted = outcome and _with("t2_action", {(A, 0.0): outcome})
+        rows[f"t2-{kind}"] = (_with("t2_action", {(A, 0.0): action}), admitted, admitted)
+    for name, profile in {
+        "signal-off-grid": _with("signal_of", {R: 2.0}),
+        "signal-misses-a-type": _with("signal_of", {}, drop=A),
+        "fight-misses-a-message": _with("fight_after", {}, drop=0.0),
+        "fight-adds-a-message": _with("fight_after", {2.0: False}),
+        "t2-partial": _with("t2_action", {}, drop=(A, 0.0)),
+        "t2-adds-a-message": _with("t2_action", {(R, 5.0): Outcome.RESTRAINT}),
+    }.items():
+        rows[name] = (profile, None, None)
+    absent = CANONICAL._replace(t2_action={})  # simulate plays it; is_weak_pbe needs every cell
+    rows["t2-absent"] = (absent, absent, absent)
+    return rows
+
+
+PROFILE_ROWS = _profile_rows()
+
+
+def _entry_points(profile) -> list:
+    """What is_weak_pbe and a 10-trial simulate give for the profile, or the
+    constraint of the ParameterError each raises; any other exception fails."""
+    game = DiscreteGame(PROFILE_SPEC, PROFILE_PARAMS, (0.0, 1.0))
+    config = SimConfig(PROFILE_SPEC, PROFILE_PARAMS, 1.0, profile, 10, 0)
+    got = []
+    for call in (lambda: is_weak_pbe(game, profile), lambda: simulate(config)):
+        try:
+            got.append(call())
+        except ParameterError as exc:
+            got.append(exc.constraint)
+    return got
+
+
+def _json_form(profile) -> dict:
+    """The profile as a config holds it, each value as it is and an Outcome as its text."""
+    return {
+        "signal_of": {t.name.lower(): m for t, m in profile.signal_of.items()},
+        "fight_after": [[m, bit] for m, bit in profile.fight_after.items()],
+        "t2_action": [[t.name.lower(), m, getattr(a, "value", a)] for (t, m), a in profile.t2_action.items()],
+    }
+
+
+@pytest.mark.parametrize("row", list(PROFILE_ROWS))
+def test_every_entry_point_takes_the_one_profile_rule(row):
+    # an admitted profile gives what its canonical form gives; a refused one
+    # raises one ParameterError of the same constraint at both entry points
+    profile, canonical, from_json = PROFILE_ROWS[row]
+    routes = [(_entry_points(profile), canonical)]
+    try:
+        text = json.dumps(_json_form(profile))
+    except TypeError:  # a Fraction or numpy.bool_ has no JSON form
+        pass
+    else:
+        try:
+            parsed = _entry_points(StrategyProfile.from_dict(json.loads(text)))
+        except ParameterError as exc:
+            parsed = [exc.constraint] * 2
+        routes.append((parsed, from_json))
+    for got, expected in routes:
+        if expected is None:
+            assert got[0] == got[1] and got[0] in PROFILE_CONSTRAINTS, got
+        else:
+            assert got == _entry_points(expected)

@@ -937,6 +937,8 @@ def test_certificate_views_agree_with_record():
                 game = DiscreteGame(MechanismSpec(mech, variant), params, messages)
                 for cert in find_all_pbe(game):
                     assert cert == is_weak_pbe(game, cert.profile)
+                    parsed = StrategyProfile.from_dict(json.loads(json.dumps(cert.to_dict()["profile"])))
+                    assert is_weak_pbe(game, parsed) == cert
                     assert cert.to_dict() == {
                         "class": cert.pbe_class.value,
                         "profile": cert.profile.to_dict(),
@@ -1052,8 +1054,9 @@ def test_exact_run_never_touches_a_float_payoff(monkeypatch):
                 for values, floors in by_fight
             ),
             *(x for o in options for x in (o.value_R, o.value_A, o.floor_R, o.floor_A)),
-            # check (b) at the on-path beliefs; an off-path belief is a reported midpoint
-            *(q for beliefs in table.verdicts.values() for q in beliefs[1:] if q is not None),
+            # check (b) at every kind of belief, the off-path midpoint included
+            *(q for beliefs in table.verdicts.values() for q in beliefs if q is not None),
+            *(q for cert in find_all_pbe(game) for q in cert.posterior),
         ]
         report = classify(game.spec, game.params, game.messages[-1])
         slacks = [c.slack for r in (report.pooling_on_restraint, report.separating) for c in r.clauses]
