@@ -5,7 +5,8 @@ at one point), ``oracle`` (exhaustive weak-PBE enumeration on a signal
 grid), ``sweep`` (region tables over a parameter grid), and ``simulate``
 (type-drift Monte Carlo). Runs can be described by a JSON config file, by
 flags, or both, with flags winning; ``--dump-config`` writes the resolved
-run back out as JSON that reproduces it exactly.
+run back out as JSON that reproduces it exactly. A config's keys are held
+to :func:`~.game.refuse_unknown_keys` and :func:`~.game.unique`.
 
 A process imports only what its subcommand runs. Every one loads
 :mod:`.game` and the writers in :mod:`.emit`; ``classify`` adds
@@ -56,6 +57,8 @@ from .game import (
     boolean,
     integer,
     real,
+    refuse_unknown_keys,
+    unique,
 )
 
 EXIT_OK = 0
@@ -280,7 +283,9 @@ def _load_config(path: Optional[str], command: str) -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=partial(unique, "config"))
+        except ParameterError:  # a key given twice, not a decoding error
+            raise
         # not UTF-8 or JSON, an integer over int()'s digit limit, or too deep
         except (ValueError, RecursionError) as exc:
             raise ParameterError("config is UTF-8 JSON", str(exc)) from exc
@@ -308,24 +313,6 @@ def _layer(cfg: dict, section: str) -> dict:
     return layer
 
 
-def _refuse_unknown_keys(cfg: dict, fields: tuple) -> None:
-    """One error naming every config key, at the top level or in a section,
-    that no run field declares; a misspelled key would else run silently
-    with the default."""
-    known: dict[str, set] = {"": set()}
-    for key, *_ in fields:
-        section, _, name = key.rpartition(".")
-        known[""].add(section or name)
-        known.setdefault(section, set()).add(name)
-    unknown = []
-    for section, names in known.items():
-        layer, where = (cfg.get(section), f"in {section}") if section else (cfg, "at top level")
-        if isinstance(layer, dict):  # _layer refuses a section that is not an object
-            unknown += [f"{key!r} {where}" for key in layer if key not in names]
-    if unknown:
-        raise ParameterError("config keys are run fields", "unknown " + ", ".join(unknown))
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     """Each run field from its flag, else the config file, else its default,
     coerced to the field's type. Flags are written into the loaded config
@@ -333,7 +320,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     defaulted keys."""
     cfg = _load_config(args.config, args.command)
     _, _, fields = COMMANDS[args.command]
-    _refuse_unknown_keys(cfg, fields)
+    top = {key.partition(".")[0] for key, *_ in fields}
+    sections = ((f"in {name}", cfg.get(name), kind._fields)
+                for name, kind in (("mechanism", MechanismSpec), ("params", ModelParams)) if name in top)
+    refuse_unknown_keys("config keys are run fields", (("at top level", cfg, top), *sections))
     for key, dest, _, _ in fields:
         section, _, name = key.rpartition(".")
         value = getattr(args, dest) if dest else None

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .oracle import DiscrepancyReport
@@ -267,6 +267,27 @@ def boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{value!r} is not true or false")
     return value
+
+
+def refuse_unknown_keys(constraint: str, layers: Iterable[tuple]) -> None:
+    """The one rule for a config object's keys: one error naming every key
+    its ``(where, mapping, declared names)`` layer does not declare, which
+    would be dropped. A layer that is not a dict is left to its reader."""
+    unknown = [f"{key!r} {where}" for where, layer, names in layers if isinstance(layer, dict) for key in layer
+               if key not in names]
+    if unknown:
+        raise ParameterError(constraint, "unknown " + ", ".join(unknown))
+
+
+def unique(field: str, pairs: Iterable[tuple]) -> dict:
+    """``field``'s (key, value) pairs as a dict, refusing a repeated key
+    where ``json`` keeps the last (RFC 8259 §4 leaves a repeat undefined)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParameterError("keys given once", f"{field} repeats {key!r}")
+        out[key] = value
+    return out
 
 
 def t2_options(u_exploit: float, u_restraint: float) -> tuple[bool, ...]:

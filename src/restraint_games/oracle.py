@@ -84,9 +84,11 @@ from .game import (
     is_real,
     payoff_terms,
     real,
+    refuse_unknown_keys,
     signal_grid,
     t2_options,
     tie_floor,
+    unique,
     validate_signal,
 )
 
@@ -133,19 +135,10 @@ class DiscreteGame(_GameFields):
         return super().__new__(cls, spec, params, messages)
 
 
-def _unique(field: str, entries: Iterable[tuple]) -> dict:
-    """``field``'s (key, value) entries as a dict, refusing a repeated key
-    rather than keeping the last."""
-    out = {}
-    for key, value in entries:
-        if key in out:
-            raise ValueError(f"{field} repeats {key}")
-        out[key] = value
-    return out
-
-
 #: A type's name in a profile's dict, one string per type.
 _TYPE_NAMES = {t: t.name.lower() for t in TypeLabel}
+#: The profile reader's refusal of a value of the wrong kind.
+_WELL_FORMED = "profile well-formed (signal_of, fight_after, t2_action)"
 
 
 class StrategyProfile(NamedTuple):
@@ -156,35 +149,35 @@ class StrategyProfile(NamedTuple):
     t2_action: dict[tuple[TypeLabel, float], Outcome]
 
     def to_dict(self) -> dict:
-        return {
-            "signal_of": {_TYPE_NAMES[t]: m for t, m in self.signal_of.items()},
-            "fight_after": [[m, bool(f)] for m, f in sorted(self.fight_after.items())],
-            "t2_action": [
-                [_TYPE_NAMES[t], m, a.value]
-                for (t, m), a in sorted(
-                    self.t2_action.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-                )
-            ],
-        }
+        """The profile as :meth:`from_dict` reads it; a value that
+        :func:`read_profile` finds not well-formed is refused the same way."""
+        try:
+            return {
+                "signal_of": {_TYPE_NAMES[t]: _message(m) for t, m in self.signal_of.items()},
+                "fight_after": [[_message(m), boolean(f)] for m, f in sorted(self.fight_after.items())],
+                "t2_action": [[_TYPE_NAMES[t], _message(m), Outcome(a).value] for (t, m), a in sorted(
+                    self.t2_action.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))],
+            }
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParameterError(_WELL_FORMED, f"{type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyProfile":
         try:
-            return cls(
-                signal_of=_unique(
-                    "signal_of", ((TypeLabel[t.upper()], real(m)) for t, m in d["signal_of"].items())
-                ),
-                fight_after=_unique("fight_after", ((real(m), boolean(f)) for m, f in d["fight_after"])),
-                t2_action=_unique(
-                    "t2_action",
-                    (((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d.get("t2_action", ())),
-                ),
-            )
+            signal_of = [(TypeLabel[t.upper()], real(m)) for t, m in d["signal_of"].items()]
+            fight_after = [(real(m), boolean(f)) for m, f in d["fight_after"]]
+            t2_action = [((TypeLabel[t.upper()], real(m)), Outcome(a)) for t, m, a in d.get("t2_action", ())]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParameterError(
-                "profile well-formed (signal_of, fight_after, t2_action)",
-                f"{type(exc).__name__}: {exc}",
-            ) from exc
+            raise ParameterError(_WELL_FORMED, f"{type(exc).__name__}: {exc}") from exc
+        refuse_unknown_keys("profile keys are profile fields", (("in profile", d, cls._fields),))
+        return cls(unique("signal_of", signal_of), unique("fight_after", fight_after), unique("t2_action", t2_action))
+
+
+def _message(m):
+    """A profile's signal or message key ``m`` if :func:`~.game.is_real` (``True == 1.0`` is not), else TypeError."""
+    if not is_real(m):
+        raise TypeError(f"{m!r} is not a real number")
+    return m
 
 
 class BeliefAssignment(NamedTuple):
@@ -412,9 +405,7 @@ def read_profile(profile: StrategyProfile, messages: tuple[float, ...]) -> tuple
     index, n = {m: j for j, m in enumerate(messages)}, len(messages)
 
     def at(m) -> int:  # KeyError off the grid
-        if not is_real(m):  # True == 1.0
-            raise TypeError(f"{m!r} is not a real number")
-        return index[m]
+        return index[_message(m)]
 
     def cell(t: TypeLabel, m) -> int:
         return _TYPES.index(t) * n + at(m)
@@ -432,9 +423,7 @@ def read_profile(profile: StrategyProfile, messages: tuple[float, ...]) -> tuple
     except KeyError as exc:
         raise ParameterError("profile total over message grid", f"missing, extra or off {messages}: {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
-        raise ParameterError(
-            "profile well-formed (signal_of, fight_after, t2_action)", f"{type(exc).__name__}: {exc}"
-        ) from exc
+        raise ParameterError(_WELL_FORMED, f"{type(exc).__name__}: {exc}") from exc
     return j_R, j_A, fight, cells
 
 

@@ -14,8 +14,9 @@ the oracle check. :func:`region_row_for_point` makes its row straight from
 validated once and no report objects are built. A row's layout is
 :data:`~.emit.CSV_HEADER` and :meth:`RegionRow.cells`; :mod:`.emit`
 writes the rows and :func:`boundary_trace` compares each with its next
-rows, both as they are. A grid's numbers are read by :func:`~.game.real`,
-as a config's are. The oracle is imported only when a sample is drawn.
+rows, both as they are. A grid's numbers and keys are read by
+:func:`~.game.real` and :func:`~.game.refuse_unknown_keys`, as a config's
+are. The oracle is imported only when a sample is drawn.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .game import (
     ParameterError,
     integer,
     real,
+    refuse_unknown_keys,
     validate_signal,
 )
 
@@ -138,7 +140,6 @@ class GridSpec(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        mechanism = MechanismSpec.from_dict(d.get("mechanism", {}))
         try:
             axes = tuple(Axis.from_dict(a) for a in d["axes"])
             fixed = {str(k): real(v) for k, v in d["fixed"].items()}
@@ -146,12 +147,10 @@ class GridSpec(NamedTuple):
             raise ParameterError("grid and axis keys present", f"missing {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParameterError("grid values well-formed", str(exc)) from exc
-        # a key that no field reads would be dropped, and the grid run without it
-        layers = (("grid", d, cls), ("mechanism", d.get("mechanism", {}), MechanismSpec),
-                  *((f"axes[{i}]", a, Axis) for i, a in enumerate(d["axes"])))
-        unknown = [f"{key!r} in {where}" for where, layer, kind in layers for key in layer if key not in kind._fields]
-        if unknown:
-            raise ParameterError("grid keys are grid fields", "unknown " + ", ".join(unknown))
+        mechanism = MechanismSpec.from_dict(d.get("mechanism", {}))
+        refuse_unknown_keys("grid keys are grid fields", (
+            ("in grid", d, cls._fields), ("in mechanism", d.get("mechanism"), MechanismSpec._fields),
+            *((f"in axes[{i}]", a, Axis._fields) for i, a in enumerate(d["axes"]))))
         return cls(mechanism=mechanism, axes=axes, fixed=fixed)
 
 

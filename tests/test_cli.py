@@ -398,6 +398,15 @@ MALFORMED = {
         dict(GRID_CONFIG, mechanism=dict(GRID_CONFIG["mechanism"], varaint="risk")),
         "--oracle-fraction 0",
     ),
+    # a profile key that no profile field declares would be dropped too
+    "simulate-profile-unknown-key": (
+        "simulate",
+        dict(POINT, profile={**{k: v for k, v in PROFILE.items() if k != "t2_action"}, "t2_actions": []}),
+        "--trials 10",
+    ),
+    "config-top-level-list": ("classify", [POINT], ""),
+    "config-params-a-number": ("classify", dict(POINT, params=2.0), ""),
+    "config-mechanism-a-number": ("classify", dict(POINT, mechanism=1), ""),
     "simulate-negative-seed": ("simulate", POINT, "--trials 10 --seed -1"),
     "simulate-seed-past-philox-key": ("simulate", POINT, f"--trials 10 --seed {2**128}"),
     "sweep-negative-seed": ("sweep", GRID_CONFIG, "--oracle-fraction 0.5 --seed -1"),
@@ -555,6 +564,38 @@ def test_undecodable_config_is_one_validation_line(text, tmp_path, capsys):
     code, out, err = run(["classify", "--config", str(path)], capsys)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+def _repeat(config, entry, again) -> bytes:
+    """``config`` as JSON with ``again`` written right after ``entry``, so the entry's key is given twice."""
+    text = json.dumps(config)
+    assert text.count(entry) == 1
+    return text.replace(entry, f"{entry}, {again}").encode()
+
+
+#: name: (command, a config that repeats a key at one depth, flags, the key)
+REPEATED = {
+    "top-level": ("simulate", _repeat(dict(POINT, n_trials=5), '"n_trials": 5', '"n_trials": 2000'), "", "n_trials"),
+    "params": ("classify", _repeat(POINT, '"c": 0.5', '"c": 0.7'), "", "c"),
+    "grid-fixed": ("sweep", _repeat(GRID_CONFIG, '"V_B": 2.0', '"V_B": 3.0'), "--oracle-fraction 0", "V_B"),
+    "profile-signal-of": (
+        "simulate",
+        _repeat(dict(POINT, profile=PROFILE), '"restrained": 2.0', '"restrained": 0.0'),
+        "--trials 10",
+        "restrained",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_repeated_key_is_one_validation_line(case, tmp_path, capsys):
+    # json keeps the last of a repeated key, so the first would be dropped silently
+    command, text, flags, key = REPEATED[case]
+    path = tmp_path / "run.json"
+    path.write_bytes(text)
+    code, out, err = run([command, "--config", str(path), *flags.split()], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: validation: constraint violated: keys given once (config repeats {key!r})\n"
 
 
 @pytest.mark.parametrize("drift_mode", ["literal", "prior-weighted", "best-response"])

@@ -234,6 +234,31 @@ class TestIsWeakPBE:
             with pytest.raises(ParameterError, match="profile well-formed"):
                 is_weak_pbe(game, bad)
 
+    @pytest.mark.parametrize("key", ["1", True])
+    def test_to_dict_refuses_what_the_reader_refuses(self, key):
+        # a text key made sorted() raise a bare TypeError, a bool key was
+        # written as JSON true, which from_dict refuses, and bool("false")
+        # wrote a fight
+        cells = {(t, m): Outcome.RESTRAINT for t in (R, A) for m in (0.0, 1.0)}
+        for bad in (
+            profile((0.0, 0.0), {0.0: "false", 1.0: False}, cells),
+            profile((0.0, 0.0), {0.0: True, 1.0: False}, {**cells, (A, 0.0): "fight"}),
+            profile((0.0, 0.0), {0.0: True, key: False}, cells),
+            profile((key, 0.0), {0.0: True, 1.0: False}, cells),
+            profile((0.0, 0.0), {0.0: True, 1.0: False}, {(t, m): Outcome.RESTRAINT for t in (R, A) for m in (0.0, key)}),
+        ):
+            with pytest.raises(ParameterError, match=r"profile well-formed \(signal_of, fight_after, t2_action\)"):
+                bad.to_dict()
+        # a t2 action as its text is that action, as the reader takes it
+        text = profile((0.0, 0.0), {0.0: True, 1.0: False}, {cell: "restraint" for cell in cells})
+        assert text.to_dict() == profile((0.0, 0.0), {0.0: True, 1.0: False}, cells).to_dict()
+
+    def test_from_dict_refuses_an_unknown_key(self):
+        d = {"signal_of": {"restrained": 2.0, "aggressive": 2.0}, "fight_after": [[0.0, True], [2.0, False]]}
+        with pytest.raises(ParameterError, match="profile keys are profile fields") as exc:
+            StrategyProfile.from_dict({**d, "t2_actions": [], "signals": {}})
+        assert "unknown 't2_actions' in profile, 'signals' in profile" in str(exc.value)
+
     def test_partial_profile_rejected(self):
         game = DiscreteGame(TH_BASE, BASE_PARAMS, (0.0, 2.0))
         with pytest.raises(ParameterError):

@@ -264,6 +264,11 @@ class TestRunSweep:
             GridSpec.from_dict(d)
         assert "'oracle_fraction' in grid, 'varaint' in mechanism, 'stpes' in axes[1]" in str(exc.value)
 
+    def test_grid_of_pairs_is_one_error(self):
+        # dict() would take a list of pairs; from_dict refuses it as a config's reader does
+        with pytest.raises(ParameterError, match="grid values well-formed"):
+            GridSpec.from_dict(list(tying_grid().to_dict().items()))
+
 
 _BOUND = st.floats(allow_nan=False, allow_infinity=False)
 _SPAN = st.one_of(
