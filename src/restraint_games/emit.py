@@ -11,11 +11,13 @@ text rule. In CSV an absent value is an empty cell, a boolean is ``true``
 or ``false`` as in JSON, and a number is ``str(number)``. JSON rows and
 certificates are written one at a time in the layout of
 ``json.dump(..., indent=2)``, each key and value encoded as ``json``
-encodes it, so no list of every row's or certificate's dict is held. Each
-fills a ``%s`` layout, built once per table or per game, with its texts:
-``indent`` would force the pure-Python encoder. The row writers format
-each distinct float once per table, since fixed values repeat on every
-row and an axis value on many.
+encodes it, so no list of every row's or certificate's dict is held:
+``indent`` would force the pure-Python encoder. Each fills a ``%s`` layout,
+built once per table or per game, with its texts. Both certificate writers
+run one per-game loop and differ only in that layout and those texts; no
+certificate CSV field holds ``,``, ``"`` or a line end, so none is quoted.
+The row writers format each distinct float once per table, since fixed
+values repeat on every row and an axis value on many.
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
-#: A t2 action's JSON text by its restraint bit.
-_ACTION_TEXTS = (json.dumps(Outcome.EXPLOIT.value), json.dumps(Outcome.RESTRAINT.value))
+#: A certificate's type names, restrained first, and its t2 action words by
+#: restraint bit.
+_TYPE_NAMES = ("restrained", "aggressive")
+_ACTION_WORDS = (Outcome.EXPLOIT.value, Outcome.RESTRAINT.value)
 
 
 def _csv_text(value) -> str:
@@ -128,70 +132,63 @@ def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) ->
     out.write("\n]\n" if rows else "]\n")
 
 
-def write_certificates_csv(certs: Iterable[PBECertificate], out: IO[str]) -> None:
-    """One row per certificate; each strategy map is a ';'-joined cell,
-    formatted from the certificate's record."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CERTIFICATE_CSV_HEADER)
-    messages = None
+def _write_certificates(certs: Iterable[PBECertificate], out: IO[str], layout_of: Callable[[tuple], str],
+                        text: Callable[[object], str], fights: tuple, actions: tuple, between: str = "") -> bool:
+    """Write each certificate, ``between`` two, as its game's ``%s`` layout
+    filled with the texts of its class, both signals, fight bits, t2 bits
+    and posteriors; True if any was written. A game's certificates share
+    its messages, so ``layout_of(messages)`` and the message and class texts
+    are built once per game. ``text`` writes a class name or a number;
+    ``fights`` and ``actions`` are a bit's texts."""
+    messages, sep = None, ""
     for cert in certs:
         if cert.messages is not messages:
-            # a game's certificates share its messages, so each message's
-            # text is formatted once per game rather than once per row
             messages = cert.messages
-            fights = [(f"{m}:yield", f"{m}:fight") for m in messages]
-            actions = [
-                (f"{t}@{m}:exploit", f"{t}@{m}:restraint")
-                for t in ("restrained", "aggressive")
-                for m in messages
-            ]
-            belief_at = [f"{m}:" for m in messages]
-        writer.writerow(
-            [
-                cert.pbe_class.value,
-                messages[cert.j_R],
-                messages[cert.j_A],
-                ";".join([texts[f] for texts, f in zip(fights, cert.fight)]),
-                ";".join([texts[r] for texts, r in zip(actions, cert.restraint)]),
-                ";".join([f"{prefix}{q}" for prefix, q in zip(belief_at, cert.posterior)]),
-            ]
-        )
+            layout, m_texts = layout_of(messages), list(map(text, messages))
+            classes = {c: text(c.value) for c in type(cert.pbe_class)}
+        values = (classes[cert.pbe_class], m_texts[cert.j_R], m_texts[cert.j_A], *map(fights.__getitem__, cert.fight),
+                  *map(actions.__getitem__, cert.restraint), *map(text, cert.posterior))
+        out.write(sep + layout % values)
+        sep = between
+    return messages is not None
+
+
+def _csv_layout(messages: tuple) -> str:
+    cells = ([f"{m}:%s" for m in messages], [f"{t}@{m}:%s" for t in _TYPE_NAMES for m in messages],
+             [f"{m}:%s" for m in messages])
+    return "%s,%s,%s," + ",".join(map(";".join, cells)) + "\n"
+
+
+def _json_layout(messages: tuple) -> str:
+    layout = {
+        "class": "%s",
+        "profile": {
+            "signal_of": dict.fromkeys(_TYPE_NAMES, "%s"),
+            "fight_after": [[m, "%s"] for m in messages],
+            "t2_action": [[t, m, "%s"] for t in _TYPE_NAMES for m in messages],
+        },
+        "beliefs": {"posterior": [[m, "%s"] for m in messages]},
+    }
+    # one certificate at its depth in the document, "[\n  [" and "\n  ]\n]" cut off
+    return json.dumps([[layout]], indent=2)[5:-6].replace('"%s"', "%s")
+
+
+def write_certificates_csv(certs: Iterable[PBECertificate], out: IO[str]) -> None:
+    """One row per certificate, its game's layout filled in: each strategy
+    map is a ';'-joined cell and a number is ``str(number)``. No field
+    holds ',', '"' or a line end, so none needs ``csv``'s quotes."""
+    out.write(",".join(CERTIFICATE_CSV_HEADER) + "\n")
+    _write_certificates(certs, out, _csv_layout, str, ("yield", "fight"), _ACTION_WORDS)
 
 
 def write_certificates_json(head: dict, certs: Iterable[PBECertificate], out: IO[str]) -> None:
     """:func:`write_json` of the nonempty ``head`` plus a last key
-    ``"certificates"``, the certificates' ``to_dict()``. A game's
-    certificates share its messages, so its certificate layout, messages
-    written in, is built once per game; each certificate fills it in."""
+    ``"certificates"``, the certificates' ``to_dict()``: each its game's
+    layout filled in with texts as ``json`` encodes them."""
     out.write(json.dumps(head, indent=2)[:-2] + ',\n  "certificates": [')
-    sep = ""
-    messages = None
-    for cert in certs:
-        if cert.messages is not messages:
-            messages = cert.messages
-            m_texts = [_json_text(m) for m in messages]
-            layout = {
-                "class": "%s",
-                "profile": {
-                    "signal_of": {"restrained": "%s", "aggressive": "%s"},
-                    "fight_after": [[m, "%s"] for m in messages],
-                    "t2_action": [[t, m, "%s"] for t in ("restrained", "aggressive") for m in messages],
-                },
-                "beliefs": {"posterior": [[m, "%s"] for m in messages]},
-            }
-            # one certificate at its depth in the document, "[\n  [" and "\n  ]\n]" cut off
-            cert_format = json.dumps([[layout]], indent=2)[5:-6].replace('"%s"', "%s")
-        values = (
-            f'"{cert.pbe_class.value}"',  # a class name needs no escape
-            m_texts[cert.j_R],
-            m_texts[cert.j_A],
-            *map(_JSON_LITERALS.__getitem__, cert.fight),
-            *map(_ACTION_TEXTS.__getitem__, cert.restraint),
-            *map(_json_text, cert.posterior),
-        )
-        out.write(sep + cert_format % values)
-        sep = ","
-    out.write("\n  ]\n}\n" if sep else "]\n}\n")
+    actions = tuple(map(json.dumps, _ACTION_WORDS))
+    wrote = _write_certificates(certs, out, _json_layout, _json_text, ("false", "true"), actions, between=",")
+    out.write("\n  ]\n}\n" if wrote else "]\n}\n")
 
 
 def write_simulation_csv(result: SimResult, out: IO[str]) -> None:

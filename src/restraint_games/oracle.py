@@ -46,11 +46,11 @@ order: both signal indices, the t2 restraint bits, the fight bits, the
 class, the supporting beliefs and the game's shared message tuple. The
 records are made by ``itertools.product`` over each anchor's per-message
 option fields, with no Python code per record. A certificate's
-``profile`` and ``beliefs`` build the public value types when read;
-``to_dict()`` gives their dicts straight from the record, and the writers
-format from it too. On a sunk game of 10 messages with 40 581
-certificates, listing them takes about 0.1 s and retains about 550 bytes
-per certificate (2-vCPU x86-64 guest, CPython 3.11).
+``profile`` and ``beliefs`` build the public value types when read, and
+``to_dict()`` is their dicts; the writers format from the record. On a
+sunk game of 10 messages with 40 581 certificates, listing them takes
+about 0.1 s and retains about 550 bytes per certificate (2-vCPU x86-64
+guest, CPython 3.11).
 
 Certified profiles are classed by shape. Pooling profiles (both types at
 one message) are ``PoolingOnRestraint`` when nobody fights or exploits on
@@ -205,7 +205,7 @@ class PBECertificate(NamedTuple):
     ``posterior`` beliefs by message index, and the game's ``messages``
     (shared by every certificate of the game, not copied).
     :attr:`profile` and :attr:`beliefs` build the public value types when
-    read.
+    read, and :meth:`to_dict` is their dicts.
     """
 
     j_R: int
@@ -230,23 +230,7 @@ class PBECertificate(NamedTuple):
         return BeliefAssignment(posterior=dict(zip(self.messages, self.posterior)))
 
     def to_dict(self) -> dict:
-        """The dicts of :attr:`profile` and :attr:`beliefs`, read straight
-        from the record: its messages ascend and its restrained cells come
-        first, the order those dicts sort into."""
-        messages = self.messages
-        names = [_TYPE_NAMES[t] for t in _TYPES]
-        return {
-            "class": self.pbe_class.value,
-            "profile": {
-                "signal_of": dict(zip(names, (messages[self.j_R], messages[self.j_A]))),
-                "fight_after": [[m, bool(f)] for m, f in zip(messages, self.fight)],
-                "t2_action": [
-                    [name, m, _ACTIONS[bit].value]
-                    for (name, m), bit in zip(product(names, messages), self.restraint)
-                ],
-            },
-            "beliefs": {"posterior": [[m, q] for m, q in zip(messages, self.posterior)]},
-        }
+        return {"class": self.pbe_class.value, "profile": self.profile.to_dict(), "beliefs": self.beliefs.to_dict()}
 
 
 def supporting_belief_interval(

@@ -9,6 +9,7 @@ vouched for by two independent code paths.
 from __future__ import annotations
 
 import collections
+import csv
 import hashlib
 import io
 import itertools
@@ -44,7 +45,7 @@ from restraint_games import (
 )
 from restraint_games import game as game_module
 from restraint_games import oracle as oracle_module
-from restraint_games.emit import write_certificates_json, write_json
+from restraint_games.emit import write_certificates_csv, write_certificates_json, write_json
 from restraint_games.game import t2_options, unchecked_payoff
 from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable, _local_options
 
@@ -971,6 +972,15 @@ def test_certificate_views_agree_with_record():
                     }
 
 
+def test_hand_built_certificate_fight_bits_are_read_as_booleans():
+    # bool("false") is True: a certificate's dict reads its fight bits as
+    # its profile's dict does, so "false" is refused, not written as true
+    cert = PBECertificate(1, 1, (True,) * 4, ("false", False), PBEClass.POOLING_ON_RESTRAINT, (0.5, 0.5), (0.0, 1.0))
+    with pytest.raises(ParameterError, match=r"profile well-formed \(") as info:
+        cert.to_dict()
+    assert "'false' is not true or false" in str(info.value)
+
+
 def test_certificate_json_matches_one_json_dump():
     # written one certificate at a time, in the layout of one write_json
     head = {"messages": [0.0, 1.0], "counts": {}}
@@ -982,6 +992,40 @@ def test_certificate_json_matches_one_json_dump():
         write_certificates_json(head, certs, written)
         write_json({**head, "certificates": [c.to_dict() for c in certs]}, dumped)
         assert written.getvalue() == dumped.getvalue()
+
+
+def test_certificate_csv_matches_csv_writer():
+    # written from a per-game layout without csv, byte for byte what
+    # csv.writer makes of each record
+    games = digest_games()
+    two_games = find_all_pbe(games["sunk-base-n3"])[:3] + find_all_pbe(games["tying-hands-risk-n5"])[:3]
+    # -0.0 == 0.0 is admitted as the null signal, but it prints as -0.0
+    signed_zero = find_all_pbe(DiscreteGame(TH_BASE, BASE_PARAMS, (-0.0, 1.0)))
+    assert signed_zero
+    for certs in ([], *(find_all_pbe(game)[:3] for game in games.values()), two_games, signed_zero):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["class", "signal_restrained", "signal_aggressive", "fight_after", "t2_actions", "posteriors"])
+        for cert in certs:
+            m = cert.messages
+            cells = itertools.product(("restrained", "aggressive"), m)
+            writer.writerow([
+                cert.pbe_class.value,
+                m[cert.j_R],
+                m[cert.j_A],
+                ";".join(f"{x}:{('yield', 'fight')[f]}" for x, f in zip(m, cert.fight)),
+                ";".join(f"{t}@{x}:{('exploit', 'restraint')[r]}" for (t, x), r in zip(cells, cert.restraint)),
+                ";".join(f"{x}:{q}" for x, q in zip(m, cert.posterior)),
+            ])
+        written = io.StringIO()
+        write_certificates_csv(certs, written)
+        assert written.getvalue() == expected.getvalue()
+        # no field needs quotes: each line reads back as six fields
+        rows = list(csv.reader(io.StringIO(written.getvalue())))
+        assert len(rows) == len(certs) + 1 and all(len(row) == 6 for row in rows)
+        for row, cert in zip(rows[1:], certs):
+            assert row[:3] == [cert.pbe_class.value, str(cert.messages[cert.j_R]), str(cert.messages[cert.j_A])]
+    assert "-0.0:" in written.getvalue()
 
 
 def _exact(game: DiscreteGame) -> DiscreteGame:
