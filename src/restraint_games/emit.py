@@ -5,24 +5,19 @@ simulation summaries as CSV; :func:`write_json` writes any other result.
 This module imports only the standard library and :mod:`.game`, so a
 process pays for the writers without loading the modules that compute.
 
-A sweep row's layout is spelled out once, as :data:`CSV_HEADER` and
-:meth:`~.sweep.RegionRow.cells`; each writer maps every cell through its
-text rule. In CSV an absent value is an empty cell, a boolean is ``true``
-or ``false`` as in JSON, and a number is ``str(number)``. JSON rows and
+Every table is written one way, without ``csv``: a ``%s`` layout, built
+once per table or per game, filled with each record's cell texts. A sweep
+row's layout is spelled out once, as :data:`CSV_HEADER` and
+:meth:`~.sweep.RegionRow.cells`. In CSV an absent value is an empty cell, a
+boolean is ``true`` or ``false`` as in JSON, a number is ``str(number)``,
+and a text is quoted as ``csv.writer`` quotes it. JSON rows and
 certificates are written one at a time in the layout of
-``json.dump(..., indent=2)``, each key and value encoded as ``json``
-encodes it, so no list of every row's or certificate's dict is held:
-``indent`` would force the pure-Python encoder. Each fills a ``%s`` layout,
-built once per table or per game, with its texts. Both certificate writers
-run one per-game loop and differ only in that layout and those texts; no
-certificate CSV field holds ``,``, ``"`` or a line end, so none is quoted.
-The row writers format each distinct float once per table, since fixed
-values repeat on every row and an axis value on many.
+``json.dump(..., indent=2)``, so no list of every row's or certificate's
+dict is held: ``indent`` would force the pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import IO, TYPE_CHECKING, Callable, Iterable
@@ -82,6 +77,8 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+#: ``json.dumps(value, indent=2)``, its encoder built once
+_json_indented = json.JSONEncoder(indent=2).encode
 #: A certificate's type names, restrained first, and its t2 action words by
 #: restraint bit.
 _TYPE_NAMES = ("restrained", "aggressive")
@@ -89,10 +86,15 @@ _ACTION_WORDS = (Outcome.EXPLOIT.value, Outcome.RESTRAINT.value)
 
 
 def _csv_text(value) -> str:
-    """A cell as ``csv`` writes it, but a boolean as JSON spells it."""
+    """A cell of a row of several as ``csv.writer(lineterminator="\\n")``
+    writes it, a boolean as JSON spells it: a text holding ',', '"' or a
+    line feed is quoted, its '"' doubled; a lone '\\r' or '' is not."""
     if type(value) is bool:
         return _JSON_LITERALS[value]
-    return "" if value is None else str(value)
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_text(value) -> str:
@@ -101,7 +103,8 @@ def _json_text(value) -> str:
         return _JSON_LITERALS[value]
     if type(value) is float and math.isfinite(value):
         return repr(value)
-    return json.dumps(value)
+    # a list or dict spreads over lines at a row value's depth; no certificate value is one
+    return _json_indented(value).replace("\n", "\n    ")
 
 
 def write_json(data, out: IO[str]) -> None:
@@ -111,16 +114,15 @@ def write_json(data, out: IO[str]) -> None:
 
 
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """UTF-8, LF line endings, '.' decimal separator, fixed header."""
+    """UTF-8, LF line ends, '.' decimals, fixed header; each row's cells fill one layout."""
     text = _memo_floats(_csv_text)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(map(text, row.cells(spec)) for row in rows)
+    layout = ",".join(["%s"] * len(CSV_HEADER)) + "\n"
+    out.write(",".join(CSV_HEADER) + "\n")
+    out.writelines(layout % tuple(map(text, row.cells(spec))) for row in rows)
 
 
 def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """:func:`write_json` of the rows' flat dicts, written row by row in
-    the same layout: ``indent`` would force the pure-Python encoder."""
+    """:func:`write_json` of the rows' flat dicts, written row by row in the same layout."""
     text = _memo_floats(_json_text)
     # the layout of one row in the list, "[" and "\n]" cut off
     row_format = json.dumps([dict.fromkeys(CSV_HEADER, "%s")], indent=2)[1:-2].replace('"%s"', "%s")
@@ -192,8 +194,8 @@ def write_certificates_json(head: dict, certs: Iterable[PBECertificate], out: IO
 
 
 def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
-    """Header plus one summary row. Prior-weighted results add State B's
-    mean payoff by initial type, empty where no trial had that type."""
+    """Header plus one row of :func:`_csv_text` cells. Prior-weighted results
+    add State B's mean payoff by initial type, empty where no trial had it."""
     header = ["conflict", "exploit", "restraint", "mean_u_A", "mean_u_B", "standard_error_u_B"]
     values = [result.outcome_counts.get(outcome, 0) for outcome in Outcome]
     values += [result.mean_u_A, result.mean_u_B, result.standard_error_u_B]
@@ -201,6 +203,4 @@ def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
     if by_type is not None:
         header += ["mean_u_B_initial_restrained", "mean_u_B_initial_aggressive"]
         values += [by_type["restrained"], by_type["aggressive"]]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(values)
+    out.write(",".join(header) + "\n" + ",".join(map(_csv_text, values)) + "\n")

@@ -631,6 +631,66 @@ class TestEmitBytes:
             assert buf.getvalue() == plain([], TH_BASE)
 
 
+#: Params and m that a Python caller may pass: each row is Invalid and
+#: keeps them, so the writers meet texts, lists and tuples, not only floats.
+_HOSTILE_POINTS = [
+    (ModelParams("1,5", 1.0, 2.0), 1.0),
+    (ModelParams(0.5, 'say "no"', 2.0), 1.0),
+    (ModelParams(0.5, 1.0, "two\nlines"), 1.0),
+    (ModelParams(0.5, 1.0, 2.0, "a\r,b"), 1.0),
+    (ModelParams(0.5, 1.0, 2.0), ""),
+    (ModelParams(0.5, [1, 2], 2.0), (1.0, 'x"y')),
+    (ModelParams(0.5, 1.0, 2.0, p="x,\n\"y\""), [0.5, "q"]),
+]
+
+
+def _hostile_rows():
+    rows = [region_row_for_point(TH_BASE, params, m) for params, m in _HOSTILE_POINTS]
+    assert all(row.classification is Classification.INVALID for row in rows)
+    return rows
+
+
+def test_hostile_invalid_rows_are_written_as_csv_writer_writes_them():
+    # a text holding ',', '"' or a line feed is quoted and its '"' doubled,
+    # an empty text is an empty cell; csv.reader reads each row back whole
+    grid, fraction = EMIT_CASES["invalid-strip"]
+    table = run_sweep(grid, oracle_fraction=fraction, seed=3)
+    hostile = _hostile_rows()
+    for rows in (hostile, table[:5] + hostile + table[5:]):
+        written = io.StringIO()
+        write_rows_csv(rows, TH_BASE, written)
+        assert written.getvalue() == _plain_csv(rows, TH_BASE)
+        read = list(csv.reader(io.StringIO(written.getvalue(), newline="")))
+        assert len(read) == len(rows) + 1 and all(len(cells) == 15 for cells in read)
+        assert [cells[2:9] for cells in read[1:]] == [
+            ["" if v is None else str(v) for v in (*row.params, row.m)] for row in rows
+        ]
+    # csv.writer leaves a text whose only line end is '\r' unquoted, and so
+    # does the writer; csv.reader cannot read such a row back as one record
+    lone_cr = [region_row_for_point(TH_BASE, ModelParams(0.5, "a\rb", 2.0), "\r")]
+    written = io.StringIO()
+    write_rows_csv(lone_cr, TH_BASE, written)
+    assert written.getvalue() == _plain_csv(lone_cr, TH_BASE)
+    assert "a\rb" in written.getvalue()
+
+
+def test_list_and_dict_cells_spread_as_json_dump_spreads_them():
+    # a list, tuple or dict cell is spread over lines at its depth in the
+    # document, as write_json spreads it, not written inline
+    spread = [
+        region_row_for_point(TH_BASE, ModelParams(0.5, [1, 2], 2.0), 1.0),
+        region_row_for_point(TH_BASE, ModelParams(0.5, 1.0, 2.0), {"a": [1, 2], "b": (3.5, None), "c": {}}),
+        region_row_for_point(TH_BASE, ModelParams(0.5, 1.0, 2.0, (0.25, [])), 1.0),
+    ]
+    grid, fraction = EMIT_CASES["invalid-strip"]
+    table = run_sweep(grid, oracle_fraction=fraction, seed=3)
+    for rows in (spread, _hostile_rows(), table[:5] + spread + table[5:]):
+        written = io.StringIO()
+        write_rows_json(rows, TH_BASE, written)
+        assert written.getvalue() == _plain_json(rows, TH_BASE)
+        assert json.loads(written.getvalue()) == json.loads(_plain_json(rows, TH_BASE))
+
+
 _PARAM = st.one_of(
     st.floats(-0.5, 3.0),
     st.sampled_from([0.0, -0.0, 1e308, math.inf, -math.inf, math.nan]),
