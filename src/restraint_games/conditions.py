@@ -1,12 +1,12 @@
 """Closed-form existence conditions for pure-strategy equilibria.
 
-Each closed form is written once, in :func:`slacks`, as signed slacks over
-plain floats: positive means strictly satisfied, zero is the boundary,
-negative is violated. :func:`holds` applies the one tie rule,
-:func:`~.game.tie_floor`: every slack is at least ``tie_floor(0)``, so
-boundary points count as satisfied. The sweep reads the slacks directly.
-:func:`classify` validates a point once and wraps the same slacks into
-:class:`ConditionReport` clauses; :func:`pooling_exists` and
+Each closed form is written once, in :func:`slack_rule`, as signed slacks over
+plain floats: positive means strictly satisfied, zero is the boundary, negative
+is violated. A spec's rule reads its mechanism and variant once; the sweep,
+:func:`classify` and the oracle cross-check all evaluate it. :func:`holds`
+applies the one tie rule, :func:`~.game.tie_floor`: every slack is at least
+``tie_floor(0)``, read once per call of its caller. :func:`classify` wraps the
+slacks into :class:`ConditionReport` clauses; :func:`pooling_exists` and
 :func:`separating_exists` are views of its reports.
 
 The encoded conditions, with m the pooled signal and m* the separating
@@ -39,7 +39,7 @@ cross-checker reports that divergence rather than hiding it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .game import (
     Mechanism,
@@ -76,17 +76,18 @@ class ConditionReport(NamedTuple):
         return d
 
 
-def holds(slacks: tuple[float, ...]) -> bool:
-    """Every slack is at least 0 by the tie rule."""
-    return all(slack >= tie_floor(0) for slack in slacks)
+def holds(slacks: tuple[float, ...], floor: Optional[float] = None) -> bool:
+    """Every slack is at least 0 by the tie rule: at least ``floor``, else ``tie_floor(0)``."""
+    floor = tie_floor(0) if floor is None else floor
+    return all(slack >= floor for slack in slacks)
 
 
 def _report(
-    names: list[tuple[str, str]], slacks: tuple[float, ...], metrics: Optional[dict] = None
+    names: list[tuple[str, str]], slacks: tuple[float, ...], floor: float, metrics: Optional[dict] = None
 ) -> ConditionReport:
     """A report of the clauses named by (name, expression) pairs."""
     clauses = tuple(Clause(name, expr, slack) for (name, expr), slack in zip(names, slacks))
-    return ConditionReport(holds=holds(slacks), clauses=clauses, metrics=metrics or {})
+    return ConditionReport(holds=holds(slacks, floor), clauses=clauses, metrics=metrics or {})
 
 
 #: Mechanisms whose cost m enters the aggressive type's t2 comparison.
@@ -97,19 +98,20 @@ def _drift_slack(c: float, V_B: float, p: float) -> float:
     return c / V_B - p
 
 
-def slacks(
-    spec: MechanismSpec, params: ModelParams, m: float
-) -> tuple[tuple[float, ...], tuple[float, ...], Optional[float]]:
-    """The pooling and separating clauses' slacks, and the drift-tolerance
-    slack when drift is possible (p > 0), at a point already validated."""
-    c, V_D, V_B, _, p, _ = params
-    if spec.mechanism in _CONTINGENT:
-        pooling = (m - V_D,)
-        separating = ((m - c) - V_D, spec.effective_r(params) - c)
-    else:
-        # Non-contingent cost: m cancels out of the t2 comparison.
-        pooling = separating = (-V_D,)
-    return pooling, separating, _drift_slack(c, V_B, p) if p > 0 else None
+def slack_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], tuple]:
+    """``spec``'s ``slacks(params, m)`` at a validated point, its mechanism and variant read once: the
+    pooling and separating clauses' slacks, and the drift-tolerance slack when drift is possible (p > 0)."""
+    contingent, risk = spec.mechanism in _CONTINGENT, spec.variant is Variant.RISK
+
+    def slacks(params: ModelParams, m: float) -> tuple[tuple[float, ...], tuple[float, ...], Optional[float]]:
+        c, V_D, V_B, r, p, _ = params
+        if contingent:  # base is the r = 0 degeneration, in r's number type
+            pooling, separating = (m - V_D,), ((m - c) - V_D, (r if risk else r - r) - c)
+        else:  # non-contingent cost: m cancels out of the t2 comparison
+            pooling = separating = (-V_D,)
+        return pooling, separating, _drift_slack(c, V_B, p) if p > 0 else None
+
+    return slacks
 
 
 def pooling_exists(spec: MechanismSpec, params: ModelParams, m: float) -> ConditionReport:
@@ -131,12 +133,12 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
     payoff from standing down against a drifting signaler.
     """
     params.validate()
-    return _type_shift(params, _drift_slack(params.c, params.V_B, params.p))
+    return _type_shift(params, _drift_slack(params.c, params.V_B, params.p), tie_floor(0))
 
 
-def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
+def _type_shift(params: ModelParams, slack: float, floor: float) -> ConditionReport:
     metrics = {"expected_not_fight_payoff": -params.p * params.V_B}
-    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), metrics)
+    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), floor, metrics)
 
 
 class EquilibriumReport(NamedTuple):
@@ -165,7 +167,8 @@ def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumR
     The type-shift report is attached only when drift is possible (p > 0)."""
     params.validate()
     validate_signal(m)
-    pooling, separating, drift = slacks(spec, params, m)
+    floor = tie_floor(0)
+    pooling, separating, drift = slack_rule(spec)(params, m)
     if spec.mechanism in _CONTINGENT:
         r_expr = "c <= r" if spec.variant is Variant.RISK else "c <= 0"
         pooling_names = [("exploit_deterred", "V_D <= m")]
@@ -176,7 +179,7 @@ def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumR
     return EquilibriumReport(
         mechanism=spec,
         m=m,
-        pooling_on_restraint=_report(pooling_names, pooling),
-        separating=_report(separating_names, separating),
-        type_shift_refrain=None if drift is None else _type_shift(params, drift),
+        pooling_on_restraint=_report(pooling_names, pooling, floor),
+        separating=_report(separating_names, separating, floor),
+        type_shift_refrain=None if drift is None else _type_shift(params, drift, floor),
     )

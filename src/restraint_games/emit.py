@@ -7,19 +7,21 @@ process pays for the writers without loading the modules that compute.
 
 Every table is written one way, without ``csv``: a ``%s`` layout, built
 once per table or per game, filled with each record's cell texts. A sweep
-row's layout is spelled out once, as :data:`CSV_HEADER` and
-:meth:`~.sweep.RegionRow.cells`. In CSV an absent value is an empty cell, a
+row's layout is spelled out once, as :data:`CSV_HEADER`: the spec's two
+columns, the params' six, filled as one block, then the row's own fields,
+read by their column names. In CSV an absent value is an empty cell, a
 boolean is ``true`` or ``false`` as in JSON, a number is ``str(number)``,
 and a text is quoted as ``csv.writer`` quotes it. JSON rows and
-certificates are written one at a time in the layout of
-``json.dump(..., indent=2)``, so no list of every row's or certificate's
-dict is held: ``indent`` would force the pure-Python encoder.
+certificates are written one at a time in the layout of ``json.dump(...,
+indent=2)``, so no list of every row's or certificate's dict is held:
+``indent`` would force the pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Callable, Iterable
 
 from .game import ALL_SYMBOLS, MechanismSpec, Outcome
@@ -40,6 +42,10 @@ CSV_HEADER = [
     "typeshift_slack",
     "oracle_checked",
 ]
+#: The column of m: before it the spec's two and the params' six, from it
+#: on a sweep row's own fields, read by their column names.
+_M = CSV_HEADER.index("m")
+row_fields = attrgetter(*CSV_HEADER[_M:])
 
 CERTIFICATE_CSV_HEADER = [
     "class",
@@ -113,24 +119,40 @@ def write_json(data, out: IO[str]) -> None:
     out.write("\n")
 
 
+def _write_rows(rows: list[RegionRow], spec: MechanismSpec, out: IO[str], cells: str,
+                text: Callable[[object], str], between: str = "") -> None:
+    """Write each row, ``between`` two, as ``cells`` (one ``%s`` per column)
+    cut for the table: the spec's texts filled in, the params' columns one
+    block text made once per run of rows that share their params. Each
+    classification's text is made once, and looked up once per run."""
+    pieces = cells.split("%s")  # pieces[i] comes before column i
+    head = pieces[0] + text(spec.mechanism.value) + pieces[1] + text(spec.variant.value) + pieces[2]
+    layout, block = "%s".join([head.replace("%", "%%"), *pieces[_M:]]), "%s".join(["", *pieces[3:_M], ""])
+    params, last, names, sep = None, None, {}, ""
+    for row in rows:
+        if row.params is not params:
+            params = row.params
+            params_text = block % tuple(map(text, params))
+        m, classification, *rest = row_fields(row)
+        if classification is not last:
+            last = classification
+            name = names.get(last) or names.setdefault(last, text(last.value))
+        out.write(sep + layout % (params_text, text(m), name, *map(text, rest)))
+        sep = between
+
+
 def write_rows_csv(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
-    """UTF-8, LF line ends, '.' decimals, fixed header; each row's cells fill one layout."""
-    text = _memo_floats(_csv_text)
-    layout = ",".join(["%s"] * len(CSV_HEADER)) + "\n"
+    """UTF-8, LF line ends, '.' decimals, fixed header; each row's texts fill one layout."""
     out.write(",".join(CSV_HEADER) + "\n")
-    out.writelines(layout % tuple(map(text, row.cells(spec))) for row in rows)
+    _write_rows(rows, spec, out, ",".join(["%s"] * len(CSV_HEADER)) + "\n", _memo_floats(_csv_text))
 
 
 def write_rows_json(rows: list[RegionRow], spec: MechanismSpec, out: IO[str]) -> None:
     """:func:`write_json` of the rows' flat dicts, written row by row in the same layout."""
-    text = _memo_floats(_json_text)
     # the layout of one row in the list, "[" and "\n]" cut off
-    row_format = json.dumps([dict.fromkeys(CSV_HEADER, "%s")], indent=2)[1:-2].replace('"%s"', "%s")
+    cells = json.dumps([dict.fromkeys(CSV_HEADER, "%s")], indent=2)[1:-2].replace('"%s"', "%s")
     out.write("[")
-    sep = ""
-    for row in rows:
-        out.write(sep + row_format % tuple(map(text, row.cells(spec))))
-        sep = ","
+    _write_rows(rows, spec, out, cells, _memo_floats(_json_text), between=",")
     out.write("\n]\n" if rows else "]\n")
 
 

@@ -599,15 +599,16 @@ def verify_against_closed_form(
     Certificates are built only for the points that disagree. Building the
     grid game validates each point once; the closed forms then read it.
     """
-    from .conditions import holds, slacks  # the oracle's one use of the closed forms
+    from .conditions import holds, slack_rule  # the oracle's one use of the closed forms
 
+    slacks, floor = slack_rule(spec), tie_floor(0)
     relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
     entries: list[Discrepancy] = []
     for params, m in grid:
         messages = signal_grid(m)
         table = _GameTable(DiscreteGame(spec, params, messages))
-        pooling, separating, _ = slacks(spec, params, m)
-        closed = {"pooling": holds(pooling), "separating": holds(separating)}
+        pooling, separating, _ = slacks(params, m)
+        closed = {"pooling": holds(pooling, floor), "separating": holds(separating, floor)}
         j_m = len(messages) - 1
         relevant = [anchor for anchor in _anchors(table, (j_m,)) if anchor[2] in relevant_classes]
         found = {pbe_class for _, _, pbe_class, _ in relevant}

@@ -9,12 +9,13 @@ oracle; any disagreement aborts the sweep with the full discrepancy
 report rather than emitting a table the oracle would not sign off on.
 
 A point is its :class:`~.game.ModelParams` and signal m, from the grid to
-the oracle check. :func:`region_row_for_point` makes its row straight from
-:func:`~.conditions.slacks` and :func:`~.conditions.holds`: the params are
-validated once and no report objects are built. A row's layout is
-:data:`~.emit.CSV_HEADER` and :meth:`RegionRow.cells`; :mod:`.emit`
-writes the rows and :func:`boundary_trace` compares each with its next
-rows, both as they are. A grid's numbers and keys are read by
+the oracle check; the points that differ only in m share one params
+object. :func:`region_row_for_point` makes its row straight from the
+spec's :func:`~.conditions.slack_rule`, against a tie floor read once: the
+params are validated once per row and no report objects are built. A
+row's layout is :data:`~.emit.CSV_HEADER`; :mod:`.emit` writes the rows
+and :func:`boundary_trace` compares each with its next rows, both as
+they are. A grid's numbers and keys are read by
 :func:`~.game.real` and :func:`~.game.refuse_unknown_keys`, as a config's
 are. The oracle is imported only when a sample is drawn.
 """
@@ -24,10 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .conditions import holds, slacks
-from .emit import CSV_HEADER
+from .conditions import holds, slack_rule
+from .emit import CSV_HEADER, row_fields
 from .game import (
     ALL_SYMBOLS,
     BudgetExceededError,
@@ -38,6 +39,7 @@ from .game import (
     integer,
     real,
     refuse_unknown_keys,
+    tie_floor,
     validate_signal,
 )
 
@@ -45,7 +47,8 @@ from .game import (
 #: closed-form condition depends on it.
 SWEEPABLE = ("c", "V_D", "V_B", "r", "p", "m")
 
-#: Most grid points a sweep builds: each row is ~0.36 KB before any output.
+#: Most grid points a sweep builds: it holds every row until it returns
+#: (retained bytes per row in BENCH_sweep_rows.json).
 GRID_POINT_BUDGET = 10**6
 
 
@@ -193,18 +196,9 @@ class RegionRow:
 
     def cells(self, spec: MechanismSpec) -> list:
         """The row's values in :data:`CSV_HEADER` order, None where a
-        slack does not apply: the one place the row layout is spelled out."""
-        return [
-            spec.mechanism.value,
-            spec.variant.value,
-            *self.params, self.m,  # ALL_SYMBOLS
-            self.classification.value,
-            self.pooling_slack,
-            self.separating_slack_1,
-            self.separating_slack_2,
-            self.typeshift_slack,
-            self.oracle_checked,
-        ]
+        slack does not apply, its fields from m on read by their column names."""
+        m, classification, *rest = row_fields(self)
+        return [spec.mechanism.value, spec.variant.value, *self.params, m, classification.value, *rest]
 
     def to_flat_dict(self, spec: MechanismSpec) -> dict:
         return dict(zip(CSV_HEADER, self.cells(spec)))
@@ -219,45 +213,56 @@ _CLASSIFICATION = {
 }
 
 
+def _row_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], RegionRow]:
+    """The row of a point for ``spec``: the one row evaluator, its slack
+    rule picked and its tie floor read once."""
+    slacks, floor, invalid = slack_rule(spec), tie_floor(0), Classification.INVALID
+
+    def row(params: ModelParams, m: float) -> RegionRow:
+        try:
+            params.validate()
+            validate_signal(m)  # before float(), which reads a bool as 1 or 0
+        except ParameterError:
+            return RegionRow(params, m, invalid, None, None, None, None)
+        m = float(m)
+        (pooling,), separating, drift = slacks(params, m)
+        # a separating tuple holds one or two slacks
+        classification = _CLASSIFICATION[pooling >= floor, separating[0] >= floor and separating[-1] >= floor]
+        return RegionRow(params, m, classification, pooling, separating[0],
+                         separating[1] if len(separating) > 1 else None, drift)
+
+    return row
+
+
 def region_row_for_point(spec: MechanismSpec, params: ModelParams, m: float) -> RegionRow:
-    """Classify a single parameter point into a sweep-style row: the one
-    row evaluator of the sweep and of ``classify``'s CSV row."""
-    try:
-        params.validate()
-        validate_signal(m)  # before float(), which reads a bool as 1 or 0
-    except ParameterError:
-        return RegionRow(params, m, Classification.INVALID, None, None, None, None)
-    m = float(m)
-    pooling, separating, drift = slacks(spec, params, m)
-    return RegionRow(
-        params=params,
-        m=m,
-        classification=_CLASSIFICATION[holds(pooling), holds(separating)],
-        pooling_slack=pooling[0],
-        separating_slack_1=separating[0],
-        separating_slack_2=separating[1] if len(separating) > 1 else None,
-        typeshift_slack=drift,
-    )
+    """Classify a single parameter point into a sweep-style row, as
+    :func:`run_sweep` and ``classify``'s CSV row do."""
+    return _row_rule(spec)(params, m)
 
 
-def grid_points(grid: GridSpec) -> list[tuple[ModelParams, float]]:
-    """Every point's params and m in row-major axis order. More than
-    :data:`GRID_POINT_BUDGET` points raises :class:`BudgetExceededError`
-    before any is built."""
+def grid_points(grid: GridSpec) -> Iterator[tuple[ModelParams, float]]:
+    """Every point's params and m in row-major axis order, read lazily, the
+    points that differ only in m sharing one :class:`~.game.ModelParams`.
+    More than :data:`GRID_POINT_BUDGET` points raises
+    :class:`BudgetExceededError` before any is built."""
     grid.validate()
     n_points = math.prod(axis.steps for axis in grid.axes)
     if n_points > GRID_POINT_BUDGET:
         raise BudgetExceededError(n_points, GRID_POINT_BUDGET, "grid point")
-    # one working dict in ALL_SYMBOLS order, the ModelParams fields then m;
-    # float() because a grid built in Python may fix an int
+    # one working dict of the symbols, float() because a grid built in
+    # Python may fix an int; m leaves it, so it holds the ModelParams fields
     coords = {sym: float(grid.fixed.get(sym, 0.0)) for sym in ALL_SYMBOLS}
-    symbols = [axis.symbol for axis in grid.axes]
-    points = []
-    for combo in itertools.product(*[axis.values() for axis in grid.axes]):
-        coords.update(zip(symbols, combo))
-        *fields, m = coords.values()
-        points.append((ModelParams(*fields), m))
-    return points
+    values = {axis.symbol: axis.values() for axis in grid.axes}
+    k = list(values).index("m") if "m" in values else 0
+    m_values = values.pop("m", [coords.pop("m")])  # m's axis, or its fixed value as a first axis
+    table = []  # one ModelParams per combination of the other axes, row-major
+    for combo in itertools.product(*values.values()):
+        coords.update(zip(values, combo))
+        table.append(ModelParams(*coords.values()))
+    # each combination of the axes before m runs over m, each m over one
+    # block of params, the combinations of the axes after it
+    block = math.prod(len(v) for v in list(values.values())[k:])
+    return ((table[o + i], m) for o in range(0, len(table), block) for m in m_values for i in range(block))
 
 
 def run_sweep(
@@ -267,12 +272,12 @@ def run_sweep(
 ) -> list[RegionRow]:
     """Classify every grid point; oracle-check a seeded random subset.
 
-    Points are evaluated one after another and rows come back in row-major
-    axis order. The oracle subset is drawn without replacement via a seeded
-    shuffle of the valid rows; ``int(oracle_fraction * n_valid)`` points
-    are checked in one :func:`verify_against_closed_form` call, and any
-    closed-form/oracle mismatch raises :class:`DiscrepancyError` with its
-    report.
+    Points are evaluated one after another by :func:`region_row_for_point`'s
+    rule, the tie floor read once per call, into one mutable row each, in
+    row-major axis order. The oracle subset is drawn without replacement
+    via a seeded shuffle of the valid rows; ``int(oracle_fraction *
+    n_valid)`` points are checked in one :func:`verify_against_closed_form`
+    call, and any mismatch raises :class:`DiscrepancyError` with its report.
     """
     try:  # as the CLI reads --oracle-fraction and --seed
         oracle_fraction, seed = real(oracle_fraction), integer(seed)
@@ -281,9 +286,10 @@ def run_sweep(
     if not (0.0 <= oracle_fraction <= 1.0 and seed >= 0):
         raise ParameterError("0 <= oracle_fraction <= 1, seed >= 0", f"got {oracle_fraction}, {seed}")
     spec = grid.mechanism
-    rows = [region_row_for_point(spec, params, m) for params, m in grid_points(grid)]
+    rows = list(itertools.starmap(_row_rule(spec), grid_points(grid)))
 
-    valid = [row for row in rows if row.classification is not Classification.INVALID]
+    invalid = Classification.INVALID
+    valid = [row for row in rows if row.classification is not invalid]
     n_checked = int(oracle_fraction * len(valid))
     if n_checked > 0:
         # here, so a sweep without an oracle sample imports neither numpy nor the oracle

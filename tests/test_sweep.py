@@ -459,6 +459,27 @@ def _exact(values) -> list:
         {"c": 1, "V_D": 2, "r": -0.0, "prior": 0.5, "m": 3},
     )
 )
+@example(  # (m - c) - V_D overflows to -inf on most of the grid
+    grid=GridSpec(
+        TH_RISK,
+        (Axis("c", 1e307, 1e308, 3), Axis("V_D", 1e308, 1.7e308, 3)),
+        {"V_B": 1.79e308, "r": 0.5, "p": 0.1, "prior": 0.5, "m": 0.0},
+    )
+)
+@example(  # a c x m grid: the rows along m share one ModelParams, c crosses V_B
+    grid=GridSpec(
+        TH_BASE,
+        (Axis("c", 0.25, 2.5, 4), Axis("m", 0.0, 3.0, 4)),
+        {"V_D": 1, "V_B": 2.0, "r": 0.3, "p": 0.2, "prior": 0.5},
+    )
+)
+@example(  # m between two axes: each c runs over m, each m over a block of p
+    grid=GridSpec(
+        MechanismSpec(Mechanism.REDUCIBLE, Variant.RISK),
+        (Axis("c", 0.5, 1.5, 2), Axis("m", 0.0, 3.0, 3), Axis("p", 0.0, 1.0, 3)),
+        {"V_D": 1.0, "V_B": 2.0, "r": 0.7, "prior": 0.5},
+    )
+)
 def test_a_row_is_its_params_and_m(grid):
     spec = grid.mechanism
     rows = run_sweep(grid, oracle_fraction=0.0, seed=0)
@@ -474,6 +495,22 @@ def test_a_row_is_its_params_and_m(grid):
         assert _exact(flat[sym] for sym in ALL_SYMBOLS) == _exact(coords.values())
         again = region_row_for_point(spec, row.params, row.m)
         assert _exact(again.cells(spec)[:-1]) == _exact(row.cells(spec)[:-1])
+
+
+def test_rows_that_share_params_keep_their_own_oracle_flag():
+    # along m every row holds its c's one ModelParams; oracle_checked is the row's own
+    grid = GridSpec(
+        TH_BASE, (Axis("c", 0.5, 1.0, 3), Axis("m", 0.0, 3.0, 8)), {"V_D": 1.0, "V_B": 2.0, "r": 0.0, "p": 0.1, "prior": 0.5}
+    )
+    rows = run_sweep(grid, oracle_fraction=0.5, seed=1)
+    by_params: dict[int, list] = {}
+    for row in rows:
+        by_params.setdefault(id(row.params), []).append(row)
+    assert [len(same) for same in by_params.values()] == [8, 8, 8]
+    # every point is valid, so the sample is the first half of the seeded shuffle of all rows
+    chosen = set(np.random.default_rng(1).permutation(len(rows))[: len(rows) // 2].tolist())
+    assert [row.oracle_checked for row in rows] == [k in chosen for k in range(len(rows))]
+    assert all({row.oracle_checked for row in same} == {True, False} for same in by_params.values())
 
 
 #: A fixed value's (low, high) per symbol, around a point where every
