@@ -2,12 +2,12 @@
 
 Each closed form is written once, in :func:`slack_rule`, as signed slacks over
 plain floats: positive means strictly satisfied, zero is the boundary, negative
-is violated. A spec's rule reads its mechanism and variant once; the sweep,
-:func:`classify` and the oracle cross-check all evaluate it. :func:`holds`
-applies the one tie rule, :func:`~.game.tie_floor`: every slack is at least
-``tie_floor(0)``, read once per call of its caller. :func:`classify` wraps the
-slacks into :class:`ConditionReport` clauses; :func:`pooling_exists` and
-:func:`separating_exists` are views of its reports.
+is violated. A spec's rule reads its mechanism, variant and tie floor
+``tie_floor(0)`` (:func:`~.game.tie_floor`) once, when it is made, and gives the
+slacks and the pooling and separating verdicts, which the sweep, :func:`classify`
+and the oracle cross-check read. :func:`holds` is the drift clause's tie test.
+:func:`classify` wraps slacks and verdicts into :class:`ConditionReport` clauses;
+:func:`pooling_exists` and :func:`separating_exists` are views of its reports.
 
 The encoded conditions, with m the pooled signal and m* the separating
 signal:
@@ -76,18 +76,18 @@ class ConditionReport(NamedTuple):
         return d
 
 
-def holds(slacks: tuple[float, ...], floor: Optional[float] = None) -> bool:
-    """Every slack is at least 0 by the tie rule: at least ``floor``, else ``tie_floor(0)``."""
-    floor = tie_floor(0) if floor is None else floor
+def holds(slacks: tuple[float, ...]) -> bool:
+    """Every slack is at least 0 by the tie rule: at least ``tie_floor(0)``."""
+    floor = tie_floor(0)
     return all(slack >= floor for slack in slacks)
 
 
 def _report(
-    names: list[tuple[str, str]], slacks: tuple[float, ...], floor: float, metrics: Optional[dict] = None
+    names: list[tuple[str, str]], slacks: tuple[float, ...], verdict: bool, metrics: Optional[dict] = None
 ) -> ConditionReport:
     """A report of the clauses named by (name, expression) pairs."""
     clauses = tuple(Clause(name, expr, slack) for (name, expr), slack in zip(names, slacks))
-    return ConditionReport(holds=holds(slacks, floor), clauses=clauses, metrics=metrics or {})
+    return ConditionReport(holds=verdict, clauses=clauses, metrics=metrics or {})
 
 
 #: Mechanisms whose cost m enters the aggressive type's t2 comparison.
@@ -99,19 +99,20 @@ def _drift_slack(c: float, V_B: float, p: float) -> float:
 
 
 def slack_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], tuple]:
-    """``spec``'s ``slacks(params, m)`` at a validated point, its mechanism and variant read once: the
-    pooling and separating clauses' slacks, and the drift-tolerance slack when drift is possible (p > 0)."""
-    contingent, risk = spec.mechanism in _CONTINGENT, spec.variant is Variant.RISK
+    """``spec``'s ``rule(params, m)`` at a validated point, its mechanism, variant and floor ``tie_floor(0)`` read
+    once: the pooling, separating and (if p > 0) drift slacks, then whether pooling and separating hold, as bools."""
+    contingent, risk, floor = spec.mechanism in _CONTINGENT, spec.variant is Variant.RISK, tie_floor(0)
 
-    def slacks(params: ModelParams, m: float) -> tuple[tuple[float, ...], tuple[float, ...], Optional[float]]:
+    def rule(params: ModelParams, m: float) -> tuple[tuple, tuple, Optional[float], bool, bool]:
         c, V_D, V_B, r, p, _ = params
         if contingent:  # base is the r = 0 degeneration, in r's number type
             pooling, separating = (m - V_D,), ((m - c) - V_D, (r if risk else r - r) - c)
         else:  # non-contingent cost: m cancels out of the t2 comparison
             pooling = separating = (-V_D,)
-        return pooling, separating, _drift_slack(c, V_B, p) if p > 0 else None
+        pools, separates = bool(pooling[0] >= floor), bool(separating[0] >= floor and separating[-1] >= floor)
+        return pooling, separating, _drift_slack(c, V_B, p) if p > 0 else None, pools, separates
 
-    return slacks
+    return rule
 
 
 def pooling_exists(spec: MechanismSpec, params: ModelParams, m: float) -> ConditionReport:
@@ -133,12 +134,12 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
     payoff from standing down against a drifting signaler.
     """
     params.validate()
-    return _type_shift(params, _drift_slack(params.c, params.V_B, params.p), tie_floor(0))
+    return _type_shift(params, _drift_slack(params.c, params.V_B, params.p))
 
 
-def _type_shift(params: ModelParams, slack: float, floor: float) -> ConditionReport:
+def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
     metrics = {"expected_not_fight_payoff": -params.p * params.V_B}
-    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), floor, metrics)
+    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), holds((slack,)), metrics)
 
 
 class EquilibriumReport(NamedTuple):
@@ -167,8 +168,7 @@ def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumR
     The type-shift report is attached only when drift is possible (p > 0)."""
     params.validate()
     validate_signal(m)
-    floor = tie_floor(0)
-    pooling, separating, drift = slack_rule(spec)(params, m)
+    pooling, separating, drift, pools, separates = slack_rule(spec)(params, m)
     if spec.mechanism in _CONTINGENT:
         r_expr = "c <= r" if spec.variant is Variant.RISK else "c <= 0"
         pooling_names = [("exploit_deterred", "V_D <= m")]
@@ -179,7 +179,7 @@ def classify(spec: MechanismSpec, params: ModelParams, m: float) -> EquilibriumR
     return EquilibriumReport(
         mechanism=spec,
         m=m,
-        pooling_on_restraint=_report(pooling_names, pooling, floor),
-        separating=_report(separating_names, separating, floor),
-        type_shift_refrain=None if drift is None else _type_shift(params, drift, floor),
+        pooling_on_restraint=_report(pooling_names, pooling, pools),
+        separating=_report(separating_names, separating, separates),
+        type_shift_refrain=None if drift is None else _type_shift(params, drift),
     )

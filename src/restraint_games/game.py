@@ -69,11 +69,10 @@ class ParameterError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A size guard refused the job: a game with more certificates, or a
-    sweep grid with more points, than the budget. ``n_certificates`` is
-    ``count`` under the name the oracle first gave it."""
+    sweep grid with more points, than the budget."""
 
     def __init__(self, count: int, budget: int, what: str = "certificate"):
-        self.count = self.n_certificates = count
+        self.count = count
         self.budget = budget
         super().__init__(f"{what} count {count} exceeds budget {budget}")
 
@@ -140,10 +139,6 @@ class MechanismSpec(NamedTuple):
 
     mechanism: Mechanism
     variant: Variant = Variant.BASE
-
-    def effective_r(self, params: "ModelParams") -> float:
-        """Risk borne by an unexploiting aggressive type: r, or 0 of r's type in base."""
-        return params.r if self.variant is Variant.RISK else params.r - params.r
 
     def to_dict(self) -> dict:
         return {"mechanism": self.mechanism.value, "variant": self.variant.value}
@@ -354,6 +349,7 @@ def payoff_terms(spec: MechanismSpec, params: ModelParams, theta: TypeLabel, out
     if outcome is Outcome.EXPLOIT:
         return t * params.V_D, True, -params.V_B
 
-    # Restraint: the peace dividend is the zero point; only the signal-cost
-    # term and the aggressive type's risk term can pull u_A below it.
-    return -t * spec.effective_r(params), mech in (Mechanism.SUNK, Mechanism.INSTALLMENT), 0.0
+    # Restraint: the peace dividend is the zero point; only the signal-cost term
+    # and the aggressive type's risk (r, or 0 of r's type in base) can pull u_A below it.
+    r = params.r if spec.variant is Variant.RISK else params.r - params.r
+    return -t * r, mech in (Mechanism.SUNK, Mechanism.INSTALLMENT), 0.0

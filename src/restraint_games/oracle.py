@@ -37,9 +37,8 @@ Per-game work is done once: one payoff evaluation per u_A row; check
 (b), which does not depend on the message, at most once per option kind
 (t2 bits, fight) and belief kind, so at most 32 verdicts a game; and a
 message's off-path admission once per distinct on-path value pair
-(v_R, v_A). A 6-message tying-hands game of 25 anchors takes about
-0.23 ms against 0.38 ms when each message and candidate anchor redid it
-(in-process, 2-vCPU x86-64 guest, CPython 3.11).
+(v_R, v_A), never once per message and candidate anchor. The per-game
+cost is measured in ``BENCH_oracle_fixed_cost.json``.
 
 A certificate is one ``NamedTuple`` whose fields run in the canonical
 order: both signal indices, the t2 restraint bits, the fight bits, the
@@ -47,10 +46,10 @@ class, the supporting beliefs and the game's shared message tuple. The
 records are made by ``itertools.product`` over each anchor's per-message
 option fields, with no Python code per record. A certificate's
 ``profile`` and ``beliefs`` build the public value types when read, and
-``to_dict()`` is their dicts; the writers format from the record. On a
-sunk game of 10 messages with 40 581 certificates, listing them takes
-about 0.1 s and retains about 550 bytes per certificate (2-vCPU x86-64
-guest, CPython 3.11).
+``to_dict()`` is their dicts; the writers format from the record. The
+memory a listing retains is its records, linear in the certificate count
+and bounded by the budget of :func:`find_all_pbe`; the time and bytes per
+certificate are measured in ``BENCH_oracle_records.json``.
 
 Certified profiles are classed by shape. Pooling profiles (both types at
 one message) are ``PoolingOnRestraint`` when nobody fights or exploits on
@@ -597,18 +596,19 @@ def verify_against_closed_form(
     a Separating certificate with the restrained type at m exists exactly
     when the closed form holds. An empty report is full agreement.
     Certificates are built only for the points that disagree. Building the
-    grid game validates each point once; the closed forms then read it.
+    grid game validates each point once; :func:`~.conditions.slack_rule`
+    then gives its closed-form verdicts, against its own tie floor.
     """
-    from .conditions import holds, slack_rule  # the oracle's one use of the closed forms
+    from .conditions import slack_rule  # the oracle's one use of the closed forms
 
-    slacks, floor = slack_rule(spec), tie_floor(0)
+    rule = slack_rule(spec)
     relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
     entries: list[Discrepancy] = []
     for params, m in grid:
         messages = signal_grid(m)
         table = _GameTable(DiscreteGame(spec, params, messages))
-        pooling, separating, _ = slacks(params, m)
-        closed = {"pooling": holds(pooling, floor), "separating": holds(separating, floor)}
+        *_, pools, separates = rule(params, m)
+        closed = {"pooling": pools, "separating": separates}
         j_m = len(messages) - 1
         relevant = [anchor for anchor in _anchors(table, (j_m,)) if anchor[2] in relevant_classes]
         found = {pbe_class for _, _, pbe_class, _ in relevant}

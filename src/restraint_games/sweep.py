@@ -11,7 +11,7 @@ report rather than emitting a table the oracle would not sign off on.
 A point is its :class:`~.game.ModelParams` and signal m, from the grid to
 the oracle check; the points that differ only in m share one params
 object. :func:`region_row_for_point` makes its row straight from the
-spec's :func:`~.conditions.slack_rule`, against a tie floor read once: the
+slacks and verdicts of the spec's :func:`~.conditions.slack_rule`: the
 params are validated once per row and no report objects are built. A
 row's layout is :data:`~.emit.CSV_HEADER`; :mod:`.emit` writes the rows
 and :func:`boundary_trace` compares each with its next rows, both as
@@ -39,7 +39,6 @@ from .game import (
     integer,
     real,
     refuse_unknown_keys,
-    tie_floor,
     validate_signal,
 )
 
@@ -215,8 +214,8 @@ _CLASSIFICATION = {
 
 def _row_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], RegionRow]:
     """The row of a point for ``spec``: the one row evaluator, its slack
-    rule picked and its tie floor read once."""
-    slacks, floor, invalid = slack_rule(spec), tie_floor(0), Classification.INVALID
+    rule, and so its tie floor, made once."""
+    rule, invalid = slack_rule(spec), Classification.INVALID
 
     def row(params: ModelParams, m: float) -> RegionRow:
         try:
@@ -225,10 +224,9 @@ def _row_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], RegionRow]:
         except ParameterError:
             return RegionRow(params, m, invalid, None, None, None, None)
         m = float(m)
-        (pooling,), separating, drift = slacks(params, m)
+        (pooling,), separating, drift, pools, separates = rule(params, m)
         # a separating tuple holds one or two slacks
-        classification = _CLASSIFICATION[pooling >= floor, separating[0] >= floor and separating[-1] >= floor]
-        return RegionRow(params, m, classification, pooling, separating[0],
+        return RegionRow(params, m, _CLASSIFICATION[pools, separates], pooling, separating[0],
                          separating[1] if len(separating) > 1 else None, drift)
 
     return row
@@ -273,7 +271,7 @@ def run_sweep(
     """Classify every grid point; oracle-check a seeded random subset.
 
     Points are evaluated one after another by :func:`region_row_for_point`'s
-    rule, the tie floor read once per call, into one mutable row each, in
+    rule, made once per call, into one mutable row each, in
     row-major axis order. The oracle subset is drawn without replacement
     via a seeded shuffle of the valid rows; ``int(oracle_fraction *
     n_valid)`` points are checked in one :func:`verify_against_closed_form`

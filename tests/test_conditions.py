@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from restraint_games import (
     pooling_exists,
     separating_exists,
     type_shift_refrain,
+    verify_against_closed_form,
 )
 
 from conftest import params_strategy, signal_strategy
@@ -146,6 +150,16 @@ class TestClassify:
         assert d["mechanism"] == {"mechanism": "tying-hands", "variant": "risk"}
         assert {"holds", "clauses"} <= set(d["pooling_on_restraint"])
         assert "type_shift_refrain" in d
+
+    def test_verdicts_are_bools_whatever_the_number_type(self):
+        # a numpy slack compares to a numpy bool, which json does not take; at r > c
+        # the grid game does not pool, so the cross-check reports the point
+        p = ModelParams(*map(np.float64, (0.5, 1.0, 2.0, 0.8, 0.0, 0.5)))
+        report = classify(TH_RISK, p, np.float64(1.2))
+        assert type(report.pooling_on_restraint.holds) is type(report.separating.holds) is bool
+        json.dumps(report.to_dict())
+        (entry,) = verify_against_closed_form(TH_RISK, [(p, np.float64(1.2))]).entries
+        assert {type(v) for v in entry.closed_form_verdict.values()} == {bool}
 
 
 class TestProperties:

@@ -35,6 +35,7 @@ from restraint_games import (
     run_sweep,
     simulate,
     supporting_belief_interval,
+    verify_against_closed_form,
 )
 from restraint_games import game as game_module
 from restraint_games.conditions import holds
@@ -304,6 +305,43 @@ class TestTieRule:
         # (d) in is_weak_pbe: under TOL = 0 it rejects exactly the extra ones
         kept = [c for c in wide["certificates"] if is_weak_pbe(self.GAME, c.profile) is not None]
         assert shape(kept) == shape(exact["certificates"])
+
+
+class TestClosedFormFloor:
+    """The closed forms' verdicts read ``game.TOL`` when a call is made,
+    never at import: a row, a sweep and the oracle cross-check each move
+    with it at a slack of -0.05."""
+
+    WIDE = 0.1
+    PARAMS = ModelParams(c=0.5, V_D=1.0, V_B=2.0, prior=0.5)
+
+    def verdicts(self, monkeypatch, tol):
+        monkeypatch.setattr(game_module, "TOL", tol)
+        th = MechanismSpec(Mechanism.TYING_HANDS)
+        # two points that differ only in r, which the base variant ignores
+        fixed = {**self.PARAMS.to_dict(), "m": 0.95}
+        del fixed["r"]
+        rows = run_sweep(GridSpec(th, (Axis("r", 0.0, 0.5, 2),), fixed), 0.0, 0)
+        # risk with r > c: the grid game never pools, so only the closed form's tie moves
+        risky = self.PARAMS._replace(r=0.6)
+        report = verify_against_closed_form(MechanismSpec(Mechanism.TYING_HANDS, Variant.RISK), [(risky, 0.95)])
+        return {
+            "row": region_row_for_point(th, self.PARAMS, 0.95).classification,
+            "sweep": {row.classification for row in rows},
+            "pooling discrepancies": sum(e.closed_form_verdict["pooling"] != e.oracle_verdict["pooling"]
+                                         for e in report.entries),
+            "entries": len(report.entries),
+        }
+
+    def test_the_closed_forms_read_the_floor_per_call(self, monkeypatch):
+        row = region_row_for_point(MechanismSpec(Mechanism.TYING_HANDS), self.PARAMS, 0.95)
+        assert row.pooling_slack == pytest.approx(-0.05)
+        wide = self.verdicts(monkeypatch, self.WIDE)
+        exact = self.verdicts(monkeypatch, 0)
+        assert (wide["row"], exact["row"]) == (Classification.POOLING_ONLY, Classification.NEITHER)
+        assert (wide["sweep"], exact["sweep"]) == ({Classification.POOLING_ONLY}, {Classification.NEITHER})
+        assert (wide["pooling discrepancies"], exact["pooling discrepancies"]) == (1, 0)
+        assert (wide["entries"], exact["entries"]) == (1, 0)
 
 
 SPEC = MechanismSpec(Mechanism.SUNK, Variant.RISK)

@@ -381,12 +381,12 @@ class TestFindAllPBE:
         game = DiscreteGame(sunk, BASE_PARAMS, tuple(float(i) for i in range(18)))
         with pytest.raises(BudgetExceededError) as exc:
             find_all_pbe(game)
-        assert exc.value.n_certificates > DEFAULT_CERTIFICATE_BUDGET
+        assert exc.value.count > DEFAULT_CERTIFICATE_BUDGET
         # an explicit budget tightens the guard; the error reports the real count
         small = DiscreteGame(sunk, BASE_PARAMS, (0.0, 2.0, 4.0, 6.0))
         with pytest.raises(BudgetExceededError) as exc:
             find_all_pbe(small, budget=10)
-        assert exc.value.n_certificates == len(find_all_pbe(small)) == 54
+        assert exc.value.count == len(find_all_pbe(small)) == 54
 
     def test_grid_validation(self):
         # a bool or an int past float range from Python: game.real, as the CLI reads --messages
