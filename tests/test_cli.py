@@ -175,6 +175,22 @@ class TestOracle:
         sep = [c for c in payload["certificates"] if c["class"] == "Separating"]
         assert sep[0]["profile"]["signal_of"] == {"restrained": 1.5, "aggressive": 0.0}
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writers_get_the_oracle_records(self, fmt, capsys, monkeypatch):
+        # the certificate writers take only records find_all_pbe built: the
+        # CLI hands them its list itself
+        from restraint_games import cli, oracle
+
+        built, written = [], []
+        find_all_pbe = oracle.find_all_pbe
+        monkeypatch.setattr(oracle, "find_all_pbe", lambda *args: built.append(find_all_pbe(*args)) or built[-1])
+        for name in ("write_certificates_csv", "write_certificates_json"):
+            writer = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, writer=writer: written.append(args[-2]) or writer(*args))
+        argv = f"oracle --mechanism sunk --c 0.5 --vd 1 --vb 2 --r 0.6 --messages 0,0.5,1.5 --format {fmt}"
+        code, _, _ = run(argv.split(), capsys)
+        assert code == 0 and len(built) == len(written) == 1 and written[0] is built[0] and built[0]
+
     def test_size_guard_exit_code(self, capsys):
         messages = ",".join(str(float(i)) for i in range(18))
         code, _, err = run(
@@ -526,6 +542,19 @@ MALFORMED = {
         },
         "--trials 10",
     ),
+    # the pooling profile never fights, so no trial plays conflict at m, which pays
+    # -c - m = -inf: simulate refuses the game's table as the oracle does
+    "simulate-unplayed-payoff-overflows": (
+        "simulate",
+        {
+            "mechanism": {"mechanism": "sunk", "variant": "base"},
+            "params": {"c": 1e308, "V_D": 1.0, "V_B": 1.5e308},
+            "m": 1e308,
+        },
+        "--trials 10",
+    ),
+    # the override admits a prior of 0 or 1, not one outside [0, 1]
+    "simulate-degenerate-prior-out-of-range": ("simulate", POINT, "--prior 1.5 --allow-degenerate-prior --trials 10"),
     # conflict at m pays -c - m = -inf, which no certificate may be built on
     "oracle-payoff-overflows": (
         "oracle",

@@ -243,6 +243,13 @@ class TestValidation:
             p.validate()
         p.validate(allow_degenerate_prior=True)
 
+    @pytest.mark.parametrize("prior", [1.5, -0.25, math.nan])
+    def test_degenerate_prior_still_a_probability(self, prior):
+        # the override admits 0 and 1, nothing outside [0, 1]
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(c=0.5, V_D=1.0, V_B=2.0, prior=prior).validate(allow_degenerate_prior=True)
+        assert exc.value.constraint == "0 <= prior <= 1"
+
     def test_params_roundtrip(self):
         p = ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=0.25, p=0.1, prior=0.3)
         assert ModelParams.from_dict(p.to_dict()) == p

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restraint_games import (
     DiscreteGame,
@@ -31,10 +33,14 @@ from restraint_games import (
     TypeLabel,
     Variant,
     find_all_pbe,
+    payoff,
     pooling_profile,
     simulate,
 )
 from restraint_games import montecarlo
+from restraint_games.game import signal_grid, t2_options
+
+from conftest import params_strategy, signal_strategy
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -279,6 +285,51 @@ class TestValidation:
     def test_single_trial_has_zero_se(self):
         result = simulate(config(n_trials=1))
         assert result.standard_error_u_B == 0.0
+
+    def test_unplayed_payoff_overflow_refused_as_the_oracle_refuses_it(self):
+        # pooling never fights after m, so no trial plays conflict there, which
+        # pays -c - m = -inf: the game's table on {0, m} is refused all the same
+        spec, params = MechanismSpec(Mechanism.SUNK), ModelParams(c=1e308, V_D=1.0, V_B=1.5e308)
+        for mode in DriftMode:
+            with pytest.raises(ParameterError) as exc:
+                simulate(config(spec=spec, params=params, m=1e308, n_trials=10, drift_mode=mode))
+            assert exc.value.constraint == "payoffs finite"
+        with pytest.raises(ParameterError) as exc:
+            find_all_pbe(DiscreteGame(spec, params, (0.0, 1e308)))
+        assert exc.value.constraint == "payoffs finite"
+
+
+@pytest.mark.parametrize("mode", list(DriftMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("spec", [MechanismSpec(m, v) for m in Mechanism for v in Variant], ids=str)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    params=params_strategy(with_drift=True),
+    m=signal_strategy,
+    at_m=st.tuples(st.booleans(), st.booleans()),
+    fights=st.tuples(st.booleans(), st.booleans()),
+)
+def test_played_cells_are_payoff_cells(spec, mode, params, m, at_m, fights):
+    # every trial plays payoff()'s cell for its final type, signal and
+    # outcome, and best-response restrains iff t2_options admits restraint
+    messages = signal_grid(m)
+    signal_of = dict(zip((R, A), (messages[-1] if top else 0.0 for top in at_m)))
+    fought = {msg for msg, fight in zip(messages, fights) if fight}
+    log = io.StringIO()
+    cfg = config(spec=spec, params=params, m=m, n_trials=64, drift_mode=mode,
+                 profile=grid_profile(m, signal_of[R], signal_of[A], fought))
+    simulate(cfg, trial_log=log)
+    for line in {line.split(",", 1)[1] for line in log.getvalue().splitlines()[1:]}:
+        initial, final, message, fought_text, outcome, u_A, u_B = line.split(",")
+        t, signal, outcome = TypeLabel(int(final)), signal_of[TypeLabel(int(initial))], Outcome(outcome)
+        assert (message, fought_text) == (repr(signal), str(signal in fought).lower())
+        assert (u_A, u_B) == tuple(repr(float(u)) for u in payoff(spec, params, t, outcome, signal))
+        if signal in fought:
+            assert outcome is Outcome.PREVENTIVE_CONFLICT
+        elif mode is DriftMode.BEST_RESPONSE:
+            values = (payoff(spec, params, t, action, signal).u_A for action in (Outcome.EXPLOIT, Outcome.RESTRAINT))
+            assert (outcome is Outcome.RESTRAINT) == (True in t2_options(*values))
+        else:
+            assert outcome is (Outcome.EXPLOIT if t is A else Outcome.RESTRAINT)
 
 
 def grid_profile(m: float, signal_R: float, signal_A: float, fought=()) -> StrategyProfile:

@@ -981,6 +981,22 @@ def test_hand_built_certificate_fight_bits_are_read_as_booleans():
     assert "'false' is not true or false" in str(info.value)
 
 
+def test_writers_take_records_whose_bits_are_true_or_false():
+    # the certificate writers index a bit's texts by the bit, with no check
+    # per bit: they take the records the oracle builds, whose every bit is
+    # True or False, and leave a hand-built record to to_dict's rule
+    records = []
+    for game in digest_games().values():
+        certs = find_all_pbe(game)
+        records += certs + [is_weak_pbe(game, cert.profile) for cert in certs]
+    grid = [(ModelParams(c=0.5, V_D=1.0, V_B=2.0, r=r, prior=0.5), m) for r in (0.3, 0.8) for m in (0.5, 1.2, 2.0)]
+    for spec in (TH_RISK, RC_RISK):
+        for entry in verify_against_closed_form(spec, grid).entries:
+            records += entry.certificates
+    assert len(records) > 1000
+    assert {type(bit) for cert in records for bit in cert.restraint + cert.fight} == {bool}
+
+
 def test_certificate_json_matches_one_json_dump():
     # written one certificate at a time, in the layout of one write_json
     head = {"messages": [0.0, 1.0], "counts": {}}
