@@ -24,7 +24,7 @@ import math
 from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Callable, Iterable
 
-from .game import ALL_SYMBOLS, MechanismSpec, Outcome
+from .game import ALL_SYMBOLS, T2_ACTIONS, TYPES, MechanismSpec, Outcome
 
 if TYPE_CHECKING:
     from .montecarlo import SimResult
@@ -85,10 +85,9 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 #: ``json.dumps(value, indent=2)``, its encoder built once
 _json_indented = json.JSONEncoder(indent=2).encode
-#: A certificate's type names, restrained first, and its t2 action words by
-#: restraint bit.
-_TYPE_NAMES = ("restrained", "aggressive")
-_ACTION_WORDS = (Outcome.EXPLOIT.value, Outcome.RESTRAINT.value)
+#: A certificate's type names and its t2 action words by restraint bit.
+_TYPE_NAMES = tuple(t.name.lower() for t in TYPES)
+_ACTION_WORDS = tuple(action.value for action in T2_ACTIONS)
 
 
 def _csv_text(value) -> str:
@@ -160,17 +159,20 @@ def _write_certificates(certs: Iterable[PBECertificate], out: IO[str], layout_of
                         text: Callable[[object], str], fights: tuple, actions: tuple, between: str = "") -> bool:
     """Write each certificate, ``between`` two, as its game's ``%s`` layout
     filled with the texts of its class, both signals, fight bits, t2 bits
-    and posteriors; True if any was written. A game's certificates share
-    its messages, so ``layout_of(messages)`` and the message and class texts
-    are built once per game. ``text`` writes a class name or a number;
-    ``fights`` and ``actions`` are a bit's texts."""
-    messages, sep = None, ""
+    and posteriors; True if any was written. ``layout_of(messages)`` and the
+    message texts are made once per game, a class's text once per run.
+    ``text`` writes a class name or a number; ``fights`` and ``actions`` are
+    a bit's texts, indexed by the bit unchecked: the writers take the
+    oracle's records, whose bits are True or False; ``to_dict`` checks any."""
+    messages, last, names, sep = None, None, {}, ""
     for cert in certs:
         if cert.messages is not messages:
             messages = cert.messages
             layout, m_texts = layout_of(messages), list(map(text, messages))
-            classes = {c: text(c.value) for c in type(cert.pbe_class)}
-        values = (classes[cert.pbe_class], m_texts[cert.j_R], m_texts[cert.j_A], *map(fights.__getitem__, cert.fight),
+        if cert.pbe_class is not last:
+            last = cert.pbe_class
+            name = names.get(last) or names.setdefault(last, text(last.value))
+        values = (name, m_texts[cert.j_R], m_texts[cert.j_A], *map(fights.__getitem__, cert.fight),
                   *map(actions.__getitem__, cert.restraint), *map(text, cert.posterior))
         out.write(sep + layout % values)
         sep = between

@@ -134,6 +134,14 @@ class Outcome(Enum):
     RESTRAINT = "restraint"
 
 
+#: The type order of every per-type table and of a certificate's restraint
+#: bits: restrained first, as in the canonical certificate order, so a
+#: type's index is its theta.
+TYPES = (TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE)
+#: A t2 action by its restraint bit.
+T2_ACTIONS = (Outcome.EXPLOIT, Outcome.RESTRAINT)
+
+
 class MechanismSpec(NamedTuple):
     """A mechanism together with its variant flag."""
 
@@ -321,18 +329,6 @@ def payoff(
     """
     params.validate()
     validate_signal(m)
-    return unchecked_payoff(spec, params, theta, outcome, m)
-
-
-def unchecked_payoff(
-    spec: MechanismSpec,
-    params: ModelParams,
-    theta: TypeLabel,
-    outcome: Outcome,
-    m: float,
-) -> PayoffPair:
-    """:func:`payoff` without validating its inputs, for callers that
-    validated the parameters and signals once at their boundary."""
     base, pays_m, u_B = payoff_terms(spec, params, theta, outcome)
     return PayoffPair(base - m if pays_m else base, u_B)
 

@@ -11,8 +11,9 @@ payoff -c exactly at p = c/V_B.
 The signal follows the initial type, B's t1 choice follows the signal, and
 the t2 action follows the final type at that signal. Drift only reaches a
 restrained type B did not fight, so a trial is in one of three (initial,
-final) type cells. ``simulate`` plays each cell once into a table of
-signal, outcome and payoffs, and counts the trials that land in each cell.
+final) type cells. ``simulate`` reads each cell's payoffs from the oracle's
+table of the game on {0, m}, which refuses a non-finite u_A in any cell,
+played or not, and counts the trials that land in each cell.
 
 The profile is read by :func:`~.oracle.read_profile`, the rule of
 :func:`~.oracle.is_weak_pbe`: one ``ParameterError`` refuses it unless it
@@ -26,7 +27,7 @@ but not played; the drift mode decides each cell's t2 action:
   pooling is the prior. The restrained-conditional mean recovers -p*V_B;
   the unconditional mean is the prior-weighted reading of the threshold.
 * ``best-response`` -- the final type plays its payoff-maximizing t2 action
-  at the signal it sent, by the oracle's rule (:func:`~.game.t2_options`):
+  at the signal it sent, by the oracle's table (:func:`~.game.t2_options`):
   it restrains whenever restraint is weakly optimal, so ties restrain.
 
 Trial randomness is one Philox stream keyed by the seed, drawn in chunks
@@ -53,22 +54,20 @@ from dataclasses import dataclass, field  # only simulate loads this module, and
 from typing import IO, Optional
 
 from .game import (
+    T2_ACTIONS,
+    TYPES,
     DriftMode,
     MechanismSpec,
     ModelParams,
     Outcome,
     ParameterError,
-    TypeLabel,
     integer,
     signal_grid,
-    t2_options,
-    unchecked_payoff,
     validate_signal,
 )
-from .oracle import StrategyProfile, read_profile
+from .oracle import StrategyProfile, _GameFields, _GameTable, read_profile
 
-R = TypeLabel.RESTRAINED
-A = TypeLabel.AGGRESSIVE
+R, A = TYPES
 
 #: Draw rows per chunk: 1 MiB of float64 pairs.
 _CHUNK = 1 << 16
@@ -91,11 +90,7 @@ def pooling_profile(m: float) -> StrategyProfile:
     return StrategyProfile(
         signal_of={R: m, A: m},
         fight_after={msg: msg != m for msg in messages},
-        t2_action={
-            (t, msg): Outcome.RESTRAINT if msg == m or t is R else Outcome.EXPLOIT
-            for t in TypeLabel
-            for msg in messages
-        },
+        t2_action={(t, msg): T2_ACTIONS[msg == m or t is R] for t in TYPES for msg in messages},
     )
 
 
@@ -110,9 +105,10 @@ class SimConfig:
     drift_mode: DriftMode = DriftMode.LITERAL
     allow_degenerate_prior: bool = False
 
-    def validate(self) -> dict[TypeLabel, tuple[float, bool]]:
+    def validate(self) -> tuple[tuple[int, int], tuple[bool, ...]]:
         """Raise ParameterError unless the config can run; return each
-        type's signal and whether B fights it, by the profile's reader."""
+        type's message index on {0, m}, in ``TYPES`` order, and B's fight
+        bit at each message, by the profile's reader."""
         self.params.validate(allow_degenerate_prior=self.allow_degenerate_prior)
         validate_signal(self.m)
         try:  # as the CLI reads --trials and --seed
@@ -123,9 +119,8 @@ class SimConfig:
             raise ParameterError("n_trials >= 1", f"n_trials={n_trials}")
         if not 0 <= seed < 2**128:  # Philox takes a 128-bit key
             raise ParameterError("0 <= seed < 2**128", f"seed={seed}")
-        messages = signal_grid(self.m)
-        j_R, j_A, fight, _ = read_profile(self.profile, messages)
-        return {R: (messages[j_R], fight[j_R]), A: (messages[j_A], fight[j_A])}
+        j_R, j_A, fight, _ = read_profile(self.profile, signal_grid(self.m))
+        return (j_R, j_A), fight
 
 
 @dataclass(frozen=True)
@@ -163,33 +158,29 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     """
     from fractions import Fraction  # here, so CLI runs that never simulate skip importing decimal
 
-    plays = config.validate()
-    p, spec = config.params, config.spec
+    signals, fight = config.validate()
+    p = config.params
     n = int(config.n_trials)  # validated integral: 500.0 and "500" run as 500
+    messages = signal_grid(config.m)
+    # the oracle's table, whose DiscreteGame would refuse a prior of 0 or 1
+    table = _GameTable(_GameFields(config.spec, p, messages))
+    best_response = config.drift_mode is DriftMode.BEST_RESPONSE
 
-    table = []  # per reachable (initial type, final type) cell, in index order
+    cells = []  # per reachable (initial type, final type) cell, in index order
     for initial, final in ((A, A), (R, R), (R, A)):
-        signal, fought = plays[initial]
-        if fought:
-            outcome = Outcome.PREVENTIVE_CONFLICT
-        elif config.drift_mode is DriftMode.BEST_RESPONSE:
-            # the oracle's t2 rule at that cell; ties restrain
-            options = t2_options(
-                unchecked_payoff(spec, p, final, Outcome.EXPLOIT, signal).u_A,
-                unchecked_payoff(spec, p, final, Outcome.RESTRAINT, signal).u_A,
-            )
-            outcome = Outcome.RESTRAINT if True in options else Outcome.EXPLOIT
+        j, t = signals[initial.theta], final.theta
+        if fight[j]:
+            outcome, a, b = Outcome.PREVENTIVE_CONFLICT, table.uA_conflict[t][j], table.u_b_fight
         else:
-            outcome = Outcome.EXPLOIT if final is A else Outcome.RESTRAINT
-        a, b = map(float, unchecked_payoff(spec, p, final, outcome, signal))
-        row = f"{initial.theta},{final.theta},{signal!r},{str(fought).lower()},{outcome.value},"
-        row += f"{a!r},{b!r}\n"
-        table.append((outcome, a, b, row))
-    outcomes, u_A, u_B, rows = zip(*table)
-    if not all(map(math.isfinite, u_A + u_B)):  # e.g. -c - m past the float range
-        raise ParameterError("payoffs finite", f"u_A={list(u_A)}, u_B={list(u_B)}")
+            # best response plays the oracle's t2 rule at that cell; ties restrain
+            bit = True in table.t2_options[t][j] if best_response else final is R
+            outcome, a, b = T2_ACTIONS[bit], table.uA_t2[t][bit][j], table.u_b_action[bit]
+        a, b = float(a), float(b)
+        row = f"{initial.theta},{t},{messages[j]!r},{str(fight[j]).lower()},{outcome.value},{a!r},{b!r}\n"
+        cells.append((outcome, a, b, row))
+    outcomes, u_A, u_B, rows = zip(*cells)
 
-    drift_p = None if plays[R][1] else p.p
+    drift_p = None if fight[signals[R.theta]] else p.p
     if trial_log is not None:
         trial_log.write("trial,theta_initial,theta_final,message,fought,outcome,u_A,u_B\n")
         segments = 1  # its lines come out in trial order

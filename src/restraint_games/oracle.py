@@ -73,6 +73,8 @@ from itertools import islice, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .game import (
+    T2_ACTIONS,
+    TYPES,
     BudgetExceededError,
     MechanismSpec,
     ModelParams,
@@ -135,7 +137,7 @@ class DiscreteGame(_GameFields):
 
 
 #: A type's name in a profile's dict, one string per type.
-_TYPE_NAMES = {t: t.name.lower() for t in TypeLabel}
+_TYPE_NAMES = {t: t.name.lower() for t in TYPES}
 #: The profile reader's refusal of a value of the wrong kind.
 _WELL_FORMED = "profile well-formed (signal_of, fight_after, t2_action)"
 
@@ -188,12 +190,7 @@ class BeliefAssignment(NamedTuple):
         return {"posterior": [[m, q] for m, q in sorted(self.posterior.items())]}
 
 
-#: Type order of every per-type table and of a certificate's restraint
-#: bits: restrained first, as in the canonical certificate order.
-_TYPES = (TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE)
-_R, _A = 0, 1
-#: A t2 action by its restraint bit.
-_ACTIONS = (Outcome.EXPLOIT, Outcome.RESTRAINT)
+_R, _A = 0, 1  # each type's index in TYPES
 
 
 class PBECertificate(NamedTuple):
@@ -219,9 +216,9 @@ class PBECertificate(NamedTuple):
     def profile(self) -> StrategyProfile:
         messages = self.messages
         return StrategyProfile(
-            signal_of=dict(zip(_TYPES, (messages[self.j_R], messages[self.j_A]))),
+            signal_of=dict(zip(TYPES, (messages[self.j_R], messages[self.j_A]))),
             fight_after=dict(zip(messages, self.fight)),
-            t2_action={cell: _ACTIONS[bit] for cell, bit in zip(product(_TYPES, messages), self.restraint)},
+            t2_action={cell: T2_ACTIONS[bit] for cell, bit in zip(product(TYPES, messages), self.restraint)},
         )
 
     @property
@@ -263,11 +260,12 @@ def supporting_belief_interval(
 
 
 class _GameTable:
-    """Per-game payoff tables flattened to plain floats for fast checks.
-    Types are indexed 0 (restrained) and 1 (aggressive), messages by their
-    grid index, and a t2 action is its restraint bit."""
+    """Every payoff of a game on its grid, tabulated once for the oracle and
+    ``simulate``, which validated its params and messages (``simulate``'s
+    prior may be 0 or 1); a non-finite u_A refuses the game. Types are
+    indexed in ``TYPES`` order, messages by grid index, t2 actions by bit."""
 
-    def __init__(self, game: DiscreteGame):
+    def __init__(self, game: _GameFields):
         self.messages = game.messages
         self.n = len(game.messages)
         p = game.params
@@ -279,8 +277,7 @@ class _GameTable:
         # B's payoff from A's t2 action, by restraint bit; 0 * V_B keeps V_B's number type
         self.u_b_action = (-p.V_B, 0 * p.V_B)
 
-        # u_A by [type][message index], one payoff evaluation a row; the game
-        # validated its params and messages when it was built
+        # u_A by [type][message index], one payoff evaluation a row
         def u_A(t: TypeLabel, outcome: Outcome) -> list[float]:
             base, pays_m, _ = payoff_terms(game.spec, p, t, outcome)
             row = [base - m for m in game.messages] if pays_m else [base] * self.n
@@ -288,9 +285,9 @@ class _GameTable:
                 raise ParameterError("payoffs finite", f"u_A({t.name.lower()}, {outcome.value})={row}")
             return row
 
-        self.uA_conflict = [u_A(t, Outcome.PREVENTIVE_CONFLICT) for t in _TYPES]
+        self.uA_conflict = [u_A(t, Outcome.PREVENTIVE_CONFLICT) for t in TYPES]
         # u_A of a t2 action by [type][restraint bit][message index]
-        self.uA_t2 = [tuple(u_A(t, action) for action in _ACTIONS) for t in _TYPES]
+        self.uA_t2 = [tuple(u_A(t, action) for action in T2_ACTIONS) for t in TYPES]
         # weakly optimal t2 actions per [type][message index], exploit first
         self.t2_options = [list(map(t2_options, *rows)) for rows in self.uA_t2]
         # check (b) at each of beliefs per (restrains_R, restrains_A, fight), filled on first use
@@ -391,7 +388,7 @@ def read_profile(profile: StrategyProfile, messages: tuple[float, ...]) -> tuple
         return index[_message(m)]
 
     def cell(t: TypeLabel, m) -> int:
-        return _TYPES.index(t) * n + at(m)
+        return TYPES.index(t) * n + at(m)
 
     def column(field: str, key, read, size: int) -> tuple:
         found = {key(k): read(value) for k, value in getattr(profile, field).items()}
@@ -400,7 +397,7 @@ def read_profile(profile: StrategyProfile, messages: tuple[float, ...]) -> tuple
         return tuple(found[j] for j in range(size))
 
     try:
-        j_R, j_A = column("signal_of", _TYPES.index, at, 2)
+        j_R, j_A = column("signal_of", TYPES.index, at, 2)
         fight = column("fight_after", at, boolean, n)
         cells = column("t2_action", lambda key: cell(*key), Outcome, 2 * n) if profile.t2_action else None
     except KeyError as exc:
@@ -417,7 +414,7 @@ def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECer
     j_R, j_A, fight, actions = read_profile(profile, game.messages)
     if actions is None:
         raise ParameterError("profile total over message grid", "no t2_action")
-    if any(action not in _ACTIONS for action in actions):
+    if any(action not in T2_ACTIONS for action in actions):
         return None  # conflict is not a t2 action
     table = _GameTable(game)
     restraint = tuple(action is Outcome.RESTRAINT for action in actions)

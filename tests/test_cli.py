@@ -182,11 +182,20 @@ class TestOracle:
         from restraint_games import cli, oracle
 
         built, written = [], []
-        find_all_pbe = oracle.find_all_pbe
-        monkeypatch.setattr(oracle, "find_all_pbe", lambda *args: built.append(find_all_pbe(*args)) or built[-1])
+
+        def spy_on(module, name, seen, pick):
+            call = getattr(module, name)
+
+            def spy(*args):
+                result = call(*args)
+                seen.append(pick(args, result))
+                return result
+
+            monkeypatch.setattr(module, name, spy)
+
+        spy_on(oracle, "find_all_pbe", built, lambda args, certs: certs)
         for name in ("write_certificates_csv", "write_certificates_json"):
-            writer = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, writer=writer: written.append(args[-2]) or writer(*args))
+            spy_on(cli, name, written, lambda args, _: args[-2])  # the certs, before ``out``
         argv = f"oracle --mechanism sunk --c 0.5 --vd 1 --vb 2 --r 0.6 --messages 0,0.5,1.5 --format {fmt}"
         code, _, _ = run(argv.split(), capsys)
         assert code == 0 and len(built) == len(written) == 1 and written[0] is built[0] and built[0]

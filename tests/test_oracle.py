@@ -46,7 +46,7 @@ from restraint_games import (
 from restraint_games import game as game_module
 from restraint_games import oracle as oracle_module
 from restraint_games.emit import write_certificates_csv, write_certificates_json, write_json
-from restraint_games.game import t2_options, unchecked_payoff
+from restraint_games.game import t2_options
 from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable, _local_options
 
 R = TypeLabel.RESTRAINED
@@ -1066,7 +1066,7 @@ def closed_form_verdicts(game: DiscreteGame) -> list:
 
 def t2_verdicts(game: DiscreteGame) -> list:
     def u_A(t, outcome, m):
-        return unchecked_payoff(game.spec, game.params, t, outcome, m).u_A
+        return payoff(game.spec, game.params, t, outcome, m).u_A
 
     return [
         t2_options(u_A(t, Outcome.EXPLOIT, m), u_A(t, Outcome.RESTRAINT, m))
