@@ -162,8 +162,8 @@ def _write_certificates(certs: Iterable[PBECertificate], out: IO[str], layout_of
     and posteriors; True if any was written. ``layout_of(messages)`` and the
     message texts are made once per game, a class's text once per run.
     ``text`` writes a class name or a number; ``fights`` and ``actions`` are
-    a bit's texts, indexed by the bit unchecked: the writers take the
-    oracle's records, whose bits are True or False; ``to_dict`` checks any."""
+    a bit's texts, indexed by the bit unchecked: the writers take only the
+    oracle's records, whose bits are True or False, and no hand-built one."""
     messages, last, names, sep = None, None, {}, ""
     for cert in certs:
         if cert.messages is not messages:

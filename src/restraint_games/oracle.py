@@ -261,9 +261,9 @@ def supporting_belief_interval(
 
 class _GameTable:
     """Every payoff of a game on its grid, tabulated once for the oracle and
-    ``simulate``, which validated its params and messages (``simulate``'s
-    prior may be 0 or 1); a non-finite u_A refuses the game. Types are
-    indexed in ``TYPES`` order, messages by grid index, t2 actions by bit."""
+    ``simulate``; a non-finite u_A refuses the game. Its caller validated
+    the params and messages (``simulate`` allows a prior of 0 or 1). Types
+    index in ``TYPES`` order, messages by grid index, t2 actions by bit."""
 
     def __init__(self, game: _GameFields):
         self.messages = game.messages
