@@ -972,6 +972,28 @@ def test_certificate_views_agree_with_record():
                     }
 
 
+def near_tie_games() -> list:
+    """Games of all 8 specs whose messages lie within TOL of each other, so
+    that a type's values at two messages tie by the tie rule without being
+    equal."""
+    specs = [MechanismSpec(mech, variant) for mech in Mechanism for variant in Variant]
+    params = (ModelParams(0.5, 1.0, 2.0), ModelParams(0.5, 1.0, 2.0, r=0.5), ModelParams(1.0, 1.0, 2.0, r=0.6, prior=0.75))
+    grids = ((0.0, 1e-10), (0.0, TOL / 2), (0.0, 3e-10, 6e-10))
+    return [DiscreteGame(spec, p, messages) for spec in specs for p in params for messages in grids]
+
+
+def test_is_weak_pbe_certifies_every_certificate_of_a_near_tie():
+    # check (d) holds where a type's own value is at least its best value
+    # by the tie rule; the factorized search and the profile check must
+    # agree where those values differ by less than TOL
+    certified = 0
+    for game in near_tie_games():
+        for cert in find_all_pbe(game):
+            assert is_weak_pbe(game, cert.profile) == cert, game
+            certified += 1
+    assert certified == 1880
+
+
 def test_hand_built_certificate_fight_bits_are_read_as_booleans():
     # bool("false") is True: a certificate's dict reads its fight bits as
     # its profile's dict does, so "false" is refused, not written as true
