@@ -40,6 +40,20 @@ message's off-path admission once per distinct on-path value pair
 (v_R, v_A), never once per message and candidate anchor. The per-game
 cost is measured in ``BENCH_oracle_fixed_cost.json``.
 
+The closed-form cross-check :func:`verify_against_closed_form` has a
+second route. Its referee, :func:`_referee`, is the definition checked
+profile by profile: over numpy arrays of points, checks (a)-(d) on the 16
+pure profiles on {0, m} that could be PoolingOnRestraint or Separating
+with the restrained type at m, in the float expressions of the scalar
+checks, and never the closed forms. It decides the points of a block
+whose values are all floats and whose m > 0, when there are at least
+:data:`REFEREE_MIN_POINTS` of them. The anchor search decides every other
+point -- m = 0, a value that is not a float, a non-finite payoff, a
+smaller block -- and every point where the referee disagrees with the
+closed forms, and it alone builds a discrepancy report's certificates.
+numpy is imported only inside the referee; the break-even is measured in
+``BENCH_oracle_referee.json``.
+
 A certificate is one ``NamedTuple`` whose fields run in the canonical
 order: both signal indices, the t2 restraint bits, the fight bits, the
 class, the supporting beliefs and the game's shared message tuple. The
@@ -582,6 +596,100 @@ class DiscrepancyReport(NamedTuple):
         return [e.to_dict() for e in self.entries]
 
 
+#: The classes the cross-check compares, in its verdicts' order: pooling, separating.
+_RELEVANT = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
+_VERDICTS = ("pooling", "separating")
+
+#: The pure profiles on {0, m} with the restrained type at m (j_R = 1) whose
+#: class is one of _RELEVANT, as (j_A, restraint bits, fight bits): 8 pooling
+#: at m, 8 separating.
+_REFEREE_PROFILES = [
+    (j_A, restraint, fight)
+    for j_A, restraint, fight in product((0, 1), product((False, True), repeat=4), product((False, True), repeat=2))
+    if _classify(j_A == 1, fight[1], fight[j_A], restraint[1], restraint[2 + j_A]) in _RELEVANT
+]
+
+#: Most points the cross-check holds at once, and one :func:`_referee`
+#: call's size, which bound their memory.
+_BLOCK = 2048
+#: Fewest all-float points with m > 0 in a block that the referee decides;
+#: below it the anchor search of each point is faster
+#: (BENCH_oracle_referee.json).
+REFEREE_MIN_POINTS = 8
+
+
+def _referee(spec: MechanismSpec, games: list[DiscreteGame]) -> list[Optional[tuple[bool, bool]]]:
+    """Whether a PoolingOnRestraint and a Separating profile with the
+    restrained type at m are weak PBE, as (pooling, separating), in each
+    game on {0, m} whose values are all floats; None where a payoff is not
+    finite, which :class:`_GameTable` refuses.
+
+    It is the weak-PBE definition (Fudenberg & Tirole, JET 1991) checked
+    profile by profile, a second route beside the factorized search of
+    :func:`_anchors`: checks (a)-(d) on each of :data:`_REFEREE_PROFILES`,
+    over numpy arrays of games, in the float expressions of
+    :func:`_supporting_belief`, :func:`supporting_belief_interval`,
+    :func:`~.game.t2_options` and :func:`~.game.tie_floor`, the last read
+    per call. It never reads the closed forms.
+    """
+    import numpy as np  # here, so importing the oracle loads no numpy
+
+    j_A, bits, fight = (np.array(column, dtype=int) for column in zip(*_REFEREE_PROFILES))
+    bits = bits.reshape(-1, 2, 2)  # [profile, type, message]
+    t, j = np.arange(2)[:, None], np.arange(2)  # type and message indices of a [type, message] cell
+    with np.errstate(all="ignore"):  # a non-finite payoff is _GameTable's to refuse
+        p = ModelParams(*np.array([game.params for game in games], dtype=float).T)
+        x = np.array([game.messages for game in games], dtype=float).T  # [message, game]
+
+        def u_A(t: TypeLabel, outcome: Outcome):  # [message, game], as _GameTable's rows
+            base, pays_m, _ = payoff_terms(spec, p, t, outcome)
+            return base - x if pays_m else np.broadcast_to(base, x.shape)
+
+        # [type, outcome (conflict, then the t2 actions by restraint bit), message, game]
+        u = np.array([[u_A(t, outcome) for outcome in (Outcome.PREVENTIVE_CONFLICT, *T2_ACTIONS)] for t in TYPES])
+        # (c) every cell's t2 bit is weakly optimal, by t2_options' two tests
+        exploit, restraint = u[:, 1], u[:, 2]
+        ok = np.array((exploit >= tie_floor(restraint), restraint >= tie_floor(exploit)))[bits, t, j].all(axis=(1, 2))
+        # (d) each type's value at its own signal is at least its best value by the tie rule
+        values = u[t, np.where(fight[:, None, :], 0, 1 + bits), j]  # [profile, type, message, game]
+        best = tie_floor(values.max(axis=2))
+        ok &= (values[:, _R, 1] >= best[:, _R]) & (values[np.arange(len(j_A)), _A, j_A] >= best[:, _A])
+        # (a) and (b) on path: B's payoff at the Bayes posterior, pooled at m or at each type's signal
+        u_B = np.array((-p.V_B, 0 * p.V_B))  # by A's restraint bit, as _GameTable.u_b_action
+        u_r, u_a = u_B[bits[:, _R]], u_B[bits[:, _A]]  # [profile, message, game]
+        pooled = (j_A == 1)[:, None]
+        q = np.where(pooled[:, :, None], p.prior, (0 * p.prior, 1 + 0 * p.prior))
+        f = u_a + q * (u_r - u_a)
+        on_path = np.where(fight[:, :, None], -f >= tie_floor(p.c), f >= tie_floor(-p.c))
+        # (b) off path, at 0 when pooled at m: a supporting belief exists, as supporting_belief_interval finds
+        sign = np.where(fight[:, :1], -1.0, 1.0)
+        slope, intercept, threshold = sign * (u_r[:, 0] - u_a[:, 0]), sign * u_a[:, 0], tie_floor(sign * -p.c)
+        q_cut = (threshold - intercept) / slope
+        off_path = np.where(slope == 0, intercept >= threshold, np.where(slope > 0, ~(q_cut > 1), ~(q_cut < 0)))
+        ok &= on_path[:, 1] & np.where(pooled, off_path, on_path[:, 0])
+        finite = np.isfinite(u).all(axis=(0, 1, 2))
+    found = zip(ok[j_A == 1].any(axis=0).tolist(), ok[j_A == 0].any(axis=0).tolist())
+    return [verdict if finite else None for verdict, finite in zip(found, finite.tolist())]
+
+
+def _anchor_check(game: DiscreteGame, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
+    """The anchor search's verdicts at one point, and its discrepancy,
+    certificates built, if they differ from the closed forms'."""
+    table = _GameTable(game)
+    relevant = [anchor for anchor in _anchors(table, (table.n - 1,)) if anchor[2] in _RELEVANT]
+    found = {pbe_class for _, _, pbe_class, _ in relevant}
+    oracle = tuple(pbe_class in found for pbe_class in _RELEVANT)
+    if oracle == closed:
+        return None
+    return Discrepancy(
+        params=game.params,
+        m=m,
+        closed_form_verdict=dict(zip(_VERDICTS, closed)),
+        oracle_verdict=dict(zip(_VERDICTS, oracle)),
+        certificates=tuple(_certificates(table, relevant)),
+    )
+
+
 def verify_against_closed_form(
     spec: MechanismSpec,
     grid: Iterable[tuple[ModelParams, float]],
@@ -592,35 +700,38 @@ def verify_against_closed_form(
     exists exactly when the closed form holds; separating agreement means
     a Separating certificate with the restrained type at m exists exactly
     when the closed form holds. An empty report is full agreement.
-    Certificates are built only for the points that disagree. Building the
-    grid game validates each point once; :func:`~.conditions.slack_rule`
-    then gives its closed-form verdicts, against its own tie floor.
+
+    The points are read in blocks of up to 2 048. Building the grid game
+    validates each point once, and :func:`~.conditions.slack_rule` gives
+    its closed-form verdicts, against its own tie floor. :func:`_referee`
+    decides a block's points whose values are all floats and whose m > 0,
+    if there are at least :data:`REFEREE_MIN_POINTS` of them. The anchor
+    search of :func:`_anchors` decides every other point -- m = 0, a value
+    that is not a float, a non-finite payoff, a smaller block -- and every
+    point where the referee disagrees with the closed forms, and it builds
+    the certificates of each point that disagrees. A point that fails
+    validation is raised once the points before it are checked.
     """
     from .conditions import slack_rule  # the oracle's one use of the closed forms
 
-    rule = slack_rule(spec)
-    relevant_classes = (PBEClass.POOLING_ON_RESTRAINT, PBEClass.SEPARATING)
-    entries: list[Discrepancy] = []
-    for params, m in grid:
-        messages = signal_grid(m)
-        table = _GameTable(DiscreteGame(spec, params, messages))
-        *_, pools, separates = rule(params, m)
-        closed = {"pooling": pools, "separating": separates}
-        j_m = len(messages) - 1
-        relevant = [anchor for anchor in _anchors(table, (j_m,)) if anchor[2] in relevant_classes]
-        found = {pbe_class for _, _, pbe_class, _ in relevant}
-        oracle = {
-            "pooling": PBEClass.POOLING_ON_RESTRAINT in found,
-            "separating": PBEClass.SEPARATING in found,
-        }
-        if oracle != closed:
-            entries.append(
-                Discrepancy(
-                    params=params,
-                    m=m,
-                    closed_form_verdict=closed,
-                    oracle_verdict=oracle,
-                    certificates=tuple(_certificates(table, relevant)),
-                )
-            )
+    rule, entries, points = slack_rule(spec), [], iter(grid)
+    while block := list(islice(points, _BLOCK)):
+        games, closed, refusal = [], [], None
+        try:
+            for params, m in block:
+                games.append(DiscreteGame(spec, params, signal_grid(m)))
+                closed.append(tuple(rule(params, m)[3:]))
+        except ParameterError as exc:
+            refusal = exc
+        chosen = [k for k, (game, (_, m)) in enumerate(zip(games, block))
+                  if len(game.messages) == 2 and {*map(type, game.params), type(m)} == {float}]
+        decided = {}
+        if len(chosen) >= REFEREE_MIN_POINTS:
+            decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen])))
+        for k, (game, (_, m), verdict) in enumerate(zip(games, block, closed)):
+            entry = None if decided.get(k) == verdict else _anchor_check(game, m, verdict)
+            if entry is not None:
+                entries.append(entry)
+        if refusal is not None:
+            raise refusal
     return DiscrepancyReport(spec=spec, entries=tuple(entries))

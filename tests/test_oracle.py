@@ -16,11 +16,16 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from restraint_games import (
     TOL,
@@ -672,6 +677,103 @@ class TestVerifyAgainstClosedForm:
             if e.closed_form_verdict["separating"] != e.oracle_verdict["separating"]
         ]
         assert not mismatches
+
+
+SPECS = [MechanismSpec(mech, variant) for mech in Mechanism for variant in Variant]
+
+
+#: Offsets that put a value on a knife edge, 1e-10 either side of it, or
+#: 1e-10 either side of where the tie rule moves it.
+EDGE_OFFSETS = (0.0, 1e-10, -1e-10, TOL + 1e-10, TOL - 1e-10, -TOL + 1e-10, -TOL - 1e-10)
+
+
+@st.composite
+def knife_edge_points(draw) -> tuple[ModelParams, float]:
+    """A valid all-float point with m > 0, often on or near a tie of the
+    closed forms or of the tie rule: V_D = c, V_B = 2c or c + 1e-10, r = 0
+    or near c, p = c/V_B, a prior at B's cut 1 - c/V_B, and m near V_D,
+    V_D + r or V_D + c, where near x is x plus one of EDGE_OFFSETS."""
+    near = st.sampled_from(EDGE_OFFSETS)
+    c = draw(st.sampled_from((0.5, 1.0)) | st.floats(0.05, 3.0))
+    V_D = draw(st.sampled_from((c, 1.0)) | st.floats(0.05, 3.0))
+    V_B = c + draw(st.sampled_from((c, 1e-10)) | st.floats(0.01, 3.0))
+    r = draw(st.just(0.0) | near.map(lambda offset: c + offset) | st.floats(0.0, 3.0))
+    p = draw(st.sampled_from((0.0, c / V_B)) | st.floats(0.0, 1.0))
+    prior = draw(st.sampled_from((0.5, 1 - c / V_B)) | st.floats(0.01, 0.99))
+    edge = draw(st.sampled_from((V_D, V_D + r, V_D + c)))
+    m = draw(near.map(lambda offset: edge + offset) | st.floats(0.01, 5.0))
+    return ModelParams(c, V_D, V_B, r, p, prior), m
+
+
+def anchor_verdicts(game: DiscreteGame) -> tuple[bool, bool]:
+    """Whether the anchor search finds PoolingOnRestraint and Separating
+    with the restrained type at the game's last message."""
+    table = _GameTable(game)
+    found = {pbe_class for _, _, pbe_class, _ in oracle_module._anchors(table, (table.n - 1,))}
+    return PBEClass.POOLING_ON_RESTRAINT in found, PBEClass.SEPARATING in found
+
+
+@pytest.mark.parametrize("tol", (TOL, 1e-12, 1e-6), ids=("TOL", "TOL=1e-12", "TOL=1e-6"))
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(points=st.lists(knife_edge_points(), min_size=1, max_size=50))
+# a double edge: the aggressive type's t2 tie at m (m = V_D + r + 1e-10) and
+# its deviation tie (c = r + TOL + 5e-11) both hold only by the tie rule
+@example(points=[(ModelParams(0.5, 1.0, 1.0, 0.5 - TOL - 5e-11), 1.0 + (0.5 - TOL - 5e-11) + 1e-10)])
+def test_referee_decides_as_the_anchor_search(spec, tol, points):
+    # the referee reads tie_floor per call, so its verdicts move with TOL as
+    # the anchor search's do: at +-1e-10 a knife edge ties under TOL, not under 1e-12
+    games = [DiscreteGame(spec, params, (0.0, m)) for params, m in points]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game_module, "TOL", tol)
+        assert oracle_module._referee(spec, games) == [anchor_verdicts(game) for game in games]
+
+
+def test_cross_check_reports_as_the_anchor_search_alone(monkeypatch):
+    # blocks that mix m = 0, int and Fraction values with float points, and
+    # the risk variants' pooling gap: the report is the anchor search's own
+    refereed = []
+    referee = oracle_module._referee
+    monkeypatch.setattr(oracle_module, "_referee", lambda spec, games: refereed.append(len(games)) or referee(spec, games))
+    rng = random.Random(36)
+    for spec in SPECS:
+        grid = [(game.params, game.messages[-1]) for game in tie_prone_games(rng, 40)]
+        grid += [(ModelParams(0.5, 1.0, 2.0, 0.6), 0.0), (ModelParams(1, 2, 3), 2), (ModelParams(0.5, 1.0, 2.0), Fraction(3, 2))]
+        rng.shuffle(grid)
+        report = verify_against_closed_form(spec, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_module, "REFEREE_MIN_POINTS", math.inf)
+            alone = verify_against_closed_form(spec, grid)
+        assert report == alone and json.dumps(report.to_json_list()) == json.dumps(alone.to_json_list())
+        assert report.empty is (spec not in (TH_RISK, RC_RISK))
+    # each block's all-float points with m > 0, and only those, went to the referee
+    assert refereed == [40] * len(SPECS)
+
+
+def test_a_non_finite_payoff_is_refused_in_a_refereed_block():
+    # sunk conflict pays -c - m = -inf at c = m = 1e308: among enough float
+    # points for the referee, that point raises the refusal it raises alone,
+    # with no numpy warning, and before a later point fails validation
+    spec = MechanismSpec(Mechanism.SUNK)
+    overflow = (ModelParams(c=1e308, V_D=1.0, V_B=1.5e308), 1e308)
+    grid = [(ModelParams(0.5, 1.0, 2.0), 0.1 * k) for k in range(1, 21)]
+    with pytest.raises(ParameterError) as alone:
+        verify_against_closed_form(spec, [overflow])
+    assert alone.value.constraint == "payoffs finite"
+    for points in (grid[:10] + [overflow] + grid[10:], grid + [overflow, (ModelParams(0.5, 1.0, 0.4), 1.0)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as exc:
+                verify_against_closed_form(spec, points)
+        assert str(exc.value) == str(alone.value)
+    with pytest.raises(ParameterError, match="V_B > c"):
+        verify_against_closed_form(spec, grid + [(ModelParams(0.5, 1.0, 0.4), 1.0), overflow])
+
+
+def test_importing_the_oracle_loads_no_numpy():
+    code = "import sys, restraint_games.oracle; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def brute_force_find_all(game: DiscreteGame) -> list:
