@@ -668,8 +668,8 @@ def _referee(spec: MechanismSpec, games: list[DiscreteGame]) -> list[Optional[tu
         off_path = np.where(slope == 0, intercept >= threshold, np.where(slope > 0, ~(q_cut > 1), ~(q_cut < 0)))
         ok &= on_path[:, 1] & np.where(pooled, off_path, on_path[:, 0])
         finite = np.isfinite(u).all(axis=(0, 1, 2))
-    found = zip(ok[j_A == 1].any(axis=0).tolist(), ok[j_A == 0].any(axis=0).tolist())
-    return [verdict if finite else None for verdict, finite in zip(found, finite.tolist())]
+    verdicts = zip(ok[j_A == 1].any(axis=0).tolist(), ok[j_A == 0].any(axis=0).tolist())
+    return [verdict if payoffs_finite else None for verdict, payoffs_finite in zip(verdicts, finite.tolist())]
 
 
 def _anchor_check(game: DiscreteGame, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
@@ -678,7 +678,7 @@ def _anchor_check(game: DiscreteGame, m: float, closed: tuple[bool, bool]) -> Op
     table = _GameTable(game)
     relevant = [anchor for anchor in _anchors(table, (table.n - 1,)) if anchor[2] in _RELEVANT]
     found = {pbe_class for _, _, pbe_class, _ in relevant}
-    oracle = tuple(pbe_class in found for pbe_class in _RELEVANT)
+    oracle = tuple(map(found.__contains__, _RELEVANT))
     if oracle == closed:
         return None
     return Discrepancy(
@@ -720,14 +720,15 @@ def verify_against_closed_form(
         try:
             for params, m in block:
                 games.append(DiscreteGame(spec, params, signal_grid(m)))
-                closed.append(tuple(rule(params, m)[3:]))
-        except ParameterError as exc:
+                closed.append(rule(params, m)[3:])
+        except ParameterError as exc:  # raised once the points before it are checked, as one by one
             refusal = exc
-        chosen = [k for k, (game, (_, m)) in enumerate(zip(games, block))
-                  if len(game.messages) == 2 and {*map(type, game.params), type(m)} == {float}]
         decided = {}
-        if len(chosen) >= REFEREE_MIN_POINTS:
-            decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen])))
+        if len(games) >= REFEREE_MIN_POINTS:
+            chosen = [k for k, (game, (_, m)) in enumerate(zip(games, block))
+                      if len(game.messages) == 2 and {*map(type, game.params), type(m)} == {float}]
+            if len(chosen) >= REFEREE_MIN_POINTS:
+                decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen])))
         for k, (game, (_, m), verdict) in enumerate(zip(games, block, closed)):
             entry = None if decided.get(k) == verdict else _anchor_check(game, m, verdict)
             if entry is not None:

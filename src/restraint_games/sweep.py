@@ -276,11 +276,11 @@ def run_sweep(
     via a seeded shuffle of the valid rows; ``int(oracle_fraction *
     n_valid)`` points are checked in one :func:`verify_against_closed_form`
     call, and any mismatch raises :class:`DiscrepancyError` with its report.
-    A grid's values are floats, so there the oracle's vectorized referee
-    decides every sampled point with m > 0, in blocks of at least its
-    break-even size; the anchor search decides the points with m = 0, a
-    smaller block's points and each point where the referee disagrees, and
-    builds the report.
+    A grid's values are floats, so the oracle's vectorized referee decides
+    the sampled points with m > 0 once a block of the sample holds its
+    break-even count of them; the anchor search decides the rest and each
+    point where the referee disagrees with the closed forms, and builds the
+    report.
     """
     try:  # as the CLI reads --oracle-fraction and --seed
         oracle_fraction, seed = real(oracle_fraction), integer(seed)
