@@ -760,6 +760,9 @@ def test_a_non_finite_payoff_is_refused_in_a_refereed_block():
     with pytest.raises(ParameterError) as alone:
         verify_against_closed_form(spec, [overflow])
     assert alone.value.constraint == "payoffs finite"
+    # the referee leaves that point to the anchor search, whatever its verdicts would read
+    games = [DiscreteGame(spec, params, (0.0, m)) for params, m in (grid[0], overflow)]
+    assert oracle_module._referee(spec, games) == [anchor_verdicts(games[0]), None]
     for points in (grid[:10] + [overflow] + grid[10:], grid + [overflow, (ModelParams(0.5, 1.0, 0.4), 1.0)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1078,10 +1081,9 @@ def near_tie_games() -> list:
     """Games of all 8 specs whose messages lie within TOL of each other, so
     that a type's values at two messages tie by the tie rule without being
     equal."""
-    specs = [MechanismSpec(mech, variant) for mech in Mechanism for variant in Variant]
     params = (ModelParams(0.5, 1.0, 2.0), ModelParams(0.5, 1.0, 2.0, r=0.5), ModelParams(1.0, 1.0, 2.0, r=0.6, prior=0.75))
     grids = ((0.0, 1e-10), (0.0, TOL / 2), (0.0, 3e-10, 6e-10))
-    return [DiscreteGame(spec, p, messages) for spec in specs for p in params for messages in grids]
+    return [DiscreteGame(spec, p, messages) for spec in SPECS for p in params for messages in grids]
 
 
 def test_is_weak_pbe_certifies_every_certificate_of_a_near_tie():
