@@ -76,10 +76,9 @@ class ConditionReport(NamedTuple):
         return d
 
 
-def holds(slacks: tuple[float, ...]) -> bool:
-    """Every slack is at least 0 by the tie rule: at least ``tie_floor(0)``."""
-    floor = tie_floor(0)
-    return all(slack >= floor for slack in slacks)
+def holds(slack: float) -> bool:
+    """The slack is at least 0 by the tie rule: at least ``tie_floor(0)``."""
+    return bool(slack >= tie_floor(0))
 
 
 def _report(
@@ -139,7 +138,7 @@ def type_shift_refrain(params: ModelParams) -> ConditionReport:
 
 def _type_shift(params: ModelParams, slack: float) -> ConditionReport:
     metrics = {"expected_not_fight_payoff": -params.p * params.V_B}
-    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), holds((slack,)), metrics)
+    return _report([("drift_tolerated", "p <= c/V_B")], (slack,), holds(slack), metrics)
 
 
 class EquilibriumReport(NamedTuple):

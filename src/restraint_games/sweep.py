@@ -328,7 +328,7 @@ class BoundaryPoint(NamedTuple):
 
 
 def _signature(row: RegionRow) -> tuple:
-    type_shift = None if row.typeshift_slack is None else holds((row.typeshift_slack,))
+    type_shift = None if row.typeshift_slack is None else holds(row.typeshift_slack)
     return row.classification, type_shift
 
 

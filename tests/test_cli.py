@@ -429,6 +429,13 @@ MALFORMED = {
         dict(POINT, profile={**{k: v for k, v in PROFILE.items() if k != "t2_action"}, "t2_actions": []}),
         "--trials 10",
     ),
+    # simulate reads a profile by the oracle's rule, so a t2 entry off {0, m}
+    # is refused, although simulate never plays a t2 entry
+    "simulate-profile-t2-off-grid": (
+        "simulate",
+        dict(POINT, profile=dict(PROFILE, t2_action=PROFILE["t2_action"] + [["aggressive", 5.0, "exploit"]])),
+        "--trials 10",
+    ),
     "config-top-level-list": ("classify", [POINT], ""),
     "config-params-a-number": ("classify", dict(POINT, params=2.0), ""),
     "config-mechanism-a-number": ("classify", dict(POINT, mechanism=1), ""),
@@ -685,11 +692,14 @@ PROCESS_IMPORTS = {
         "game oracle montecarlo emit",
     ),
 }
+#: A numpy warning fails a CLI process, as it fails the suite.
+ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+
 
 class TestProcessContract:
     def test_stdout_purity_and_logging(self, tmp_path):
         # subprocess so the env-var logging setup is exercised cleanly
-        env = dict(os.environ, RESTRAINT_GAMES_LOG="info")
+        env = dict(ENV, RESTRAINT_GAMES_LOG="info")
         proc = subprocess.run(
             [
                 sys.executable,
@@ -721,7 +731,7 @@ class TestProcessContract:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(dict(GRID_CONFIG, axes=[dict(a, steps=100) for a in GRID_CONFIG["axes"]])))
         argv = [sys.executable, "-m", "restraint_games.cli", "sweep", "--config", str(grid), "--oracle-fraction", "0"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV) as proc:
             assert proc.stdout.readline().startswith(b"mechanism,")
             proc.stdout.close()
             assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
@@ -732,28 +742,32 @@ class TestProcessContract:
             "import sys, restraint_games.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=ENV)
         assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("argv, loads_numpy", [(argv, numpy) for argv, (numpy, _) in PROCESS_IMPORTS.items()])
     def test_numpy_only_where_draws_are_made(self, argv, loads_numpy, tmp_path):
         # `python -m restraint_games.cli ARGV`, reporting on stderr at exit
-        # whether numpy, logging and inspect were ever imported, and which
-        # package modules were; inspect comes only with numpy
+        # whether each of numpy, inspect, numbers, logging, dataclasses and
+        # csv was ever imported, and which package modules were; inspect and
+        # numbers come only with numpy, dataclasses only with montecarlo,
+        # logging only with a log level, and csv never
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(GRID_CONFIG))
         code = (
             "import atexit, runpy, sys\n"
-            "atexit.register(lambda: print('numpy' in sys.modules, 'logging' in sys.modules, 'inspect' in sys.modules,"
-            " *sorted(m for m in sys.modules if m.startswith('restraint_games.')), file=sys.stderr))\n"
+            "atexit.register(lambda: print(*(m in sys.modules for m in ('numpy', 'inspect', 'numbers', 'logging',"
+            " 'dataclasses', 'csv')), *sorted(m for m in sys.modules if m.startswith('restraint_games.')), file=sys.stderr))\n"
             "runpy.run_module('restraint_games.cli', run_name='__main__', alter_sys=True)"
         )
-        env = {k: v for k, v in os.environ.items() if k != "RESTRAINT_GAMES_LOG"}
+        env = {k: v for k, v in ENV.items() if k != "RESTRAINT_GAMES_LOG"}
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv.format(grid=grid).split()], capture_output=True, text=True, env=env
         )
-        modules = [f"restraint_games.{name}" for name in sorted(PROCESS_IMPORTS[argv][1].split())]
-        assert (proc.returncode, proc.stderr.split()) == (0, [str(loads_numpy), "False", str(loads_numpy), *modules])
+        names = PROCESS_IMPORTS[argv][1].split()
+        modules = [f"restraint_games.{name}" for name in sorted(names)]
+        loaded = [str(loads_numpy)] * 3 + ["False", str("montecarlo" in names), "False"]
+        assert (proc.returncode, proc.stderr.split()) == (0, loaded + modules)
 
     def test_debug_log_reports_the_discrepancy_before_the_error_line(self, tmp_path):
         config = tmp_path / "grid.json"
@@ -763,7 +777,7 @@ class TestProcessContract:
             [sys.executable, "-m", "restraint_games.cli", *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, RESTRAINT_GAMES_LOG="debug"),
+            env=dict(ENV, RESTRAINT_GAMES_LOG="debug"),
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()

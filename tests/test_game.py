@@ -286,7 +286,7 @@ class TestTieRule:
     def decisions(self, monkeypatch, tol):
         monkeypatch.setattr(game_module, "TOL", tol)
         return {
-            "holds": holds((-0.05,)),
+            "holds": holds(-0.05),
             "t2_options": t2_options(1.0, 1.05),
             "stand down": supporting_belief_interval(0.0, -2.0, -0.5, fight=False),
             "fight": supporting_belief_interval(0.0, -2.0, -0.5, fight=True),

@@ -642,8 +642,12 @@ class TestVerifyAgainstClosedForm:
         params = ModelParams(c=0.5, V_D=1.0, V_B=2.0, prior=0.5)
         report = verify_against_closed_form(TH_BASE, [(params, 1.0)])
         assert report.empty
-        certs = find_all_pbe(DiscreteGame(TH_BASE, params, (0.0, 1.0)))
-        assert any(c.pbe_class is PBEClass.POOLING_ON_RESTRAINT for c in certs)
+        # both types pool on restraint at m = V_D in two certificates, and in
+        # none a millionth below it
+        for m, pooled in ((1.0, 2), (0.999999, 0)):
+            certs = find_all_pbe(DiscreteGame(TH_BASE, params, (0.0, m)))
+            pools = [c for c in certs if c.pbe_class is PBEClass.POOLING_ON_RESTRAINT and c.j_R == c.j_A == 1]
+            assert len(pools) == pooled
 
     def test_validates_once_per_point(self, validate_calls):
         # when the grid game is built; the closed forms read the same point
