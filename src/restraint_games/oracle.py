@@ -40,19 +40,22 @@ message's off-path admission once per distinct on-path value pair
 (v_R, v_A), never once per message and candidate anchor. The per-game
 cost is measured in ``BENCH_oracle_fixed_cost.json``.
 
-The closed-form cross-check :func:`verify_against_closed_form` has a
-second route. Its referee, :func:`_referee`, is the definition checked
-profile by profile: over numpy arrays of points, checks (a)-(d) on the 16
-pure profiles on {0, m} that could be PoolingOnRestraint or Separating
-with the restrained type at m, in the float expressions of the scalar
-checks, and never the closed forms. It decides the points of a block
-whose values are all floats and whose m > 0, when there are at least
-:data:`REFEREE_MIN_POINTS` of them. The anchor search decides every other
-point -- m = 0, a value that is not a float, a non-finite payoff, a
-smaller block -- and every point where the referee disagrees with the
-closed forms, and it alone builds a discrepancy report's certificates.
-numpy is imported only inside the referee; the break-even is measured in
-``BENCH_oracle_referee.json``.
+The closed-form cross-check :func:`verify_against_closed_form` validates
+each point as ``classify`` does and rules it once by the closed forms; a
+sweep hands its sampled rows, with the verdicts their classes encode, to
+the same loop, :func:`_cross_check`, so no sampled point is validated or
+ruled twice. The loop has a second route. Its referee, :func:`_referee`,
+is the definition checked profile by profile: over numpy arrays of points,
+checks (a)-(d) on the 16 pure profiles on {0, m} that could be
+PoolingOnRestraint or Separating with the restrained type at m, in the
+float expressions of the scalar checks, and never the closed forms. It
+decides the points of a block of up to 2 048 whose values are all floats
+and whose m > 0, when there are at least :data:`REFEREE_MIN_POINTS` of
+them. The anchor search decides every other point -- m = 0, a value that
+is not a float, a non-finite payoff, a smaller block -- and every point
+where the referee disagrees with the closed forms, and it alone builds a
+discrepancy report's certificates. numpy is imported only inside the
+referee; the break-even is measured in ``BENCH_oracle_referee.json``.
 
 A certificate is one ``NamedTuple`` whose fields run in the canonical
 order: both signal indices, the t2 restraint bits, the fight bits, the
@@ -618,7 +621,7 @@ _BLOCK = 2048
 REFEREE_MIN_POINTS = 8
 
 
-def _referee(spec: MechanismSpec, games: list[DiscreteGame]) -> list[Optional[tuple[bool, bool]]]:
+def _referee(spec: MechanismSpec, games: list[_GameFields]) -> list[Optional[tuple[bool, bool]]]:
     """Whether a PoolingOnRestraint and a Separating profile with the
     restrained type at m are weak PBE, as (pooling, separating), in each
     game on {0, m} whose values are all floats; None where a payoff is not
@@ -672,7 +675,7 @@ def _referee(spec: MechanismSpec, games: list[DiscreteGame]) -> list[Optional[tu
     return [verdict if payoffs_finite else None for verdict, payoffs_finite in zip(verdicts, finite.tolist())]
 
 
-def _anchor_check(game: DiscreteGame, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
+def _anchor_check(game: _GameFields, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
     """The anchor search's verdicts at one point, and its discrepancy,
     certificates built, if they differ from the closed forms'."""
     table = _GameTable(game)
@@ -701,38 +704,47 @@ def verify_against_closed_form(
     a Separating certificate with the restrained type at m exists exactly
     when the closed form holds. An empty report is full agreement.
 
-    The points are read in blocks of up to 2 048. Building the grid game
-    validates each point once, and :func:`~.conditions.slack_rule` gives
-    its closed-form verdicts, against its own tie floor. :func:`_referee`
-    decides a block's points whose values are all floats and whose m > 0,
-    if there are at least :data:`REFEREE_MIN_POINTS` of them. The anchor
-    search of :func:`_anchors` decides every other point -- m = 0, a value
-    that is not a float, a non-finite payoff, a smaller block -- and every
-    point where the referee disagrees with the closed forms, and it builds
-    the certificates of each point that disagrees. A point that fails
-    validation is raised once the points before it are checked.
+    Each point is validated as ``classify`` validates it: ``params.validate()``,
+    then :func:`~.game.validate_signal` before anything reads m as a float.
+    :func:`~.conditions.slack_rule` gives its closed-form verdicts, against
+    its own tie floor, and :func:`_cross_check` decides it.
     """
     from .conditions import slack_rule  # the oracle's one use of the closed forms
 
-    rule, entries, points = slack_rule(spec), [], iter(grid)
-    while block := list(islice(points, _BLOCK)):
-        games, closed, refusal = [], [], None
+    rule = slack_rule(spec)
+
+    def judged() -> Iterator[tuple[ModelParams, float, tuple[bool, bool]]]:
+        for params, m in grid:
+            params.validate()
+            validate_signal(m)  # before signal_grid's float(), which reads True as 1
+            yield params, m, rule(params, m)[3:]
+
+    return _cross_check(spec, judged())
+
+
+def _cross_check(spec: MechanismSpec, points: Iterable[tuple[ModelParams, float, tuple[bool, bool]]]) -> DiscrepancyReport:
+    """The cross-check of valid points given with their closed-form
+    (pooling, separating) verdicts, in blocks of up to 2 048, each point's
+    game on {0, m} built as ``simulate`` builds it; which route decides
+    which point is in the module docstring. A ``ParameterError`` that
+    reading a point raises is raised once the points before it are checked.
+    """
+    entries, points, refusal = [], iter(points), None
+    while refusal is None:
+        block = []
         try:
-            for params, m in block:
-                games.append(DiscreteGame(spec, params, signal_grid(m)))
-                closed.append(rule(params, m)[3:])
-        except ParameterError as exc:  # raised once the points before it are checked, as one by one
+            for point in islice(points, _BLOCK):
+                block.append(point)
+        except ParameterError as exc:
             refusal = exc
-        decided = {}
-        if len(games) >= REFEREE_MIN_POINTS:
-            chosen = [k for k, (game, (_, m)) in enumerate(zip(games, block))
-                      if len(game.messages) == 2 and {*map(type, game.params), type(m)} == {float}]
-            if len(chosen) >= REFEREE_MIN_POINTS:
-                decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen])))
-        for k, (game, (_, m), verdict) in enumerate(zip(games, block, closed)):
-            entry = None if decided.get(k) == verdict else _anchor_check(game, m, verdict)
-            if entry is not None:
+        if not block:
+            break
+        games = [_GameFields(spec, params, signal_grid(m)) for params, m, _ in block]
+        chosen = [k for k, (params, m, _) in enumerate(block) if m != 0 and {*map(type, params), type(m)} == {float}]
+        decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen]))) if len(chosen) >= REFEREE_MIN_POINTS else {}
+        for k, (game, (_, m, verdict)) in enumerate(zip(games, block)):
+            if decided.get(k) != verdict and (entry := _anchor_check(game, m, verdict)):
                 entries.append(entry)
-        if refusal is not None:
-            raise refusal
+    if refusal is not None:
+        raise refusal
     return DiscrepancyReport(spec=spec, entries=tuple(entries))

@@ -11,11 +11,11 @@ report rather than emitting a table the oracle would not sign off on.
 A point is its :class:`~.game.ModelParams` and signal m, from the grid to
 the oracle check; the points that differ only in m share one params
 object. :func:`region_row_for_point` makes its row straight from the
-slacks and verdicts of the spec's :func:`~.conditions.slack_rule`: the
-params are validated once per row and no report objects are built. A
-row's layout is :data:`~.emit.CSV_HEADER`; :mod:`.emit` writes the rows
-and :func:`boundary_trace` compares each with its next rows, both as
-they are. A grid's numbers and keys are read by
+slacks and verdicts of the spec's :func:`~.conditions.slack_rule`: a point
+is validated and ruled once, by its row, which the oracle check reads, and
+no report objects are built. A row's layout is :data:`~.emit.CSV_HEADER`;
+:mod:`.emit` writes the rows and :func:`boundary_trace` compares each with
+its next rows, both as they are. A grid's numbers and keys are read by
 :func:`~.game.real` and :func:`~.game.refuse_unknown_keys`, as a config's
 are. The oracle is imported only when a sample is drawn.
 """
@@ -210,6 +210,8 @@ _CLASSIFICATION = {
     (False, True): Classification.SEPARATING_ONLY,
     (False, False): Classification.NEITHER,
 }
+#: Whether (pooling, separating) hold, by classification: what a checked row gives the cross-check.
+_VERDICTS_OF = {classification: verdicts for verdicts, classification in _CLASSIFICATION.items()}
 
 
 def _row_rule(spec: MechanismSpec) -> Callable[[ModelParams, float], RegionRow]:
@@ -271,16 +273,16 @@ def run_sweep(
     """Classify every grid point; oracle-check a seeded random subset.
 
     Points are evaluated one after another by :func:`region_row_for_point`'s
-    rule, made once per call, into one mutable row each, in
-    row-major axis order. The oracle subset is drawn without replacement
-    via a seeded shuffle of the valid rows; ``int(oracle_fraction *
-    n_valid)`` points are checked in one :func:`verify_against_closed_form`
-    call, and any mismatch raises :class:`DiscrepancyError` with its report.
-    A grid's values are floats, so the oracle's vectorized referee decides
-    the sampled points with m > 0 once a block of the sample holds its
-    break-even count of them; the anchor search decides the rest and each
-    point where the referee disagrees with the closed forms, and builds the
-    report.
+    rule, made once per call, into one mutable row each, in row-major axis
+    order: the row rule validates and rules each point, once. The oracle
+    subset is drawn without replacement via a seeded shuffle of the valid
+    rows; its ``int(oracle_fraction * n_valid)`` rows go to the oracle's
+    cross-check loop with the (pooling, separating) verdicts their classes
+    encode, so no point is validated or ruled again, and any mismatch
+    raises :class:`DiscrepancyError` with the report that
+    :func:`verify_against_closed_form` makes of the same points. A grid's
+    values are floats, so the oracle's vectorized referee decides the
+    sampled points with m > 0 once a block holds its break-even count.
     """
     try:  # as the CLI reads --oracle-fraction and --seed
         oracle_fraction, seed = real(oracle_fraction), integer(seed)
@@ -298,11 +300,11 @@ def run_sweep(
         # here, so a sweep without an oracle sample imports neither numpy nor the oracle
         import numpy as np
 
-        from .oracle import verify_against_closed_form
+        from .oracle import _cross_check
 
         order = np.random.default_rng(seed).permutation(len(valid))
         chosen = [valid[int(k)] for k in order[:n_checked]]
-        report = verify_against_closed_form(spec, [(row.params, row.m) for row in chosen])
+        report = _cross_check(spec, [(row.params, row.m, _VERDICTS_OF[row.classification]) for row in chosen])
         if not report.empty:
             raise DiscrepancyError(report)
         for row in chosen:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from restraint_games import Mechanism, MechanismSpec, ModelParams, Variant
+from restraint_games import conditions, sweep
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -47,4 +48,25 @@ def validate_calls(monkeypatch) -> list[ModelParams]:
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(ModelParams, "validate", counted)
+    return calls
+
+
+@pytest.fixture
+def rule_calls(monkeypatch) -> list[tuple[ModelParams, float]]:
+    """Every evaluation of a ``conditions.slack_rule`` rule, as its
+    ``(params, m)``, in call order, wherever the package makes the rule."""
+    calls = []
+    slack_rule = conditions.slack_rule
+
+    def counted_rule(spec):
+        rule = slack_rule(spec)
+
+        def counted(params, m):
+            calls.append((params, m))
+            return rule(params, m)
+
+        return counted
+
+    for module in (conditions, sweep):  # the oracle imports it from conditions per call
+        monkeypatch.setattr(module, "slack_rule", counted_rule)
     return calls

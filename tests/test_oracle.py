@@ -655,6 +655,24 @@ class TestVerifyAgainstClosedForm:
         verify_against_closed_form(TH_BASE, grid)
         assert validate_calls == [params for params, _ in grid]
 
+    @pytest.mark.parametrize("m", (True, np.True_, "1.5", 10**400, None),
+                             ids=("True", "numpy-True", "text", "int-past-float", "None"))
+    def test_refuses_m_as_classify_does(self, monkeypatch, m):
+        # m is validated before anything reads it as a float, as classify
+        # validates it: float() reads True as 1, "1.5" as 1.5, and raises on the rest
+        with pytest.raises(ParameterError) as classified:
+            classify(TH_BASE, BASE_PARAMS, m)
+        refereed = []
+        referee = oracle_module._referee
+        monkeypatch.setattr(oracle_module, "_referee", lambda spec, games: refereed.append(len(games)) or referee(spec, games))
+        floats = [(BASE_PARAMS, 0.25 * k) for k in range(1, 11)]
+        for grid in ([(BASE_PARAMS, m)], floats + [(BASE_PARAMS, m)]):
+            with pytest.raises(ParameterError) as exc:
+                verify_against_closed_form(TH_BASE, grid)
+            assert exc.value.constraint == classified.value.constraint
+        # the float points before the refused one were checked, by the referee
+        assert refereed == [len(floats)]
+
     def test_risk_pooling_divergence_is_reported(self):
         # the closed-form pooling threshold describes the base game; with
         # r > 0 the aggressive type's restraint payoff is -r, the grid game

@@ -21,6 +21,7 @@ from restraint_games import (
     Axis,
     BudgetExceededError,
     Classification,
+    DiscreteGame,
     DiscrepancyError,
     GridSpec,
     Mechanism,
@@ -31,6 +32,7 @@ from restraint_games import (
     boundary_trace,
     classify,
     run_sweep,
+    verify_against_closed_form,
     write_rows_csv,
     write_rows_json,
 )
@@ -403,16 +405,21 @@ def test_python_params_past_float_range_make_an_invalid_row():
         classify(TH_BASE, params, 2.0)
 
 
-def test_run_sweep_validates_each_point_once_and_each_checked_point_once_more(validate_calls):
-    # V_B crosses c, so Invalid rows too; the oracle check builds each
-    # sampled point's grid game on the row's own params
+def test_run_sweep_validates_and_rules_each_point_once(validate_calls, rule_calls, monkeypatch):
+    # V_B crosses c, so Invalid rows too; the oracle check reads each sampled
+    # row's verdicts and builds no DiscreteGame, which would validate again
+    built = []
+    new = DiscreteGame.__new__
+    monkeypatch.setattr(DiscreteGame, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
     grid, _ = EMIT_CASES["invalid-strip"]
     rows = run_sweep(grid, oracle_fraction=0.5, seed=3)
-    checked = [row.params for row in rows if row.oracle_checked]
-    assert checked and any(row.classification is Classification.INVALID for row in rows)
-    assert len(validate_calls) == len(rows) + len(checked)
+    valid = [row for row in rows if row.classification is not Classification.INVALID]
+    assert any(row.oracle_checked for row in rows) and len(valid) < len(rows)
+    assert len(validate_calls) == len(rows)
     assert all(call is row.params for call, row in zip(validate_calls, rows))
-    assert sorted(map(id, validate_calls[len(rows):])) == sorted(map(id, checked))
+    assert len(rule_calls) == len(valid)
+    assert all(params is row.params and m == row.m for (params, m), row in zip(rule_calls, valid))
+    assert built == []
 
 
 #: An axis's (lowest min, highest max) per symbol: V_B crosses c and r
@@ -511,6 +518,30 @@ def test_rows_that_share_params_keep_their_own_oracle_flag():
     chosen = set(np.random.default_rng(1).permutation(len(rows))[: len(rows) // 2].tolist())
     assert [row.oracle_checked for row in rows] == [k in chosen for k in range(len(rows))]
     assert all({row.oracle_checked for row in same} == {True, False} for same in by_params.values())
+
+
+@pytest.mark.parametrize("spec", [MechanismSpec(mech, variant) for mech in Mechanism for variant in Variant], ids=str)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(grid=_grids(), seed=st.integers(0, 3))
+@example(  # m crosses V_D and V_D + r, so the risk variants' pooling gap
+    grid=GridSpec(TH_RISK, (Axis("m", 0.0, 3.0, 7), Axis("r", 0.0, 1.0, 3)),
+                  {"c": 0.5, "V_D": 1.0, "V_B": 2.0, "p": 0.0, "prior": 0.5}),
+    seed=0,
+)
+def test_a_full_sample_is_the_public_cross_check_of_the_valid_rows(spec, grid, seed):
+    # the sweep's own verdicts and the public cross-check's, which validates
+    # and rules each point again, find the same report on the seeded order
+    grid = grid._replace(mechanism=spec)
+    valid = [row for row in run_sweep(grid, oracle_fraction=0.0) if row.classification is not Classification.INVALID]
+    order = np.random.default_rng(seed).permutation(len(valid)).tolist()
+    expected = verify_against_closed_form(spec, [(valid[k].params, valid[k].m) for k in order])
+    try:
+        rows = run_sweep(grid, oracle_fraction=1.0, seed=seed)
+    except DiscrepancyError as exc:
+        assert exc.report == expected
+    else:
+        assert expected.empty
+        assert all(row.oracle_checked for row in rows if row.classification is not Classification.INVALID)
 
 
 #: A fixed value's (low, high) per symbol, around a point where every
