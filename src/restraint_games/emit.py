@@ -24,7 +24,7 @@ import math
 from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Callable, Iterable
 
-from .game import ALL_SYMBOLS, T2_ACTIONS, TYPES, MechanismSpec, Outcome
+from .game import ALL_SYMBOLS, T2_ACTIONS, TYPE_NAMES, MechanismSpec, Outcome
 
 if TYPE_CHECKING:
     from .montecarlo import SimResult
@@ -49,8 +49,7 @@ row_fields = attrgetter(*CSV_HEADER[_M:])
 
 CERTIFICATE_CSV_HEADER = [
     "class",
-    "signal_restrained",
-    "signal_aggressive",
+    *(f"signal_{name}" for name in TYPE_NAMES),
     "fight_after",
     "t2_actions",
     "posteriors",
@@ -85,8 +84,7 @@ def _memo_floats(fmt: Callable[[object], str]) -> Callable[[object], str]:
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 #: ``json.dumps(value, indent=2)``, its encoder built once
 _json_indented = json.JSONEncoder(indent=2).encode
-#: A certificate's type names and its t2 action words by restraint bit.
-_TYPE_NAMES = tuple(t.name.lower() for t in TYPES)
+#: A certificate's t2 action words by restraint bit.
 _ACTION_WORDS = tuple(action.value for action in T2_ACTIONS)
 
 
@@ -122,12 +120,12 @@ def _write_rows(rows: list[RegionRow], spec: MechanismSpec, out: IO[str], cells:
                 text: Callable[[object], str], between: str = "") -> None:
     """Write each row, ``between`` two, as ``cells`` (one ``%s`` per column)
     cut for the table: the spec's texts filled in, the params' columns one
-    block text made once per run of rows that share their params. Each
-    classification's text is made once, and looked up once per run."""
+    block text made once per run of rows that share their params, and a
+    classification's text once per run of rows that share it."""
     pieces = cells.split("%s")  # pieces[i] comes before column i
     head = pieces[0] + text(spec.mechanism.value) + pieces[1] + text(spec.variant.value) + pieces[2]
     layout, block = "%s".join([head.replace("%", "%%"), *pieces[_M:]]), "%s".join(["", *pieces[3:_M], ""])
-    params, last, names, sep = None, None, {}, ""
+    params, last, sep = None, None, ""
     for row in rows:
         if row.params is not params:
             params = row.params
@@ -135,7 +133,7 @@ def _write_rows(rows: list[RegionRow], spec: MechanismSpec, out: IO[str], cells:
         m, classification, *rest = row_fields(row)
         if classification is not last:
             last = classification
-            name = names.get(last) or names.setdefault(last, text(last.value))
+            name = text(last.value)
         out.write(sep + layout % (params_text, text(m), name, *map(text, rest)))
         sep = between
 
@@ -164,14 +162,14 @@ def _write_certificates(certs: Iterable[PBECertificate], out: IO[str], layout_of
     ``text`` writes a class name or a number; ``fights`` and ``actions`` are
     a bit's texts, indexed by the bit unchecked: the writers take only the
     oracle's records, whose bits are True or False, and no hand-built one."""
-    messages, last, names, sep = None, None, {}, ""
+    messages, last, sep = None, None, ""
     for cert in certs:
         if cert.messages is not messages:
             messages = cert.messages
             layout, m_texts = layout_of(messages), list(map(text, messages))
         if cert.pbe_class is not last:
             last = cert.pbe_class
-            name = names.get(last) or names.setdefault(last, text(last.value))
+            name = text(last.value)
         values = (name, m_texts[cert.j_R], m_texts[cert.j_A], *map(fights.__getitem__, cert.fight),
                   *map(actions.__getitem__, cert.restraint), *map(text, cert.posterior))
         out.write(sep + layout % values)
@@ -180,7 +178,7 @@ def _write_certificates(certs: Iterable[PBECertificate], out: IO[str], layout_of
 
 
 def _csv_layout(messages: tuple) -> str:
-    cells = ([f"{m}:%s" for m in messages], [f"{t}@{m}:%s" for t in _TYPE_NAMES for m in messages],
+    cells = ([f"{m}:%s" for m in messages], [f"{t}@{m}:%s" for t in TYPE_NAMES for m in messages],
              [f"{m}:%s" for m in messages])
     return "%s,%s,%s," + ",".join(map(";".join, cells)) + "\n"
 
@@ -189,9 +187,9 @@ def _json_layout(messages: tuple) -> str:
     layout = {
         "class": "%s",
         "profile": {
-            "signal_of": dict.fromkeys(_TYPE_NAMES, "%s"),
+            "signal_of": dict.fromkeys(TYPE_NAMES, "%s"),
             "fight_after": [[m, "%s"] for m in messages],
-            "t2_action": [[t, m, "%s"] for t in _TYPE_NAMES for m in messages],
+            "t2_action": [[t, m, "%s"] for t in TYPE_NAMES for m in messages],
         },
         "beliefs": {"posterior": [[m, "%s"] for m in messages]},
     }
@@ -225,6 +223,6 @@ def write_simulation_csv(result: SimResult, out: IO[str]) -> None:
     values += [result.mean_u_A, result.mean_u_B, result.standard_error_u_B]
     by_type = result.mean_u_B_by_initial_type
     if by_type is not None:
-        header += ["mean_u_B_initial_restrained", "mean_u_B_initial_aggressive"]
-        values += [by_type["restrained"], by_type["aggressive"]]
+        header += [f"mean_u_B_initial_{name}" for name in TYPE_NAMES]
+        values += [by_type[name] for name in TYPE_NAMES]
     out.write(",".join(header) + "\n" + ",".join(map(_csv_text, values)) + "\n")

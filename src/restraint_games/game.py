@@ -138,6 +138,8 @@ class Outcome(Enum):
 #: bits: restrained first, as in the canonical certificate order, so a
 #: type's index is its theta.
 TYPES = (TypeLabel.RESTRAINED, TypeLabel.AGGRESSIVE)
+#: Each type's name in profiles, certificates and results, in ``TYPES`` order.
+TYPE_NAMES = tuple(t.name.lower() for t in TYPES)
 #: A t2 action by its restraint bit.
 T2_ACTIONS = (Outcome.EXPLOIT, Outcome.RESTRAINT)
 

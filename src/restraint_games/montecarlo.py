@@ -55,6 +55,7 @@ from typing import IO, Optional
 
 from .game import (
     T2_ACTIONS,
+    TYPE_NAMES,
     TYPES,
     DriftMode,
     MechanismSpec,
@@ -65,7 +66,7 @@ from .game import (
     signal_grid,
     validate_signal,
 )
-from .oracle import StrategyProfile, _GameFields, _GameTable, read_profile
+from .oracle import StrategyProfile, _GameTable, read_profile
 
 R, A = TYPES
 
@@ -162,8 +163,8 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     p = config.params
     n = int(config.n_trials)  # validated integral: 500.0 and "500" run as 500
     messages = signal_grid(config.m)
-    # the oracle's table, whose DiscreteGame would refuse a prior of 0 or 1
-    table = _GameTable(_GameFields(config.spec, p, messages))
+    # the oracle's table of the game's fields; DiscreteGame would refuse a prior of 0 or 1
+    table = _GameTable(config.spec, p, messages)
     best_response = config.drift_mode is DriftMode.BEST_RESPONSE
 
     cells = []  # per reachable (initial type, final type) cell, in index order
@@ -220,8 +221,8 @@ def simulate(config: SimConfig, trial_log: Optional[IO[str]] = None) -> SimResul
     by_initial: Optional[dict[str, Optional[float]]] = None
     if config.drift_mode is DriftMode.PRIOR_WEIGHTED:
         by_initial = {
-            "restrained": float(mean(u_B, (1, 2))) if counts[0] < n else None,
-            "aggressive": float(mean(u_B, (0,))) if counts[0] else None,
+            TYPE_NAMES[R.theta]: float(mean(u_B, (1, 2))) if counts[0] < n else None,
+            TYPE_NAMES[A.theta]: float(mean(u_B, (0,))) if counts[0] else None,
         }
     return SimResult(
         outcome_counts=outcome_counts,

@@ -45,16 +45,16 @@ each point as ``classify`` does and rules it once by the closed forms; a
 sweep hands its sampled rows, with the verdicts their classes encode, to
 the same loop, :func:`_cross_check`, so no sampled point is validated or
 ruled twice. The loop has a second route. Its referee, :func:`_referee`,
-is the definition checked profile by profile: over numpy arrays of points,
-checks (a)-(d) on the 16 pure profiles on {0, m} that could be
-PoolingOnRestraint or Separating with the restrained type at m, in the
-float expressions of the scalar checks, and never the closed forms. It
-decides the points of a block of up to 2 048 whose values are all floats
-and whose m > 0, when there are at least :data:`REFEREE_MIN_POINTS` of
-them. The anchor search decides every other point -- m = 0, a value that
-is not a float, a non-finite payoff, a smaller block -- and every point
-where the referee disagrees with the closed forms, and it alone builds a
-discrepancy report's certificates. numpy is imported only inside the
+is the definition checked profile by profile: over a block's params and m
+as numpy columns, checks (a)-(d) on the 16 pure profiles on {0, m} that
+could be PoolingOnRestraint or Separating with the restrained type at m,
+in the float expressions of the scalar checks, and never the closed forms.
+It decides the points of a block of up to 2 048 whose values are all
+floats and whose m > 0, when there are at least :data:`REFEREE_MIN_POINTS`
+of them. The anchor search decides, on each point's own payoff table,
+every other point -- m = 0, a value that is not a float, a non-finite
+payoff, a smaller block -- and every disagreement with the closed forms;
+it alone builds a report's certificates. numpy is imported only inside the
 referee; the break-even is measured in ``BENCH_oracle_referee.json``.
 
 A certificate is one ``NamedTuple`` whose fields run in the canonical
@@ -91,6 +91,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .game import (
     T2_ACTIONS,
+    TYPE_NAMES,
     TYPES,
     BudgetExceededError,
     MechanismSpec,
@@ -153,8 +154,8 @@ class DiscreteGame(_GameFields):
         return super().__new__(cls, spec, params, messages)
 
 
-#: A type's name in a profile's dict, one string per type.
-_TYPE_NAMES = {t: t.name.lower() for t in TYPES}
+#: A type's name in a profile's dict, by type.
+_TYPE_NAMES = dict(zip(TYPES, TYPE_NAMES))
 #: The profile reader's refusal of a value of the wrong kind.
 _WELL_FORMED = "profile well-formed (signal_of, fight_after, t2_action)"
 
@@ -277,15 +278,14 @@ def supporting_belief_interval(
 
 
 class _GameTable:
-    """Every payoff of a game on its grid, tabulated once for the oracle and
-    ``simulate``; a non-finite u_A refuses the game. Its caller validated
-    the params and messages (``simulate`` allows a prior of 0 or 1). Types
+    """Every payoff of the game of ``spec`` and ``p`` on ``messages``, once
+    for the oracle and ``simulate``; a non-finite u_A refuses the game. Its
+    caller validated them (``simulate`` allows a prior of 0 or 1). Types
     index in ``TYPES`` order, messages by grid index, t2 actions by bit."""
 
-    def __init__(self, game: _GameFields):
-        self.messages = game.messages
-        self.n = len(game.messages)
-        p = game.params
+    def __init__(self, spec: MechanismSpec, p: ModelParams, messages: tuple[float, ...]):
+        self.messages = messages
+        self.n = len(messages)
         # an anchor's beliefs at a message: off path (free), pooled, at R's and A's signal; the prior's type
         self.beliefs = (None, p.prior, 1 + 0 * p.prior, 0 * p.prior)
         self.u_b_fight = -p.c
@@ -296,8 +296,8 @@ class _GameTable:
 
         # u_A by [type][message index], one payoff evaluation a row
         def u_A(t: TypeLabel, outcome: Outcome) -> list[float]:
-            base, pays_m, _ = payoff_terms(game.spec, p, t, outcome)
-            row = [base - m for m in game.messages] if pays_m else [base] * self.n
+            base, pays_m, _ = payoff_terms(spec, p, t, outcome)
+            row = [base - m for m in messages] if pays_m else [base] * self.n
             if not all(map(math.isfinite, row)):  # e.g. -c - m past the float range
                 raise ParameterError("payoffs finite", f"u_A({t.name.lower()}, {outcome.value})={row}")
             return row
@@ -433,7 +433,7 @@ def is_weak_pbe(game: DiscreteGame, profile: StrategyProfile) -> Optional[PBECer
         raise ParameterError("profile total over message grid", "no t2_action")
     if any(action not in T2_ACTIONS for action in actions):
         return None  # conflict is not a t2 action
-    table = _GameTable(game)
+    table = _GameTable(*game)
     restraint = tuple(action is Outcome.RESTRAINT for action in actions)
     beliefs = _check_profile(table, j_R, j_A, restraint, fight)
     if beliefs is None:
@@ -560,7 +560,7 @@ def find_all_pbe(
     option sets before any is built; more than ``budget`` raises
     :class:`BudgetExceededError` with the exact count.
     """
-    table = _GameTable(game)
+    table = _GameTable(*game)
     anchors = list(_anchors(table))
     count = sum(math.prod(map(len, beliefs)) for _, _, _, (_, _, _, beliefs) in anchors)
     if count > budget:
@@ -621,16 +621,16 @@ _BLOCK = 2048
 REFEREE_MIN_POINTS = 8
 
 
-def _referee(spec: MechanismSpec, games: list[_GameFields]) -> list[Optional[tuple[bool, bool]]]:
+def _referee(spec: MechanismSpec, points: list[tuple[ModelParams, float, object]]) -> list[Optional[tuple[bool, bool]]]:
     """Whether a PoolingOnRestraint and a Separating profile with the
-    restrained type at m are weak PBE, as (pooling, separating), in each
-    game on {0, m} whose values are all floats; None where a payoff is not
-    finite, which :class:`_GameTable` refuses.
+    restrained type at m are weak PBE, as (pooling, separating), at each
+    all-float ``(params, m, _)`` point with m > 0, on messages (0·m, m);
+    None where a payoff is not finite, which :class:`_GameTable` refuses.
 
     It is the weak-PBE definition (Fudenberg & Tirole, JET 1991) checked
     profile by profile, a second route beside the factorized search of
     :func:`_anchors`: checks (a)-(d) on each of :data:`_REFEREE_PROFILES`,
-    over numpy arrays of games, in the float expressions of
+    over numpy columns of their params and m, in the float expressions of
     :func:`_supporting_belief`, :func:`supporting_belief_interval`,
     :func:`~.game.t2_options` and :func:`~.game.tie_floor`, the last read
     per call. It never reads the closed forms.
@@ -641,8 +641,8 @@ def _referee(spec: MechanismSpec, games: list[_GameFields]) -> list[Optional[tup
     bits = bits.reshape(-1, 2, 2)  # [profile, type, message]
     t, j = np.arange(2)[:, None], np.arange(2)  # type and message indices of a [type, message] cell
     with np.errstate(all="ignore"):  # a non-finite payoff is _GameTable's to refuse
-        p = ModelParams(*np.array([game.params for game in games], dtype=float).T)
-        x = np.array([game.messages for game in games], dtype=float).T  # [message, game]
+        p = ModelParams(*np.array([params for params, _, _ in points], dtype=float).T)
+        x = np.array([(0 * m, m) for _, m, _ in points], dtype=float).T  # [message, game]
 
         def u_A(t: TypeLabel, outcome: Outcome):  # [message, game], as _GameTable's rows
             base, pays_m, _ = payoff_terms(spec, p, t, outcome)
@@ -675,17 +675,17 @@ def _referee(spec: MechanismSpec, games: list[_GameFields]) -> list[Optional[tup
     return [verdict if payoffs_finite else None for verdict, payoffs_finite in zip(verdicts, finite.tolist())]
 
 
-def _anchor_check(game: _GameFields, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
-    """The anchor search's verdicts at one point, and its discrepancy,
-    certificates built, if they differ from the closed forms'."""
-    table = _GameTable(game)
+def _anchor_check(spec: MechanismSpec, params: ModelParams, m: float, closed: tuple[bool, bool]) -> Optional[Discrepancy]:
+    """The anchor search's verdicts at one point, from its game's table on
+    {0, m}, and its discrepancy, certificates built, if they differ."""
+    table = _GameTable(spec, params, signal_grid(m))
     relevant = [anchor for anchor in _anchors(table, (table.n - 1,)) if anchor[2] in _RELEVANT]
     found = {pbe_class for _, _, pbe_class, _ in relevant}
     oracle = tuple(map(found.__contains__, _RELEVANT))
     if oracle == closed:
         return None
     return Discrepancy(
-        params=game.params,
+        params=params,
         m=m,
         closed_form_verdict=dict(zip(_VERDICTS, closed)),
         oracle_verdict=dict(zip(_VERDICTS, oracle)),
@@ -724,10 +724,10 @@ def verify_against_closed_form(
 
 def _cross_check(spec: MechanismSpec, points: Iterable[tuple[ModelParams, float, tuple[bool, bool]]]) -> DiscrepancyReport:
     """The cross-check of valid points given with their closed-form
-    (pooling, separating) verdicts, in blocks of up to 2 048, each point's
-    game on {0, m} built as ``simulate`` builds it; which route decides
-    which point is in the module docstring. A ``ParameterError`` that
-    reading a point raises is raised once the points before it are checked.
+    (pooling, separating) verdicts, in blocks of up to 2 048, each point
+    read as its fields; which route decides which point is in the module
+    docstring. A ``ParameterError`` that reading a point raises is raised
+    once the points before it are checked.
     """
     entries, points, refusal = [], iter(points), None
     while refusal is None:
@@ -739,11 +739,10 @@ def _cross_check(spec: MechanismSpec, points: Iterable[tuple[ModelParams, float,
             refusal = exc
         if not block:
             break
-        games = [_GameFields(spec, params, signal_grid(m)) for params, m, _ in block]
         chosen = [k for k, (params, m, _) in enumerate(block) if m != 0 and {*map(type, params), type(m)} == {float}]
-        decided = dict(zip(chosen, _referee(spec, [games[k] for k in chosen]))) if len(chosen) >= REFEREE_MIN_POINTS else {}
-        for k, (game, (_, m, verdict)) in enumerate(zip(games, block)):
-            if decided.get(k) != verdict and (entry := _anchor_check(game, m, verdict)):
+        decided = dict(zip(chosen, _referee(spec, [block[k] for k in chosen]))) if len(chosen) >= REFEREE_MIN_POINTS else {}
+        for k, (params, m, verdict) in enumerate(block):
+            if decided.get(k) != verdict and (entry := _anchor_check(spec, params, m, verdict)):
                 entries.append(entry)
     if refusal is not None:
         raise refusal

@@ -29,8 +29,10 @@ from hypothesis import strategies as st
 
 from restraint_games import (
     TOL,
+    Axis,
     BudgetExceededError,
     DiscreteGame,
+    GridSpec,
     Mechanism,
     MechanismSpec,
     ModelParams,
@@ -45,14 +47,16 @@ from restraint_games import (
     find_all_pbe,
     is_weak_pbe,
     payoff,
+    run_sweep,
     supporting_belief_interval,
     verify_against_closed_form,
 )
 from restraint_games import game as game_module
 from restraint_games import oracle as oracle_module
 from restraint_games.emit import write_certificates_csv, write_certificates_json, write_json
-from restraint_games.game import t2_options
+from restraint_games.game import signal_grid, t2_options
 from restraint_games.oracle import DEFAULT_CERTIFICATE_BUDGET, _GameTable, _local_options
+from restraint_games.sweep import grid_points
 
 R = TypeLabel.RESTRAINED
 A = TypeLabel.AGGRESSIVE
@@ -730,7 +734,7 @@ def knife_edge_points(draw) -> tuple[ModelParams, float]:
 def anchor_verdicts(game: DiscreteGame) -> tuple[bool, bool]:
     """Whether the anchor search finds PoolingOnRestraint and Separating
     with the restrained type at the game's last message."""
-    table = _GameTable(game)
+    table = _GameTable(*game)
     found = {pbe_class for _, _, pbe_class, _ in oracle_module._anchors(table, (table.n - 1,))}
     return PBEClass.POOLING_ON_RESTRAINT in found, PBEClass.SEPARATING in found
 
@@ -748,7 +752,7 @@ def test_referee_decides_as_the_anchor_search(spec, tol, points):
     games = [DiscreteGame(spec, params, (0.0, m)) for params, m in points]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(game_module, "TOL", tol)
-        assert oracle_module._referee(spec, games) == [anchor_verdicts(game) for game in games]
+        assert oracle_module._referee(spec, [(*point, None) for point in points]) == list(map(anchor_verdicts, games))
 
 
 def test_cross_check_reports_as_the_anchor_search_alone(monkeypatch):
@@ -772,6 +776,32 @@ def test_cross_check_reports_as_the_anchor_search_alone(monkeypatch):
     assert refereed == [40] * len(SPECS)
 
 
+def test_a_table_is_built_only_where_the_anchor_search_decides(monkeypatch):
+    # at oracle_fraction=1 no point is wrapped in a game record: the referee
+    # reads the rows' fields as columns, and the anchor search builds one
+    # payoff table for each point it decides, m = 0 and each disagreement
+    records, tables = [], []
+    new, init = oracle_module._GameFields.__new__, _GameTable.__init__
+    monkeypatch.setattr(oracle_module._GameFields, "__new__", lambda cls, *args: records.append(args) or new(cls, *args))
+    monkeypatch.setattr(_GameTable, "__init__", lambda self, *args: tables.append(args) or init(self, *args))
+    fixed = {"V_D": 1.0, "V_B": 2.0, "r": 0.8, "p": 0.0, "prior": 0.5}
+    for spec in (TH_BASE, TH_RISK):
+        grid = GridSpec(spec, (Axis("c", 0.2, 1.5, 6), Axis("m", 0.0, 3.0, 7)), fixed)
+        points = list(grid_points(grid))
+        if spec is TH_BASE:
+            rows = run_sweep(grid, oracle_fraction=1)
+            assert all(row.oracle_checked for row in rows)
+            decided = [(params, m) for params, m in points if m == 0]
+        else:  # the risk variant's pooling gap: points where the routes disagree
+            disagreed = {(entry.params, entry.m) for entry in verify_against_closed_form(spec, points).entries}
+            assert any(m != 0 for _, m in disagreed)
+            decided = [(params, m) for params, m in points if m == 0 or (params, m) in disagreed]
+        assert records == []
+        # a sweep checks its sample in a shuffled order
+        assert sorted(tables) == sorted((spec, params, signal_grid(m)) for params, m in decided)
+        tables.clear()
+
+
 def test_a_non_finite_payoff_is_refused_in_a_refereed_block():
     # sunk conflict pays -c - m = -inf at c = m = 1e308: among enough float
     # points for the referee, that point raises the refusal it raises alone,
@@ -783,8 +813,8 @@ def test_a_non_finite_payoff_is_refused_in_a_refereed_block():
         verify_against_closed_form(spec, [overflow])
     assert alone.value.constraint == "payoffs finite"
     # the referee leaves that point to the anchor search, whatever its verdicts would read
-    games = [DiscreteGame(spec, params, (0.0, m)) for params, m in (grid[0], overflow)]
-    assert oracle_module._referee(spec, games) == [anchor_verdicts(games[0]), None]
+    game = DiscreteGame(spec, grid[0][0], (0.0, grid[0][1]))
+    assert oracle_module._referee(spec, [(*grid[0], None), (*overflow, None)]) == [anchor_verdicts(game), None]
     for points in (grid[:10] + [overflow] + grid[10:], grid + [overflow, (ModelParams(0.5, 1.0, 0.4), 1.0)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1272,7 +1302,7 @@ def test_float_verdicts_match_the_exact_referee(monkeypatch):
 def test_exact_run_never_touches_a_float_payoff(monkeypatch):
     monkeypatch.setattr(game_module, "TOL", Fraction(TOL))
     for game in map(_exact, tie_prone_games(random.Random(16), 8)):
-        table = _GameTable(game)
+        table = _GameTable(*game)
         options = [o for j in range(table.n) for found in _local_options(table, j) for o in found]
         payoffs = [
             table.u_b_fight,
